@@ -20,20 +20,17 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import (ConvergenceError, FracBVPError, HorizonError,
-                     HypothesisError, IntegrationError, MonotonicityError,
-                     ScalingError, TransversalityError)
+from .errors import (EXIT_HYPOTHESIS, EXIT_NONCONVERGENCE, FracBVPError,
+                     HypothesisError)
 from .eigen import lambda1_bounds, principal_eigenpair, sweep_alpha
 from .grid import GridFunction, make_mesh, production_mesh
 from .kernel import check_order
 from .operator import NonlinearityFamily, WeightFamily, assemble
-from .shooting import HenonParams, find_crossings, rescale_to_unit
+from .shooting import HenonParams, find_crossings, rescale_to_unit, weight_offset
 from .sublinear import find_bracket, monotone_solve, nonexistence_probe
 from .superlinear import continue_alpha, find_positive_solution, newton_solve, nondegeneracy
 
 EXIT_OK = 0
-EXIT_HYPOTHESIS = 2
-EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
 
 COMMANDS = ("eig", "bounds", "sweep", "solve-sub", "solve-super", "nonexist",
@@ -119,9 +116,21 @@ def parse_alphas(spec):
     return [float(v) for v in spec.split(",")]
 
 
+def _problem(config, key):
+    """A required field of the config's problem section."""
+    try:
+        return config["problem"][key]
+    except KeyError:
+        raise HypothesisError(
+            "problem-spec", f"the problem needs a {key!r} field") from None
+
+
 def _build_mesh(numerics, alpha, weight):
     grading = numerics["grading"]
     n = int(numerics["n"])
+    if grading != "graded" and numerics["exponent"] is not None:
+        raise HypothesisError(
+            "mesh-grading", "--exponent applies only to --grading graded")
     if grading == "auto":
         return production_mesh(alpha, n=n, weight=weight)
     if grading == "uniform":
@@ -134,10 +143,15 @@ def _build_mesh(numerics, alpha, weight):
         mesh = make_mesh(n, "graded", float(exponent))
     else:
         raise HypothesisError("mesh-size", f"unknown grading {grading!r}")
-    if weight is not None:
-        for t0 in weight.kink_points():
-            mesh = mesh.with_node(t0)
-    return mesh
+    return mesh.with_kinks(weight)
+
+
+def _problem_data(config):
+    """Order, weight, nonlinearity and solver mesh of a problem config."""
+    alpha = check_order(_problem(config, "alpha"))
+    weight = parse_weight(_problem(config, "weight"))
+    f = parse_nonlinearity(_problem(config, "nonlinearity"))
+    return alpha, weight, f, _build_mesh(config["numerics"], alpha, weight)
 
 
 def _write_csv(path, header, rows):
@@ -154,9 +168,9 @@ def _write_json(path, payload):
 
 
 def _cmd_eig(config, outdir, timings):
-    problem, numerics = config["problem"], config["numerics"]
-    alpha = check_order(problem["alpha"])
-    weight = parse_weight(problem["weight"])
+    numerics = config["numerics"]
+    alpha = check_order(_problem(config, "alpha"))
+    weight = parse_weight(_problem(config, "weight"))
     mesh = _build_mesh(numerics, alpha, weight)
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
@@ -171,9 +185,8 @@ def _cmd_eig(config, outdir, timings):
 
 
 def _cmd_bounds(config, outdir, timings):
-    problem = config["problem"]
-    alpha = check_order(problem["alpha"])
-    weight = parse_weight(problem["weight"])
+    alpha = check_order(_problem(config, "alpha"))
+    weight = parse_weight(_problem(config, "weight"))
     t0 = time.perf_counter()
     bounds = lambda1_bounds(alpha, weight)
     timings["solve"] = time.perf_counter() - t0
@@ -184,7 +197,11 @@ def _cmd_bounds(config, outdir, timings):
 
 def _cmd_sweep(config, outdir, timings):
     numerics = config["numerics"]
-    weight = parse_weight(config["problem"]["weight"])
+    if numerics["grading"] != "auto" or numerics["exponent"] is not None:
+        raise HypothesisError(
+            "mesh-grading", "sweep meshes every order with its graded "
+            "production mesh; --grading and --exponent do not apply")
+    weight = parse_weight(_problem(config, "weight"))
     alphas = parse_alphas(numerics["alphas"])
     for a in alphas:
         check_order(a)
@@ -201,19 +218,15 @@ def _cmd_sweep(config, outdir, timings):
 
 
 def _cmd_solve_sub(config, outdir, timings):
-    problem, numerics = config["problem"], config["numerics"]
-    alpha = check_order(problem["alpha"])
-    weight = parse_weight(problem["weight"])
-    f = parse_nonlinearity(problem["nonlinearity"])
-    mesh = _build_mesh(numerics, alpha, weight)
+    numerics = config["numerics"]
+    alpha, weight, f, mesh = _problem_data(config)
     tol = float(numerics["tol"])
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
     eig = principal_eigenpair(A)
-    bracket = find_bracket(eig, f, alpha, weight, mesh, A=A)
-    report = monotone_solve(bracket, f, alpha, weight, mesh,
-                            tol=max(tol, 1e-12), maxit=int(numerics["maxit"]),
-                            A=A)
+    bracket = find_bracket(eig, f, A)
+    report = monotone_solve(bracket, f, A, tol=max(tol, 1e-12),
+                            maxit=int(numerics["maxit"]))
     timings["solve"] = time.perf_counter() - t0
     report.solution.to_csv(outdir / "solution.csv")
     _write_json(outdir / "solve_report.json", {
@@ -228,18 +241,14 @@ def _cmd_solve_sub(config, outdir, timings):
 
 
 def _cmd_solve_super(config, outdir, timings):
-    problem, numerics = config["problem"], config["numerics"]
-    alpha = check_order(problem["alpha"])
-    weight = parse_weight(problem["weight"])
-    f = parse_nonlinearity(problem["nonlinearity"])
-    mesh = _build_mesh(numerics, alpha, weight)
+    numerics = config["numerics"]
+    alpha, weight, f, mesh = _problem_data(config)
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
     eig = principal_eigenpair(A)
-    report = find_positive_solution(alpha, weight, f, mesh, eig=eig,
-                                    tol=float(numerics["tol"]),
-                                    maxit=min(int(numerics["maxit"]), 200), A=A)
-    margin = nondegeneracy(alpha, weight, f, report.solution, A=A)
+    report = find_positive_solution(A, f, eig, tol=float(numerics["tol"]),
+                                    maxit=min(int(numerics["maxit"]), 200))
+    margin = nondegeneracy(A, f, report.solution)
     timings["solve"] = time.perf_counter() - t0
     report.solution.to_csv(outdir / "solution.csv")
     _write_json(outdir / "newton_report.json", {
@@ -256,14 +265,11 @@ def _cmd_solve_super(config, outdir, timings):
 
 
 def _cmd_nonexist(config, outdir, timings):
-    problem, numerics = config["problem"], config["numerics"]
-    alpha = check_order(problem["alpha"])
-    weight = parse_weight(problem["weight"])
-    f = parse_nonlinearity(problem["nonlinearity"])
-    mesh = _build_mesh(numerics, alpha, weight)
+    alpha, weight, f, mesh = _problem_data(config)
     t0 = time.perf_counter()
-    report = nonexistence_probe(f, alpha, weight, mesh,
-                                trials=int(numerics["trials"]))
+    A = assemble(mesh, alpha, weight)
+    report = nonexistence_probe(f, A, principal_eigenpair(A),
+                                trials=int(config["numerics"]["trials"]))
     timings["solve"] = time.perf_counter() - t0
     _write_csv(outdir / "trials.csv",
                ["trial", "amplitude", "shape", "outcome", "iterations",
@@ -279,9 +285,11 @@ def _cmd_nonexist(config, outdir, timings):
     return ["trials.csv", "probe.json"]
 
 
-def _crossings_rows(records):
-    return [[_g(r.beta), _g(r.z), r.morse_index, r.w_end_sign, _g(r.z_prime)]
-            for r in records]
+def _write_crossings(outdir, records):
+    _write_csv(outdir / "crossings.csv",
+               ["beta", "z", "morse_index", "w_end_sign", "z_prime"],
+               [[_g(r.beta), _g(r.z), r.morse_index, r.w_end_sign,
+                 _g(r.z_prime)] for r in records])
 
 
 def _cmd_henon_shoot(config, outdir, timings):
@@ -293,9 +301,7 @@ def _cmd_henon_shoot(config, outdir, timings):
                                          float(numerics["beta_max"])),
                              scan_points=int(numerics["scan_points"]))
     timings["solve"] = time.perf_counter() - t0
-    _write_csv(outdir / "crossings.csv",
-               ["beta", "z", "morse_index", "w_end_sign", "z_prime"],
-               _crossings_rows(records))
+    _write_crossings(outdir, records)
     return ["crossings.csv"]
 
 
@@ -312,25 +318,25 @@ def _cmd_henon_continue(config, outdir, timings):
                                          float(numerics["beta_max"])),
                              scan_points=int(numerics["scan_points"]))
     timings["shoot"] = time.perf_counter() - t0
-    _write_csv(outdir / "crossings.csv",
-               ["beta", "z", "morse_index", "w_end_sign", "z_prime"],
-               _crossings_rows(records))
+    _write_crossings(outdir, records)
     outputs = ["crossings.csv"]
 
     seeds = [r for r in records if not r.degenerate]
-    delta = (zeta - 1.0) / (2.0 * (1.0 + zeta))
+    delta = weight_offset(zeta)
     weight = WeightFamily.power_offset(params.l, 0.5 - delta)
     f = NonlinearityFamily.power(1.0, params.p)
     mesh = _build_mesh(numerics, target, weight)
 
     t0 = time.perf_counter()
+    # every seed starts at order 2 on the same mesh: assemble that once
+    A2 = assemble(mesh, 2.0, weight)
     summary = {"delta": delta, "crossings": len(records),
                "seeds": len(seeds), "traces": []}
     endpoints = []
     for k, record in enumerate(seeds):
         unit = rescale_to_unit(record, zeta, params, mesh)
-        start = newton_solve(2.0, weight, f, unit.profile, tol=tol)
-        trace = continue_alpha(start, 2.0, target, weight, f,
+        start = newton_solve(A2, f, unit.profile, tol=tol)
+        trace = continue_alpha(start, A2, target, f,
                                initial_step=float(numerics["alpha_step"]),
                                min_step=float(numerics["min_step"]), tol=tol)
         trace_path = outdir / f"trace_{k}.jsonl"
@@ -399,28 +405,12 @@ def run(config):
     started = time.time()
     try:
         outputs = _DISPATCH[command](config, outdir, timings)
-    except (HypothesisError,) as exc:
-        return fail(EXIT_HYPOTHESIS, {
-            "error": "hypothesis_violation", "hypothesis": exc.hypothesis,
-            "message": str(exc)})
-    except MonotonicityError as exc:
-        return fail(EXIT_HYPOTHESIS, {
-            "error": "hypothesis_violation", "hypothesis": "monotonicity",
-            "message": str(exc)})
-    except ConvergenceError as exc:
-        return fail(EXIT_NONCONVERGENCE, {
-            "error": "non_convergence", "message": str(exc),
-            "iterations": exc.iterations, "residual": exc.residual})
-    except (IntegrationError, HorizonError, TransversalityError,
-            ScalingError) as exc:
-        return fail(EXIT_NONCONVERGENCE, {
-            "error": "non_convergence", "message": str(exc)})
+    except FracBVPError as exc:
+        return fail(exc.exit_code, {
+            "error": exc.kind, "message": str(exc),
+            **{key: getattr(exc, key) for key in exc.report_fields}})
     except OSError as exc:
         return fail(EXIT_IO, {"error": "io", "message": str(exc)})
-    except FracBVPError as exc:
-        return fail(EXIT_HYPOTHESIS, {
-            "error": "hypothesis_violation", "hypothesis": "unspecified",
-            "message": str(exc)})
     _write_json(outdir / "manifest.json", {
         "command": command,
         "config": {k: v for k, v in config.items() if k != "command"},

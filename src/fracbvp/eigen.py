@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConvergenceError, HypothesisError
 from .grid import GridFunction, boundary_weight, production_mesh
 from .kernel import check_order, gamma
-from .operator import apply_linear, assemble
+from .operator import assemble
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,3 @@ def sweep_alpha(alphas, h, n=400, tol=1e-10, maxit=10000):
                              residual=eig.residual, iterations=eig.iterations))
     return rows
 
-
-def eigen_residual(A, eig):
-    """Recompute the sup-norm eigen-residual for an eigenpair."""
-    img = apply_linear(A, eig.phi1)
-    return float(np.max(np.abs(eig.lambda1 * img.values - eig.phi1.values)))

@@ -57,6 +57,13 @@ class Mesh:
         nodes = np.sort(np.append(self.nodes, t0))
         return Mesh(nodes, grading=self.grading, exponent=self.exponent)
 
+    def with_kinks(self, weight):
+        """Mesh with every interior kink of ``weight`` inserted as a node."""
+        mesh = self
+        for t0 in weight.kink_points():
+            mesh = mesh.with_node(t0)
+        return mesh
+
     def refine(self):
         """Uniformly refined mesh (midpoint of every interval inserted)."""
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
@@ -84,8 +91,9 @@ def make_mesh(n, grading="uniform", exponent=2.0):
         return Mesh(i / n, grading="uniform")
     if grading == "graded":
         q = float(exponent)
-        if q < 1.0:
-            raise ValueError("grading exponent must be >= 1")
+        if not q >= 1.0:
+            raise HypothesisError(
+                "mesh-grading", f"grading exponent must be >= 1, got {q!r}")
         return Mesh((i / n) ** q, grading="graded", exponent=q)
     raise ValueError(f"unknown grading {grading!r}")
 
@@ -99,10 +107,7 @@ def default_grading_exponent(alpha):
 def production_mesh(alpha, n=400, weight=None):
     """Default solver mesh: graded toward t = 0, weight kinks inserted."""
     mesh = make_mesh(n, "graded", default_grading_exponent(alpha))
-    if weight is not None:
-        for t0 in weight.kink_points():
-            mesh = mesh.with_node(t0)
-    return mesh
+    return mesh if weight is None else mesh.with_kinks(weight)
 
 
 class GridFunction:

@@ -64,6 +64,11 @@ class WeightFamily:
         return out if out.ndim else float(out)
 
     def _validate(self):
+        numbers = (self.params["table"].values if self.kind == "tabulated"
+                   else np.hstack(list(self.params.values())))
+        if not np.all(np.isfinite(numbers)):
+            raise HypothesisError(
+                "weight-positivity", f"{self.kind} weight parameters must be finite")
         if self.kind == "constant":
             if self.params["c"] <= 0.0:
                 raise HypothesisError(
@@ -147,10 +152,10 @@ class NonlinearityFamily:
 
     def _validate(self):
         for key, value in self.params.items():
-            if value <= 0.0:
+            if not (value > 0.0 and math.isfinite(value)):
                 raise HypothesisError(
                     "nonlinearity-positivity",
-                    f"{self.kind} parameter {key} must be positive")
+                    f"{self.kind} parameter {key} must be positive and finite")
 
     def f(self, s):
         s = np.asarray(s, dtype=float)
@@ -213,6 +218,14 @@ class OperatorMatrix:
     weight: WeightFamily
     matrix: np.ndarray
 
+    def nonlinear_image(self, f, values):
+        """Nodal values of the operator applied to f(|u|), u given by ``values``.
+
+        Fixed points of this map are discrete positive solutions; the
+        absolute value keeps f defined when an iterate dips negative.
+        """
+        return self.matrix @ f.f(np.abs(values))
+
 
 def assemble(mesh, alpha, h):
     """Assemble the dense product-integration matrix for weight ``h``.
@@ -222,8 +235,7 @@ def assemble(mesh, alpha, h):
     matrix's ``mesh`` attribute is then the authoritative mesh.
     """
     alpha = check_order(alpha)
-    for t0 in h.kink_points():
-        mesh = mesh.with_node(t0)
+    mesh = mesh.with_kinks(h)
     nodes = mesh.nodes
     m = len(nodes)
     hvals = np.asarray(h(nodes), dtype=float)
@@ -254,15 +266,8 @@ def apply_linear(A, x):
     return GridFunction(A.mesh, A.matrix @ x.values)
 
 
-def apply_nonlinear(mesh, alpha, h, f, u, A=None):
-    """Product integration of s -> h(s) f(|u(s)|).
-
-    Fixed points of this map are discrete positive solutions.  The absolute
-    value keeps f defined when an iterate dips negative.  Pass a matching
-    pre-assembled ``A`` to skip re-assembly in iteration loops.
-    """
-    if A is None:
-        A = assemble(mesh, alpha, h)
+def apply_nonlinear(A, f, u):
+    """Product integration of s -> h(s) f(|u(s)|) with the assembled operator."""
     if not A.mesh.same_as(u.mesh):
         raise ValueError("grid function lives on a different mesh than the operator")
-    return GridFunction(A.mesh, A.matrix @ f.f(np.abs(u.values)))
+    return GridFunction(A.mesh, A.nonlinear_image(f, u.values))

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from .errors import (HorizonError, HypothesisError, IntegrationError,
                      ScalingError, TransversalityError)
 from .grid import GridFunction, make_mesh
-from .operator import WeightFamily, assemble
+from .operator import NonlinearityFamily, WeightFamily, assemble
 
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
@@ -266,11 +266,16 @@ def z_prime(beta, params, x_max=X_MAX_DEFAULT, rtol=RTOL_DEFAULT,
     derivative of the trajectory, so no finite differencing is involved.
     """
     z, traj = _shoot_to_zero(beta, params, x_max, rtol, atol, variational=True)
+    return -float(traj.w(z)) / _transversal_slope(traj, z, beta)
+
+
+def _transversal_slope(traj, z, beta):
+    """u'(z), which must be away from zero for z to be a transversal zero."""
     up = float(traj.du(z))
     if abs(up) < 1e-10:
         raise TransversalityError(
             f"|u'(z)| = {abs(up):.3e} at beta = {beta}; zero is not transversal")
-    return -float(traj.w(z)) / up
+    return up
 
 
 def _z_of_beta(beta, params, x_max, rtol, atol):
@@ -286,7 +291,6 @@ def _z_of_beta(beta, params, x_max, rtol, atol):
 
 def _record_at(beta, params, x_max, rtol, atol):
     z, traj = _shoot_to_zero(beta, params, x_max, rtol, atol, variational=True)
-    up = float(traj.du(z))
     w_end = float(traj.w(z))
     wscale = float(np.max(np.abs(traj.w(traj.step_points())))) or 1.0
     if abs(w_end) <= WSIGN_REL_THRESHOLD * wscale:
@@ -295,9 +299,7 @@ def _record_at(beta, params, x_max, rtol, atol):
         sign = "positive"
     else:
         sign = "negative"
-    if abs(up) < 1e-10:
-        raise TransversalityError(
-            f"|u'(z)| = {abs(up):.3e} at beta = {beta}; zero is not transversal")
+    up = _transversal_slope(traj, z, beta)
     return ShootingRecord(beta=float(beta), z=z,
                           morse_index=_count_zeros(traj, z),
                           w_end_sign=sign, z_prime=-w_end / up)
@@ -314,10 +316,10 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000,
     crossings than expected is reported through the list length, not an
     exception.
     """
-    if zeta <= -1.0:
-        raise ValueError("zeta must exceed -1")
-    if not (0.0 < beta_range[0] < beta_range[1]):
-        raise ValueError("beta_range must be positive and increasing")
+    _check_zeta(zeta)
+    if not (0.0 < beta_range[0] < beta_range[1] < np.inf):
+        raise HypothesisError(
+            "shooting-range", "beta_range must be positive, finite and increasing")
     betas = np.geomspace(beta_range[0], beta_range[1], int(scan_points))
     gvals = np.empty_like(betas)
     horizon = x_max
@@ -356,59 +358,57 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6,
                     check_mesh=None):
     """Map a crossing solution on (-1, zeta) to the unit interval.
 
-    The profile is v(t) = (1+zeta)^E u((1+zeta) t - 1) and solves
-    v'' + |t - 1/2 + delta|^l v^p = 0 with delta = (zeta-1)/(2(1+zeta)).
-    Two candidate scale exponents are tried in order: E = (l+2)/(p-1), which
-    direct substitution of the change of variables forces, then
-    E = (l+2)/p; whichever brings the relative residual of the discrete
-    integral equation below ``residual_tol`` is accepted and recorded.
-    ``ScalingError`` surfaces the discrepancy when neither validates.
+    The profile is v(t) = (1+zeta)^E u((1+zeta) t - 1) with
+    E = (l+2)/(p-1), the exponent that direct substitution of the change of
+    variables forces, and solves v'' + |t - 1/2 + delta|^l v^p = 0 with
+    delta = ``weight_offset(zeta)``.  The profile lives on ``mesh`` with the
+    weight kink inserted.  It is accepted when the relative residual of the
+    discrete integral equation on ``check_mesh`` is below ``residual_tol``;
+    ``ScalingError`` surfaces the discrepancy otherwise.
     """
     z, traj = _shoot_to_zero(record.beta, params, x_max, rtol, atol,
                              variational=False)
     if abs(z - zeta) > 1e-6 * (1.0 + abs(zeta)):
         raise ValueError(
             f"record's zero z = {z} is not at the requested zeta = {zeta}")
-    delta = (zeta - 1.0) / (2.0 * (1.0 + zeta))
+    delta = weight_offset(zeta)
     weight = WeightFamily.power_offset(params.l, 0.5 - delta)
     if check_mesh is None:
         # the verdict mesh must push the O(n^-2) discretization residual of
         # the true profile below residual_tol; n = 3072 leaves a 2x margin
         check_mesh = make_mesh(3072, "uniform")
     stretch = 1.0 + zeta
+    exponent = (params.l + 2.0) / (params.p - 1.0)
+    scale = stretch ** exponent
 
-    def sample(target_mesh, scale):
+    def sample(target_mesh):
         x = np.clip(stretch * target_mesh.nodes - 1.0, -1.0, traj.x_end)
         vals = scale * traj.u(x)
         vals[0] = 0.0
         vals[-1] = 0.0
         return vals
 
-    residuals = {}
-    exponents = ((params.l + 2.0) / (params.p - 1.0),
-                 (params.l + 2.0) / params.p)
     A = assemble(check_mesh, 2.0, weight)
-    for exponent in exponents:
-        scale = stretch ** exponent
-        v = sample(A.mesh, scale)
-        image = A.matrix @ np.abs(v) ** params.p
-        rel = float(np.max(np.abs(v - image)) / max(1.0, np.max(np.abs(v))))
-        residuals[exponent] = rel
-        if rel <= residual_tol:
-            profile_mesh = mesh
-            for t0 in weight.kink_points():
-                profile_mesh = profile_mesh.with_node(t0)
-            profile = GridFunction(profile_mesh, sample(profile_mesh, scale))
-            return UnitSolution(profile=profile, delta=delta,
-                                scale_exponent_used=exponent)
-    raise ScalingError(
-        "neither candidate scale exponent reproduces the unit-interval "
-        f"equation within {residual_tol:g}: residuals {residuals}",
-        residuals=residuals)
+    v = sample(A.mesh)
+    image = A.nonlinear_image(NonlinearityFamily.power(1.0, params.p), v)
+    rel = float(np.max(np.abs(v - image)) / max(1.0, np.max(np.abs(v))))
+    if rel > residual_tol:
+        raise ScalingError(
+            f"scale exponent {exponent:g} does not reproduce the unit-interval "
+            f"equation within {residual_tol:g}: residual {rel:g}",
+            residuals={exponent: rel})
+    profile_mesh = mesh.with_kinks(weight)
+    return UnitSolution(profile=GridFunction(profile_mesh, sample(profile_mesh)),
+                        delta=delta, scale_exponent_used=exponent)
 
 
 def weight_offset(zeta):
     """Offset delta = (zeta-1)/(2(1+zeta)) of the rescaled weight."""
-    if zeta <= -1.0:
-        raise ValueError("zeta must exceed -1")
+    _check_zeta(zeta)
     return (zeta - 1.0) / (2.0 * (1.0 + zeta))
+
+
+def _check_zeta(zeta):
+    if not -1.0 < zeta < np.inf:
+        raise HypothesisError(
+            "shooting-range", f"zeta must be finite and exceed -1, got {zeta!r}")

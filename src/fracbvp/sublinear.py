@@ -11,6 +11,7 @@ witness.
 The nonexistence probe is the falsification companion: when f(s)/s stays on
 one side of the eigenvalue, iterates from any positive start either blow up
 or die out, and the probe reports that evidence.  It certifies nothing.
+Every solver takes the assembled operator A (and its eigenpair if needed).
 """
 
 from dataclasses import dataclass
@@ -18,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, MonotonicityError
-from .eigen import principal_eigenpair
-from .grid import GridFunction
-from .operator import assemble
+from .grid import GridFunction, boundary_weight
 
 DELTA_FLOOR = 1e-12
 M_CAP = 2.0 ** 40
@@ -60,11 +59,7 @@ class ProbeReport:
     verdict: str
 
 
-def _nonlinear_image(A, f, values):
-    return A.matrix @ f.f(np.abs(values))
-
-
-def find_bracket(eig, f, alpha, h, mesh, A=None):
+def find_bracket(eig, f, A):
     """Sub/super-solution pair (delta*phi1, M*phi1) for the sublinear regime.
 
     delta is located by bisection on the analytic condition f(s) >= lambda1*s
@@ -80,8 +75,6 @@ def find_bracket(eig, f, alpha, h, mesh, A=None):
             "sublinear-ratio-condition",
             f"need f(s)/s -> ({lim0}, {liminf}) to straddle lambda1 = {lam} "
             "from above then below")
-    if A is None:
-        A = assemble(mesh, alpha, h)
     phi = eig.phi1.values
 
     def sub_ok(d):
@@ -111,7 +104,7 @@ def find_bracket(eig, f, alpha, h, mesh, A=None):
     slack = 1e-12
     for _ in range(60):
         lower_vals = delta * phi
-        if np.all(_nonlinear_image(A, f, lower_vals) >= lower_vals - slack):
+        if np.all(A.nonlinear_image(f, lower_vals) >= lower_vals - slack):
             break
         delta *= 0.5
         if delta < DELTA_FLOOR:
@@ -122,7 +115,7 @@ def find_bracket(eig, f, alpha, h, mesh, A=None):
     m_upper = 2.0
     while True:
         upper_vals = m_upper * phi
-        if np.all(_nonlinear_image(A, f, upper_vals) <= upper_vals + slack):
+        if np.all(A.nonlinear_image(f, upper_vals) <= upper_vals + slack):
             break
         m_upper *= 2.0
         if m_upper > M_CAP:
@@ -136,7 +129,7 @@ def find_bracket(eig, f, alpha, h, mesh, A=None):
                    upper=GridFunction(A.mesh, m_upper * phi))
 
 
-def monotone_solve(bracket, f, alpha, h, mesh, tol=1e-9, maxit=20000, A=None):
+def monotone_solve(bracket, f, A, tol=1e-9, maxit=20000):
     """Monotone Picard iteration from both ends of the bracket.
 
     The lower start produces a nondecreasing sequence and the upper start a
@@ -145,8 +138,6 @@ def monotone_solve(bracket, f, alpha, h, mesh, tol=1e-9, maxit=20000, A=None):
     report says ``both_agree``, the computational witness that the positive
     solution is unique.
     """
-    if A is None:
-        A = assemble(mesh, alpha, h)
     lo = bracket.lower.values.copy()
     hi = bracket.upper.values.copy()
     mono_slack = 1e-12 * max(1.0, float(np.max(hi)))
@@ -161,7 +152,7 @@ def monotone_solve(bracket, f, alpha, h, mesh, tol=1e-9, maxit=20000, A=None):
             if done[side]:
                 continue
             cur = state[side]
-            nxt = _nonlinear_image(A, f, cur)
+            nxt = A.nonlinear_image(f, cur)
             if np.any(sign * (nxt - cur) < -mono_slack):
                 raise MonotonicityError(
                     f"iteration from the {side} start lost monotonicity; "
@@ -181,7 +172,7 @@ def monotone_solve(bracket, f, alpha, h, mesh, tol=1e-9, maxit=20000, A=None):
 
     gap = float(np.max(np.abs(state["lower"] - state["upper"])))
     res = {side: float(np.max(np.abs(
-        state[side] - _nonlinear_image(A, f, state[side]))))
+        state[side] - A.nonlinear_image(f, state[side]))))
         for side in ("lower", "upper")}
     if gap <= 10.0 * tol:
         side = "both_agree"
@@ -207,23 +198,19 @@ def classify_regime(f, lambda1, s_lo=1e-8, s_hi=1e8, samples=2001):
     return "borderline"
 
 
-def nonexistence_probe(f, alpha, h, mesh, trials=10, divergence_cap=1e6,
-                       decay_floor=1e-10, maxit=100000, A=None, eig=None):
+def nonexistence_probe(f, A, eig, trials=10, divergence_cap=1e6,
+                       decay_floor=1e-10, maxit=100000):
     """Iteration evidence that no positive solution exists.
 
     Runs Picard iteration from a deterministic spread of positive starts.
     In the super regime (f(s)/s above lambda1 everywhere) every trial is
     expected to blow past ``divergence_cap``; in the sub regime every trial
     should decay below ``decay_floor``.  Purely diagnostic: never raises on
-    inconclusive outcomes.
+    inconclusive outcomes.  ``eig`` is the principal eigenpair of ``A``.
     """
-    if A is None:
-        A = assemble(mesh, alpha, h)
-    if eig is None:
-        eig = principal_eigenpair(A)
     regime = classify_regime(f, eig.lambda1)
 
-    e_shape = A.mesh.nodes ** (alpha - 1.0) * (1.0 - A.mesh.nodes)
+    e_shape = boundary_weight(A.mesh, A.alpha)
     shapes = {"phi1": eig.phi1.values, "gauge": e_shape / np.max(e_shape)}
     amplitudes = np.geomspace(1e-2, 1e2, trials)
 
@@ -235,7 +222,7 @@ def nonexistence_probe(f, alpha, h, mesh, trials=10, divergence_cap=1e6,
         outcome, ratio = "inconclusive", float("nan")
         it = 0
         for it in range(1, maxit + 1):
-            u = _nonlinear_image(A, f, u)
+            u = A.nonlinear_image(f, u)
             nrm = float(np.max(np.abs(u)))
             ratio = nrm / prev_norm if prev_norm > 0 else float("nan")
             prev_norm = nrm

@@ -11,7 +11,8 @@ solution; numerically that is a positive smallest singular value of
 I - L_u, where L_u is the operator assembled with weight h*f'(u).  The
 margin gates predictor-corrector continuation in alpha: nondegenerate
 solutions persist for nearby orders, and the trace records each accepted
-step until the target order, a degeneracy, or a failed step floor.
+step until the target order, a degeneracy, or a failed step floor.  Every
+solver takes the assembled operator A and reads mesh, order and weight from it.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import ConvergenceError, DegeneratePointError, HypothesisError
-from .eigen import principal_eigenpair
 from .grid import GridFunction
 from .kernel import check_order
 from .operator import assemble
@@ -61,7 +61,7 @@ class ContinuationTrace:
 
 
 def _residual(A, f, u):
-    return u - A.matrix @ f.f(np.abs(u))
+    return u - A.nonlinear_image(f, u)
 
 
 def _jacobian(A, f, u):
@@ -71,24 +71,22 @@ def _jacobian(A, f, u):
     return np.eye(len(u)) - A.matrix * fp[np.newaxis, :]
 
 
-def newton_solve(alpha, h, f, u0, tol=1e-10, maxit=50, A=None):
+def newton_solve(A, f, u0, tol=1e-10, maxit=50):
     """Damped Newton iteration on the discrete fixed-point equation.
 
     Steps are halved (up to 30 times) until the sup-norm residual decreases.
     ``converged`` additionally requires interior positivity, so a run that
     collapses onto the trivial solution comes back with ``converged=False``
-    and ``positive=False`` rather than an exception.
+    and ``positive=False`` rather than an exception.  A residual that is
+    not finite ends the iteration with ``ConvergenceError``.
     """
-    alpha = check_order(alpha)
-    if A is None:
-        A = assemble(u0.mesh, alpha, h)
     if not A.mesh.same_as(u0.mesh):
         raise ValueError("initial guess lives on a different mesh than the operator")
     u = u0.values.copy()
     res_vec = _residual(A, f, u)
     res = float(np.max(np.abs(res_vec)))
     it = 0
-    while res >= tol and it < maxit:
+    while np.isfinite(res) and res >= tol and it < maxit:
         it += 1
         J = _jacobian(A, f, u)
         anorm = float(np.linalg.norm(J, 1))
@@ -114,7 +112,7 @@ def newton_solve(alpha, h, f, u0, tol=1e-10, maxit=50, A=None):
                 "damped Newton step failed to reduce the residual",
                 last=GridFunction(A.mesh, u), iterations=it, residual=res)
         u, res_vec, res = u_try, res_try_vec, res_try
-    if res >= tol:
+    if not res < tol:
         raise ConvergenceError(
             f"Newton did not reach tolerance {tol} in {maxit} iterations",
             last=GridFunction(A.mesh, u), iterations=it, residual=res)
@@ -123,16 +121,13 @@ def newton_solve(alpha, h, f, u0, tol=1e-10, maxit=50, A=None):
                         iterations=it, converged=positive, positive=positive)
 
 
-def nondegeneracy(alpha, h, f, u, threshold=None, A=None):
+def nondegeneracy(A, f, u, threshold=None):
     """Smallest singular value of I - L_u, the linearized fixed-point map.
 
     ``L_u`` is the kernel operator with weight h*f'(u).  The solution is
     flagged degenerate when the margin falls below ``threshold`` (default:
     1e-6 times the operator norm of I - L_u).
     """
-    alpha = check_order(alpha)
-    if A is None:
-        A = assemble(u.mesh, alpha, h)
     J = _jacobian(A, f, u.values)
     svals = np.linalg.svd(J, compute_uv=False)
     margin = float(svals[-1])
@@ -142,7 +137,7 @@ def nondegeneracy(alpha, h, f, u, threshold=None, A=None):
                                threshold=thr)
 
 
-def continue_alpha(start, alpha0, target_alpha, h, f, initial_step=0.005,
+def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
                    min_step=1e-5, tol=1e-10, maxit=50, margin_threshold=None):
     """Predictor-corrector continuation of a nondegenerate solution in alpha.
 
@@ -150,19 +145,24 @@ def continue_alpha(start, alpha0, target_alpha, h, f, initial_step=0.005,
     Newton solve at the shifted order.  Failed correctors halve the step and
     the trace halts ``halted_diverged`` below ``min_step``; a margin below
     the threshold halts ``halted_degenerate``.  Every accepted step is
-    positive at interior nodes.
+    positive at interior nodes.  ``A0`` is the operator at the starting
+    order on the starting solution's mesh; each step reassembles its weight.
     """
-    alpha0 = check_order(alpha0)
+    alpha0 = A0.alpha
     target_alpha = check_order(target_alpha)
     if not (start.converged and start.positive):
         raise HypothesisError(
             "continuation-start",
             "continuation needs a converged positive starting solution")
-    mesh = start.solution.mesh
-    A0 = assemble(mesh, alpha0, h)
-    if not A0.mesh.same_as(mesh):
-        raise ValueError("mesh must already contain the weight kink nodes")
-    nd0 = nondegeneracy(alpha0, h, f, start.solution, threshold=margin_threshold, A=A0)
+    step = abs(float(initial_step))
+    if not (step > 0.0 and min_step > 0.0):
+        # a zero step would accept the current order forever
+        raise HypothesisError(
+            "continuation-step", "initial_step and min_step must be positive")
+    mesh = A0.mesh
+    if not mesh.same_as(start.solution.mesh):
+        raise ValueError("starting solution lives on a different mesh than the operator")
+    nd0 = nondegeneracy(A0, f, start.solution, threshold=margin_threshold)
     if nd0.degenerate:
         raise HypothesisError(
             "continuation-start", "starting solution is degenerate")
@@ -170,7 +170,6 @@ def continue_alpha(start, alpha0, target_alpha, h, f, initial_step=0.005,
     steps = [ContinuationStep(alpha=alpha0, solution=start.solution,
                               residual=start.residual, margin=nd0.margin)]
     direction = 1.0 if target_alpha >= alpha0 else -1.0
-    step = abs(float(initial_step))
     cur_alpha, cur_u = alpha0, start.solution
     status = "completed"
     while cur_alpha != target_alpha:
@@ -180,14 +179,13 @@ def continue_alpha(start, alpha0, target_alpha, h, f, initial_step=0.005,
             next_alpha = target_alpha
         accepted = False
         try:
-            A = assemble(mesh, next_alpha, h)
-            rep = newton_solve(next_alpha, h, f, cur_u, tol=tol, maxit=maxit, A=A)
+            A = assemble(mesh, next_alpha, A0.weight)
+            rep = newton_solve(A, f, cur_u, tol=tol, maxit=maxit)
             accepted = rep.converged
         except (ConvergenceError, DegeneratePointError):
             accepted = False
         if accepted:
-            nd = nondegeneracy(next_alpha, h, f, rep.solution,
-                               threshold=margin_threshold, A=A)
+            nd = nondegeneracy(A, f, rep.solution, threshold=margin_threshold)
             if nd.degenerate:
                 status = "halted_degenerate"
                 break
@@ -202,21 +200,15 @@ def continue_alpha(start, alpha0, target_alpha, h, f, initial_step=0.005,
     return ContinuationTrace(steps=tuple(steps), status=status)
 
 
-def find_positive_solution(alpha, h, f, mesh, eig=None, tol=1e-10, maxit=50,
-                           A=None, multipliers=(1.0, 2.0, 0.5, 4.0, 0.25,
-                                                8.0, 16.0)):
+def find_positive_solution(A, f, eig, tol=1e-10, maxit=50,
+                           multipliers=(1.0, 2.0, 0.5, 4.0, 0.25, 8.0, 16.0)):
     """Locate a positive superlinear solution by a deterministic seed sweep.
 
     Seeds are scaled copies of the principal eigenfunction with amplitude
     near the level where f(s)/s crosses the eigenvalue, which sits above the
     basin of the trivial solution.  The first seed whose Newton run converges
-    to a positive solution wins.
+    to a positive solution wins.  ``eig`` is the principal eigenpair of ``A``.
     """
-    alpha = check_order(alpha)
-    if A is None:
-        A = assemble(mesh, alpha, h)
-    if eig is None:
-        eig = principal_eigenpair(A)
     lim0, liminf = f.ratio_limits()
     if not (lim0 < eig.lambda1 < liminf):
         raise HypothesisError(
@@ -231,7 +223,7 @@ def find_positive_solution(alpha, h, f, mesh, eig=None, tol=1e-10, maxit=50,
     for mult in multipliers:
         u0 = GridFunction(A.mesh, mult * s_star * eig.phi1.values)
         try:
-            rep = newton_solve(alpha, h, f, u0, tol=tol, maxit=maxit, A=A)
+            rep = newton_solve(A, f, u0, tol=tol, maxit=maxit)
         except (ConvergenceError, DegeneratePointError) as exc:
             failures.append(f"amplitude {mult * s_star:g}: {exc}")
             continue

@@ -137,8 +137,8 @@ def sublinear_solutions():
         mesh = production_mesh(alpha, 400)
         A = assemble(mesh, alpha, UNIT)
         eig = principal_eigenpair(A)
-        bracket = find_bracket(eig, f, alpha, UNIT, mesh, A=A)
-        report = monotone_solve(bracket, f, alpha, UNIT, mesh, tol=1e-9, A=A)
+        bracket = find_bracket(eig, f, A)
+        report = monotone_solve(bracket, f, A, tol=1e-9)
         out[alpha] = (mesh, report)
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -173,8 +173,8 @@ def multiplicity_traces(henon_params, henon_crossings):
     units = []
     for record in henon_crossings[:3]:
         unit = rescale_to_unit(record, 1.0, henon_params, mesh)
-        start = newton_solve(2.0, HENON_WEIGHT, f, unit.profile, tol=1e-10, A=A2)
-        trace = continue_alpha(start, 2.0, 1.95, HENON_WEIGHT, f,
+        start = newton_solve(A2, f, unit.profile, tol=1e-10)
+        trace = continue_alpha(start, A2, 1.95, f,
                                initial_step=0.005, tol=1e-10)
         units.append(unit)
         traces.append(trace)
@@ -214,11 +214,9 @@ def test_criterion_08_nonexistence_probes():
     A = assemble(mesh, 2.0, UNIT)
     eig = principal_eigenpair(A)
     f_super = NonlinearityFamily.affine_power(eig.lambda1, 0.5)
-    super_report = nonexistence_probe(f_super, 2.0, UNIT, mesh, trials=10,
-                                      A=A, eig=eig)
+    super_report = nonexistence_probe(f_super, A, eig, trials=10)
     f_sub = NonlinearityFamily.power(0.5 * eig.lambda1, 1.0)
-    sub_report = nonexistence_probe(f_sub, 2.0, UNIT, mesh, trials=10,
-                                    A=A, eig=eig)
+    sub_report = nonexistence_probe(f_sub, A, eig, trials=10)
     ok = (super_report.regime == "super"
           and all(o.outcome == "diverged" for o in super_report.trials)
           and all(o.final_norm > 1e6 for o in super_report.trials)

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from fracbvp.cli import (EXIT_HYPOTHESIS, EXIT_NONCONVERGENCE, EXIT_OK, main,
-                         parse_alphas, parse_nonlinearity, parse_weight, run)
+from fracbvp import cli, errors
+from fracbvp.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
+                         main, parse_alphas, parse_nonlinearity, parse_weight,
+                         run)
 from fracbvp.errors import HypothesisError
 
 
@@ -220,3 +222,62 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     for name in ("eig.csv", "phi1.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-super", "--alpha", "2", "--weight", "constant:1",
+     "--nonlin", "power:nan:2"],
+    ["solve-super", "--alpha", "2", "--weight", "constant:1",
+     "--nonlin", "power:1:inf"],
+    ["eig", "--alpha", "2", "--weight", "constant:nan"],
+    ["eig", "--alpha", "2", "--weight", "polynomial:1,nan"],
+    ["henon-shoot", "--zeta", "-2"],
+    ["henon-shoot", "--beta-min", "10", "--beta-max", "1"],
+    ["eig", "--alpha", "2", "--weight", "constant:1", "--grading", "graded",
+     "--exponent", "0.5"],
+    ["eig", "--alpha", "2", "--weight", "constant:1", "--exponent", "2"],
+    ["eig", "--alpha", "1.5"],
+    ["solve-sub", "--alpha", "1.5", "--weight", "constant:1"],
+    ["sweep", "--alphas", "1.8:2.0:0.1", "--weight", "constant:1",
+     "--grading", "uniform"],
+], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
+        "nan-polynomial-weight", "zeta-below-minus-1",
+        "beta-range-reversed", "grading-exponent-below-1",
+        "exponent-without-graded", "missing-weight",
+        "missing-nonlinearity", "sweep-grading"])
+def test_unusable_input_exits_2(tmp_path, argv):
+    out = tmp_path / "bad"
+    assert main(argv + ["--n", "50", "--out", str(out)]) == EXIT_HYPOTHESIS
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "hypothesis_violation"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("exc, code, keys", [
+    (errors.HypothesisError("order-range", "bad"), EXIT_HYPOTHESIS,
+     {"error", "hypothesis", "message"}),
+    (errors.MonotonicityError("bad"), EXIT_HYPOTHESIS,
+     {"error", "hypothesis", "message"}),
+    (errors.ConvergenceError("bad", iterations=3, residual=0.5),
+     EXIT_NONCONVERGENCE, {"error", "message", "iterations", "residual"}),
+    (errors.DegeneratePointError("bad", iterations=3, residual=0.5),
+     EXIT_NONCONVERGENCE, {"error", "message", "iterations", "residual"}),
+    (errors.IntegrationError("bad"), EXIT_NONCONVERGENCE, {"error", "message"}),
+    (errors.HorizonError("bad"), EXIT_NONCONVERGENCE, {"error", "message"}),
+    (errors.TransversalityError("bad"), EXIT_NONCONVERGENCE,
+     {"error", "message"}),
+    (errors.ScalingError("bad"), EXIT_NONCONVERGENCE, {"error", "message"}),
+    (OSError("bad"), EXIT_IO, {"error", "message"}),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_error_report_per_class(tmp_path, monkeypatch, exc, code, keys):
+    def raise_it(config, outdir, timings):
+        raise exc
+    monkeypatch.setitem(cli._DISPATCH, "bounds", raise_it)
+    out = tmp_path / "err"
+    assert main(["bounds", "--out", str(out)]) == code
+    error = json.loads((out / "error.json").read_text())
+    assert set(error) == keys
+    assert error["message"] == str(exc)
+    kind = {EXIT_HYPOTHESIS: "hypothesis_violation",
+            EXIT_NONCONVERGENCE: "non_convergence", EXIT_IO: "io"}[code]
+    assert error["error"] == kind

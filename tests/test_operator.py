@@ -120,12 +120,12 @@ def test_apply_nonlinear_trivial_and_guarded():
     zero = GridFunction.zeros(mesh)
     for f in (NonlinearityFamily.power(1.0, 2.0),
               NonlinearityFamily.affine_power(1.0, 0.5)):
-        out = apply_nonlinear(mesh, 2.0, h, f, zero, A=A)
+        out = apply_nonlinear(A, f, zero)
         assert np.all(out.values == 0.0)
     # negative excursions go through |u|
     f = NonlinearityFamily.power(1.0, 0.5)
     u = GridFunction.sample(mesh, lambda t: -np.sin(np.pi * t))
-    out = apply_nonlinear(mesh, 2.0, h, f, u, A=A)
+    out = apply_nonlinear(A, f, u)
     assert np.all(np.isfinite(out.values))
     assert np.all(out.values >= 0.0)
 
@@ -135,7 +135,7 @@ def test_apply_nonlinear_linear_f_matches_linear_path():
     h = WeightFamily.constant(1.0)
     A = assemble(mesh, 2.0, h)
     u = GridFunction.sample(mesh, lambda t: np.sin(np.pi * t))
-    out = apply_nonlinear(mesh, 2.0, h, NonlinearityFamily.power(1.0, 1.0), u, A=A)
+    out = apply_nonlinear(A, NonlinearityFamily.power(1.0, 1.0), u)
     assert np.max(np.abs(out.values - apply_linear(A, u).values)) < 1e-15
 
 

@@ -182,12 +182,12 @@ def test_rescaled_solutions_feed_newton(henon_params, henon_crossings):
     A = assemble(mesh, 2.0, weight)
     for record in henon_crossings:
         unit = rescale_to_unit(record, 1.0, henon_params, mesh)
-        report = newton_solve(2.0, weight, f, unit.profile, A=A)
+        report = newton_solve(A, f, unit.profile)
         assert report.converged
         assert report.iterations <= 5
         scale = max(1.0, np.max(np.abs(unit.profile.values)))
         drift = np.max(np.abs(report.solution.values - unit.profile.values))
         assert drift / scale <= 1e-4
-        margin = nondegeneracy(2.0, weight, f, report.solution, A=A)
+        margin = nondegeneracy(A, f, report.solution)
         shooting_nondeg = record.w_end_sign != "zero-ish"
         assert (not margin.degenerate) == shooting_nondeg

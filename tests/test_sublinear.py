@@ -25,7 +25,7 @@ def classical(unit_weight):
 def test_bracket_delta_matches_analytic_threshold(classical, unit_weight):
     # f = sqrt(s): f(s) >= lambda1*s iff s <= 1/lambda1^2 (= 1/pi^4 here)
     mesh, A, eig = classical
-    bracket = find_bracket(eig, SQRT, 2.0, unit_weight, mesh, A=A)
+    bracket = find_bracket(eig, SQRT, A)
     threshold = 1.0 / eig.lambda1 ** 2
     assert bracket.delta <= threshold * (1.0 + 1e-6)
     assert bracket.delta >= threshold * 0.5
@@ -35,7 +35,7 @@ def test_bracket_delta_matches_analytic_threshold(classical, unit_weight):
 
 def test_bracket_certifies_discrete_inequalities(classical, unit_weight):
     mesh, A, eig = classical
-    bracket = find_bracket(eig, SQRT, 2.0, unit_weight, mesh, A=A)
+    bracket = find_bracket(eig, SQRT, A)
     lower_img = A.matrix @ SQRT.f(np.abs(bracket.lower.values))
     upper_img = A.matrix @ SQRT.f(np.abs(bracket.upper.values))
     assert np.all(lower_img >= bracket.lower.values - 1e-12)
@@ -47,22 +47,20 @@ def test_bracket_rejects_wrong_regime(classical, unit_weight):
     # saturating with a < lambda1 violates the near-zero ratio condition
     weak = NonlinearityFamily.saturating(eig.lambda1 * 0.5)
     with pytest.raises(HypothesisError):
-        find_bracket(eig, weak, 2.0, unit_weight, mesh, A=A)
+        find_bracket(eig, weak, A)
     # pure power with p > 1 is the opposite regime
     with pytest.raises(HypothesisError):
-        find_bracket(eig, NonlinearityFamily.power(1.0, 2.0), 2.0,
-                     unit_weight, mesh, A=A)
+        find_bracket(eig, NonlinearityFamily.power(1.0, 2.0), A)
     # linear f has f(s)/s constant: no straddle either way
     with pytest.raises(HypothesisError):
-        find_bracket(eig, NonlinearityFamily.power(1.0, 1.0), 2.0,
-                     unit_weight, mesh, A=A)
+        find_bracket(eig, NonlinearityFamily.power(1.0, 1.0), A)
 
 
 def test_saturating_above_lambda1_accepted(classical, unit_weight):
     mesh, A, eig = classical
     strong = NonlinearityFamily.saturating(2.0 * eig.lambda1)
-    bracket = find_bracket(eig, strong, 2.0, unit_weight, mesh, A=A)
-    report = monotone_solve(bracket, strong, 2.0, unit_weight, mesh, A=A)
+    bracket = find_bracket(eig, strong, A)
+    report = monotone_solve(bracket, strong, A)
     assert report.from_side == "both_agree"
     assert np.all(report.solution.values[1:-1] > 0.0)
 
@@ -71,9 +69,8 @@ def _solve_sqrt(alpha, unit_weight, tol=1e-9):
     mesh = production_mesh(alpha, 400)
     A = assemble(mesh, alpha, unit_weight)
     eig = principal_eigenpair(A)
-    bracket = find_bracket(eig, SQRT, alpha, unit_weight, mesh, A=A)
-    report = monotone_solve(bracket, SQRT, alpha, unit_weight, mesh,
-                            tol=tol, A=A)
+    bracket = find_bracket(eig, SQRT, A)
+    report = monotone_solve(bracket, SQRT, A, tol=tol)
     return mesh, A, report
 
 
@@ -88,7 +85,7 @@ def test_monotone_solve_uniqueness_witness(alpha, unit_weight):
 def test_monotone_iterates_stay_ordered(classical, unit_weight):
     # re-run the iteration by hand and check the monotonicity invariants
     mesh, A, eig = classical
-    bracket = find_bracket(eig, SQRT, 2.0, unit_weight, mesh, A=A)
+    bracket = find_bracket(eig, SQRT, A)
     lo = bracket.lower.values.copy()
     hi = bracket.upper.values.copy()
     for _ in range(60):
@@ -124,7 +121,7 @@ def test_sublinear_bracket_golden_alpha_15(unit_weight):
     mesh = production_mesh(1.5, 400)
     A = assemble(mesh, 1.5, unit_weight)
     eig = principal_eigenpair(A)
-    bracket = find_bracket(eig, SQRT, 1.5, unit_weight, mesh, A=A)
+    bracket = find_bracket(eig, SQRT, A)
     assert bracket.delta == pytest.approx(1.0 / eig.lambda1 ** 2, rel=1e-4)
     assert bracket.m_upper == 2.0
 
@@ -140,7 +137,7 @@ def test_classify_regime(classical, unit_weight):
 def test_probe_super_regime_diverges(classical, unit_weight):
     mesh, A, eig = classical
     f = NonlinearityFamily.affine_power(eig.lambda1, 0.5)
-    report = nonexistence_probe(f, 2.0, unit_weight, mesh, trials=4, A=A, eig=eig)
+    report = nonexistence_probe(f, A, eig, trials=4)
     assert report.regime == "super"
     assert all(o.outcome == "diverged" for o in report.trials)
     assert "unbounded" in report.verdict
@@ -149,7 +146,7 @@ def test_probe_super_regime_diverges(classical, unit_weight):
 def test_probe_sub_regime_decays_geometrically(classical, unit_weight):
     mesh, A, eig = classical
     f = NonlinearityFamily.power(0.5 * eig.lambda1, 1.0)
-    report = nonexistence_probe(f, 2.0, unit_weight, mesh, trials=4, A=A, eig=eig)
+    report = nonexistence_probe(f, A, eig, trials=4)
     assert report.regime == "sub"
     assert all(o.outcome == "decayed" for o in report.trials)
     for o in report.trials:
@@ -159,6 +156,6 @@ def test_probe_sub_regime_decays_geometrically(classical, unit_weight):
 def test_probe_flags_borderline(classical, unit_weight):
     mesh, A, eig = classical
     f = NonlinearityFamily.power(eig.lambda1, 1.0)
-    report = nonexistence_probe(f, 2.0, unit_weight, mesh, trials=2, A=A, eig=eig)
+    report = nonexistence_probe(f, A, eig, trials=2)
     assert report.regime == "borderline"
     assert "borderline" in report.verdict
