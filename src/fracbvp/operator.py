@@ -4,7 +4,11 @@ The linear map x -> integral of G(.,s,alpha) h(s) x(s) ds is discretized by
 product integration: the integrand h*x is replaced by its piecewise-linear
 interpolant and integrated against the kernel exactly.  The resulting dense
 matrix has entries A[i,j] = green_hat_integral(t_i, j) * h(t_j); it applies
-to nodal vectors and is second-order accurate for smooth h*x.
+to nodal vectors and is second-order accurate for smooth h*x.  The
+unweighted matrix comes from ``kernel.green_hat_matrix``, which integrates
+each mesh segment once for both hats that share it and evaluates the
+(t-s)^(alpha-1) branch below the diagonal only; it equals the column-by-column
+``green_hat_integral`` stack bit for bit.
 
 Assembly is a pure function of its arguments; matrices are immutable after
 construction and safe to share across threads.
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import HypothesisError
 from .grid import GridFunction, Mesh
-from .kernel import check_order, green_hat_integral
+from .kernel import check_order, green_hat_matrix
 
 _VALIDATION_SAMPLES = 2049
 
@@ -236,16 +240,12 @@ def assemble(mesh, alpha, h):
     """
     alpha = check_order(alpha)
     mesh = mesh.with_kinks(h)
-    nodes = mesh.nodes
-    m = len(nodes)
-    hvals = np.asarray(h(nodes), dtype=float)
+    hvals = np.asarray(h(mesh.nodes), dtype=float)
     if np.any(hvals < 0.0):
         raise HypothesisError("weight-positivity", "weight negative at a node")
     if np.max(hvals) <= 0.0:
         raise HypothesisError("weight-positivity", "weight vanishes at all nodes")
-    a = np.empty((m, m))
-    for j in range(m):
-        a[:, j] = green_hat_integral(nodes, j, mesh, alpha)
+    a = green_hat_matrix(mesh, alpha)
     a *= hvals[np.newaxis, :]
     a[0, :] = 0.0
     a[-1, :] = 0.0

@@ -24,7 +24,8 @@ from scipy.optimize import brentq
 from .errors import (HorizonError, HypothesisError, IntegrationError,
                      ScalingError, TransversalityError)
 from .grid import GridFunction, make_mesh
-from .operator import NonlinearityFamily, WeightFamily, assemble
+from .kernel import classical_image
+from .operator import WeightFamily
 
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
@@ -320,7 +321,12 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000,
     if not (0.0 < beta_range[0] < beta_range[1] < np.inf):
         raise HypothesisError(
             "shooting-range", "beta_range must be positive, finite and increasing")
-    betas = np.geomspace(beta_range[0], beta_range[1], int(scan_points))
+    scan_points = int(scan_points)
+    if scan_points < 2:
+        # one point brackets nothing: the scan would report no crossing
+        raise HypothesisError(
+            "shooting-range", f"scan_points must be at least 2, got {scan_points}")
+    betas = np.geomspace(beta_range[0], beta_range[1], scan_points)
     gvals = np.empty_like(betas)
     horizon = x_max
     for i, b in enumerate(betas):
@@ -363,8 +369,10 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6,
     variables forces, and solves v'' + |t - 1/2 + delta|^l v^p = 0 with
     delta = ``weight_offset(zeta)``.  The profile lives on ``mesh`` with the
     weight kink inserted.  It is accepted when the relative residual of the
-    discrete integral equation on ``check_mesh`` is below ``residual_tol``;
-    ``ScalingError`` surfaces the discrepancy otherwise.
+    discrete integral equation on ``check_mesh`` (kink inserted too) is below
+    ``residual_tol``; ``ScalingError`` surfaces the discrepancy otherwise.
+    The check is at order 2, where the product-integration image is an O(n)
+    prefix sum (``kernel.classical_image``), so no dense operator is built.
     """
     z, traj = _shoot_to_zero(record.beta, params, x_max, rtol, atol,
                              variational=False)
@@ -388,9 +396,10 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6,
         vals[-1] = 0.0
         return vals
 
-    A = assemble(check_mesh, 2.0, weight)
-    v = sample(A.mesh)
-    image = A.nonlinear_image(NonlinearityFamily.power(1.0, params.p), v)
+    check_mesh = check_mesh.with_kinks(weight)
+    v = sample(check_mesh)
+    image = classical_image(check_mesh.nodes,
+                            weight(check_mesh.nodes) * np.abs(v) ** params.p)
     rel = float(np.max(np.abs(v - image)) / max(1.0, np.max(np.abs(v))))
     if rel > residual_tol:
         raise ScalingError(

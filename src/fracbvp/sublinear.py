@@ -208,6 +208,10 @@ def nonexistence_probe(f, A, eig, trials=10, divergence_cap=1e6,
     should decay below ``decay_floor``.  Purely diagnostic: never raises on
     inconclusive outcomes.  ``eig`` is the principal eigenpair of ``A``.
     """
+    if trials < 1:
+        # every verdict is an "all trials" statement: zero trials prove nothing
+        raise HypothesisError(
+            "probe-trials", f"trials must be at least 1, got {trials}")
     regime = classify_regime(f, eig.lambda1)
 
     e_shape = boundary_weight(A.mesh, A.alpha)

@@ -68,7 +68,13 @@ def _jacobian(A, f, u):
     with np.errstate(invalid="ignore"):
         fp = f.fprime(np.abs(u)) * np.sign(u)
     fp = np.nan_to_num(fp, nan=0.0, posinf=0.0, neginf=0.0)
-    return np.eye(len(u)) - A.matrix * fp[np.newaxis, :]
+    # I - A*fp in one m x m buffer; 0.0 - P, not -P, keeps the sign of zero
+    # that the subtraction from the identity gives
+    jac = A.matrix * fp[np.newaxis, :]
+    diag = 1.0 - np.diagonal(jac)
+    np.subtract(0.0, jac, out=jac)
+    np.fill_diagonal(jac, diag)
+    return jac
 
 
 def newton_solve(A, f, u0, tol=1e-10, maxit=50):

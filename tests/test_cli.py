@@ -240,11 +240,17 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
     ["solve-sub", "--alpha", "1.5", "--weight", "constant:1"],
     ["sweep", "--alphas", "1.8:2.0:0.1", "--weight", "constant:1",
      "--grading", "uniform"],
+    ["henon-shoot", "--scan-points", "-1"],
+    ["henon-shoot", "--scan-points", "1"],
+    ["henon-continue", "--scan-points", "0"],
+    ["nonexist", "--alpha", "2", "--weight", "constant:1",
+     "--nonlin", "power:1:1", "--trials", "0"],
 ], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
         "nan-polynomial-weight", "zeta-below-minus-1",
         "beta-range-reversed", "grading-exponent-below-1",
         "exponent-without-graded", "missing-weight",
-        "missing-nonlinearity", "sweep-grading"])
+        "missing-nonlinearity", "sweep-grading", "scan-points-negative",
+        "scan-points-one", "continue-scan-points-zero", "probe-zero-trials"])
 def test_unusable_input_exits_2(tmp_path, argv):
     out = tmp_path / "bad"
     assert main(argv + ["--n", "50", "--out", str(out)]) == EXIT_HYPOTHESIS

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,6 +85,45 @@ def test_hat_integral_against_quadrature_oracle(alpha):
             oracle = gauss_kernel_hat_integral(t, j, mesh.nodes, alpha)
             closed = green_hat_integral(t, j, mesh, alpha)
             assert closed == pytest.approx(oracle, abs=1e-13)
+
+
+def _mp_hat_integral(t, j, nodes, alpha):
+    """int_0^1 G(t, s, alpha) hat_j(s) ds by tanh-sinh quadrature in mpmath,
+    split at the hat's nodes and at the kernel's kink s = t."""
+    t, a1 = mpmath.mpf(t), mpmath.mpf(alpha) - 1
+    lo = nodes[j - 1] if j > 0 else nodes[j]
+    hi = nodes[j + 1] if j < len(nodes) - 1 else nodes[j]
+    peak = mpmath.mpf(nodes[j])
+
+    def integrand(s):
+        hat = (s - lo) / (peak - lo) if s <= peak else (hi - s) / (hi - peak)
+        sing = (t - s) ** a1 if s < t else 0
+        return ((t * (1 - s)) ** a1 - sing) * hat
+
+    cuts = sorted({mpmath.mpf(x) for x in (lo, peak, hi, t) if lo <= x <= hi})
+    return mpmath.quad(integrand, cuts) / mpmath.gamma(alpha)
+
+
+@pytest.mark.parametrize("alpha", (1.1, 1.5))
+def test_hat_integral_against_mpmath_oracle(alpha):
+    # the closed form on the graded mesh's smallest segments, next to t = 0,
+    # and on the hats that straddle the kink s = t, at a node or between two.
+    # The hat pieces are a + b*s with b = +-1/d, so on a segment of width d
+    # the closed form cancels terms of size t^(alpha-1) down to the result:
+    # its rounding error is a few ulps of t^(alpha-1), not of the result
+    # (about 1e-10 relative on the n = 40 graded mesh's first segment)
+    mesh = production_mesh(alpha, 40)
+    nodes = mesh.nodes
+    cases = [(nodes[1], 0), (nodes[1], 1), (nodes[2], 1), (nodes[2], 2),
+             (nodes[20], 19), (nodes[20], 20), (nodes[20], 21),
+             (0.5 * (nodes[20] + nodes[21]), 20),
+             (0.5 * (nodes[20] + nodes[21]), 21)]
+    with mpmath.workdps(40):
+        for t, j in cases:
+            oracle = float(_mp_hat_integral(t, j, nodes, alpha))
+            closed = green_hat_integral(t, j, mesh, alpha)
+            scale = t ** (alpha - 1.0)
+            assert abs(closed - oracle) <= 1e-12 * abs(oracle) + 1e-14 * scale
 
 
 def _property_grid(n_t=41, n_s=41):

@@ -5,7 +5,7 @@ import pytest
 
 from fracbvp.errors import HypothesisError
 from fracbvp.grid import GridFunction, make_mesh, norms, production_mesh
-from fracbvp.kernel import green_integral
+from fracbvp.kernel import green_hat_integral, green_integral
 from fracbvp.operator import (NonlinearityFamily, WeightFamily, apply_linear,
                               apply_nonlinear, assemble)
 
@@ -55,6 +55,29 @@ def test_assemble_constant_input_reproduces_kernel_integral(alpha):
     result = A.matrix @ np.ones(len(A.mesh.nodes))
     exact = green_integral(A.mesh.nodes, alpha)
     assert np.max(np.abs(result - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", (1.1, 1.5, 1.95, 2.0))
+@pytest.mark.parametrize("grading", ("uniform", "graded"))
+@pytest.mark.parametrize("weight", [
+    WeightFamily.constant(2.5), WeightFamily.power_offset(4.0, 0.37),
+    WeightFamily.polynomial([1.0, 0.5, 2.0])], ids=("constant", "kinked",
+                                                     "polynomial"))
+def test_assemble_bytes_match_hat_integral_columns(alpha, grading, weight):
+    # the segment-blocked builder against the one-hat-at-a-time reference:
+    # same values, same signs of zero, same C order
+    mesh = (make_mesh(80, "uniform") if grading == "uniform"
+            else production_mesh(alpha, 80))
+    A = assemble(mesh, alpha, weight)
+    nodes = A.mesh.nodes
+    ref = np.column_stack([green_hat_integral(nodes, j, A.mesh, alpha)
+                           for j in range(len(nodes))])
+    ref *= weight(nodes)[np.newaxis, :]
+    ref[0, :] = 0.0
+    ref[-1, :] = 0.0
+    np.maximum(ref, 0.0, out=ref)
+    assert A.matrix.flags["C_CONTIGUOUS"]
+    assert A.matrix.tobytes() == ref.tobytes()
 
 
 def test_assemble_rejects_zero_weight():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fracbvp.errors import HorizonError, HypothesisError
+from fracbvp.errors import HorizonError, HypothesisError, ScalingError
 from fracbvp.grid import make_mesh
+from fracbvp.kernel import classical_image
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
 from fracbvp.shooting import (HenonParams, first_zero, ivp_integrate,
                               rescale_to_unit, variational_solve,
@@ -169,6 +170,34 @@ def test_rescale_residual_below_tolerance(henon_params, henon_crossings):
     rel = (np.max(np.abs(v - A.matrix @ np.abs(v) ** 2.0))
            / max(1.0, np.max(np.abs(v))))
     assert rel <= 1e-6
+
+
+def test_rescale_rejects_residual_above_tolerance(henon_params,
+                                                  henon_crossings):
+    # the verdict's failure path on a real crossing: the discretization
+    # residual of the true profile (O(n^-2), under 1e-6) exceeds 1e-12
+    mesh = make_mesh(200, "uniform")
+    with pytest.raises(ScalingError) as info:
+        rescale_to_unit(henon_crossings[0], 1.0, henon_params, mesh,
+                        residual_tol=1e-12)
+    (exponent, residual), = info.value.residuals.items()
+    assert exponent == 6.0
+    assert 1e-12 < residual <= 1e-6
+
+
+@pytest.mark.parametrize("zeta", (1.0, 1.1))
+def test_check_image_matches_dense_operator(zeta):
+    # the O(n) alpha = 2 image against the assembled operator on the
+    # default check mesh; at zeta = 1.1 the weight kink is not a mesh node
+    weight = WeightFamily.power_offset(4.0, 0.5 - weight_offset(zeta))
+    f = NonlinearityFamily.power(1.0, 2.0)
+    A = assemble(make_mesh(3072, "uniform"), 2.0, weight)
+    t = A.mesh.nodes
+    v = 40.0 * np.sin(np.pi * t) * (1.0 + t ** 3)
+    v[-1] = 0.0
+    dense = A.nonlinear_image(f, v)
+    fast = classical_image(t, weight(t) * f.f(np.abs(v)))
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_rescaled_solutions_feed_newton(henon_params, henon_crossings):

@@ -77,6 +77,21 @@ def test_jacobian_consistency(classical, unit_weight):
         assert np.max(np.abs(fd - an)) / denom < 1e-4
 
 
+def test_jacobian_bytes_match_identity_minus_scaled(classical):
+    # the one-buffer Jacobian is exactly I - A*f'(u), signed zeros included:
+    # the zero boundary rows of A meet both signs of f'(u) here
+    from fracbvp.superlinear import _jacobian
+    mesh, A, _ = classical
+    u = 5.0 * np.sin(3.0 * np.pi * mesh.nodes)
+    u[0] = u[-1] = 0.0
+    for f in (SQUARE, NonlinearityFamily.power(1.0, 0.5)):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fp = np.nan_to_num(f.fprime(np.abs(u)) * np.sign(u),
+                               nan=0.0, posinf=0.0, neginf=0.0)
+        ref = np.eye(len(u)) - A.matrix * fp[np.newaxis, :]
+        assert _jacobian(A, f, u).tobytes() == ref.tobytes()
+
+
 def test_nondegeneracy_identity_at_zero(classical, unit_weight):
     mesh, A, _ = classical
     report = nondegeneracy(A, SQUARE, GridFunction.zeros(mesh))
