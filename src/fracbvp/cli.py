@@ -33,9 +33,6 @@ from .superlinear import continue_alpha, find_positive_solution, newton_solve, n
 EXIT_OK = 0
 EXIT_IO = 4
 
-COMMANDS = ("eig", "bounds", "sweep", "solve-sub", "solve-super", "nonexist",
-            "henon-shoot", "henon-continue")
-
 NUMERIC_DEFAULTS = {
     "n": 400,
     "grading": "auto",
@@ -53,6 +50,15 @@ NUMERIC_DEFAULTS = {
     "alpha_step": 0.005,
     "min_step": 1e-5,
     "alphas": "1.5:2.0:0.05",
+}
+
+
+# the type a config value, from a flag or a file, is converted to: a numerics
+# value takes its default's type, and exponent (default None) is a float
+CONFIG_TYPES = {
+    "problem": {"alpha": float, "weight": str, "nonlinearity": str},
+    "numerics": {key: type(default) for key, default in NUMERIC_DEFAULTS.items()}
+    | {"exponent": lambda value: None if value is None else float(value)},
 }
 
 
@@ -107,13 +113,19 @@ def parse_nonlinearity(spec):
 def parse_alphas(spec):
     """Alpha schedule 'start:stop:step' or comma list."""
     spec = str(spec)
-    if ":" in spec:
-        start, stop, step = (float(v) for v in spec.split(":"))
-        if step <= 0.0 or stop < start:
-            raise HypothesisError("order-range", f"bad alpha schedule {spec!r}")
-        count = int(round((stop - start) / step))
-        return [float(v) for v in np.linspace(start, stop, count + 1)]
-    return [float(v) for v in spec.split(",")]
+    schedule = ":" in spec
+    try:
+        values = [float(v) for v in spec.split(":" if schedule else ",")]
+    except ValueError:
+        values = []
+    if not (values and np.all(np.isfinite(values))) or schedule and not (
+            len(values) == 3 and values[2] > 0.0 and values[1] >= values[0]):
+        raise HypothesisError("order-range", f"bad alpha schedule {spec!r}")
+    if not schedule:
+        return values
+    start, stop, step = values
+    count = int(round((stop - start) / step))
+    return [float(v) for v in np.linspace(start, stop, count + 1)]
 
 
 def _problem(config, key):
@@ -125,25 +137,46 @@ def _problem(config, key):
             "problem-spec", f"the problem needs a {key!r} field") from None
 
 
+def _typed_config(config):
+    """``config`` with numerics defaults filled in and each value converted
+    to its type; raises ``HypothesisError`` on any key or value it rejects."""
+    if config.get("command") not in COMMANDS:
+        raise HypothesisError(
+            "command", f"unknown command {config.get('command')!r}")
+    unknown = set(config) - {"command", "output", *CONFIG_TYPES}
+    if unknown:
+        raise HypothesisError("config", f"unknown config keys {sorted(unknown)}")
+    typed = {**config, "problem": {}, "numerics": dict(NUMERIC_DEFAULTS)}
+    for section, types in CONFIG_TYPES.items():
+        for key, value in config.get(section, {}).items():
+            if key not in types:
+                raise HypothesisError("config", f"unknown {section} key {key!r}")
+            try:
+                typed[section][key] = types[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise HypothesisError(
+                    "config", f"cannot read {section} {key} = {value!r}: {exc}"
+                ) from None
+    tol, maxit = typed["numerics"]["tol"], typed["numerics"]["maxit"]
+    if not (tol > 0.0 and maxit >= 1):
+        raise HypothesisError("solver-settings", "need tol > 0 and maxit >= 1, "
+                              f"got tol = {tol!r}, maxit = {maxit}")
+    return typed
+
+
 def _build_mesh(numerics, alpha, weight):
-    grading = numerics["grading"]
-    n = int(numerics["n"])
-    if grading != "graded" and numerics["exponent"] is not None:
+    grading, exponent = numerics["grading"], numerics["exponent"]
+    if grading != "graded" and exponent is not None:
         raise HypothesisError(
             "mesh-grading", "--exponent applies only to --grading graded")
     if grading == "auto":
-        return production_mesh(alpha, n=n, weight=weight)
-    if grading == "uniform":
-        mesh = make_mesh(n, "uniform")
-    elif grading == "graded":
-        exponent = numerics["exponent"]
-        if exponent is None:
-            raise HypothesisError("mesh-size",
-                                  "graded meshes need an explicit exponent")
-        mesh = make_mesh(n, "graded", float(exponent))
-    else:
+        return production_mesh(alpha, n=numerics["n"], weight=weight)
+    if grading not in ("uniform", "graded"):
         raise HypothesisError("mesh-size", f"unknown grading {grading!r}")
-    return mesh.with_kinks(weight)
+    if grading == "graded" and exponent is None:
+        raise HypothesisError("mesh-size",
+                              "graded meshes need an explicit exponent")
+    return make_mesh(numerics["n"], grading, exponent).with_kinks(weight)
 
 
 def _problem_data(config):
@@ -174,8 +207,7 @@ def _cmd_eig(config, outdir, timings):
     mesh = _build_mesh(numerics, alpha, weight)
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
-    eig = principal_eigenpair(A, tol=float(numerics["tol"]),
-                              maxit=int(numerics["maxit"]))
+    eig = principal_eigenpair(A, tol=numerics["tol"], maxit=numerics["maxit"])
     timings["solve"] = time.perf_counter() - t0
     _write_csv(outdir / "eig.csv",
                ["alpha", "lambda1", "residual", "iterations"],
@@ -202,12 +234,10 @@ def _cmd_sweep(config, outdir, timings):
             "mesh-grading", "sweep meshes every order with its graded "
             "production mesh; --grading and --exponent do not apply")
     weight = parse_weight(_problem(config, "weight"))
-    alphas = parse_alphas(numerics["alphas"])
-    for a in alphas:
-        check_order(a)
+    alphas = [check_order(a) for a in parse_alphas(numerics["alphas"])]
     t0 = time.perf_counter()
-    rows = sweep_alpha(alphas, weight, n=int(numerics["n"]),
-                       tol=float(numerics["tol"]), maxit=int(numerics["maxit"]))
+    rows = sweep_alpha(alphas, weight, n=numerics["n"], tol=numerics["tol"],
+                       maxit=numerics["maxit"])
     timings["solve"] = time.perf_counter() - t0
     _write_csv(outdir / "sweep.csv",
                ["alpha", "lambda1", "lower_bound", "upper_bound",
@@ -220,13 +250,12 @@ def _cmd_sweep(config, outdir, timings):
 def _cmd_solve_sub(config, outdir, timings):
     numerics = config["numerics"]
     alpha, weight, f, mesh = _problem_data(config)
-    tol = float(numerics["tol"])
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
     eig = principal_eigenpair(A)
     bracket = find_bracket(eig, f, A)
-    report = monotone_solve(bracket, f, A, tol=max(tol, 1e-12),
-                            maxit=int(numerics["maxit"]))
+    report = monotone_solve(bracket, f, A, tol=max(numerics["tol"], 1e-12),
+                            maxit=numerics["maxit"])
     timings["solve"] = time.perf_counter() - t0
     report.solution.to_csv(outdir / "solution.csv")
     _write_json(outdir / "solve_report.json", {
@@ -246,8 +275,8 @@ def _cmd_solve_super(config, outdir, timings):
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
     eig = principal_eigenpair(A)
-    report = find_positive_solution(A, f, eig, tol=float(numerics["tol"]),
-                                    maxit=min(int(numerics["maxit"]), 200))
+    report = find_positive_solution(A, f, eig, tol=numerics["tol"],
+                                    maxit=min(numerics["maxit"], 200))
     margin = nondegeneracy(A, f, report.solution)
     timings["solve"] = time.perf_counter() - t0
     report.solution.to_csv(outdir / "solution.csv")
@@ -269,7 +298,7 @@ def _cmd_nonexist(config, outdir, timings):
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
     report = nonexistence_probe(f, A, principal_eigenpair(A),
-                                trials=int(config["numerics"]["trials"]))
+                                trials=config["numerics"]["trials"])
     timings["solve"] = time.perf_counter() - t0
     _write_csv(outdir / "trials.csv",
                ["trial", "amplitude", "shape", "outcome", "iterations",
@@ -294,12 +323,12 @@ def _write_crossings(outdir, records):
 
 def _cmd_henon_shoot(config, outdir, timings):
     numerics = config["numerics"]
-    params = HenonParams(l=float(numerics["l"]), p=float(numerics["p"]))
+    params = HenonParams(l=numerics["l"], p=numerics["p"])
     t0 = time.perf_counter()
-    records = find_crossings(float(numerics["zeta"]), params,
-                             beta_range=(float(numerics["beta_min"]),
-                                         float(numerics["beta_max"])),
-                             scan_points=int(numerics["scan_points"]))
+    records = find_crossings(
+        numerics["zeta"], params,
+        beta_range=(numerics["beta_min"], numerics["beta_max"]),
+        scan_points=numerics["scan_points"])
     timings["solve"] = time.perf_counter() - t0
     _write_crossings(outdir, records)
     return ["crossings.csv"]
@@ -307,16 +336,15 @@ def _cmd_henon_shoot(config, outdir, timings):
 
 def _cmd_henon_continue(config, outdir, timings):
     numerics = config["numerics"]
-    params = HenonParams(l=float(numerics["l"]), p=float(numerics["p"]))
-    zeta = float(numerics["zeta"])
+    params = HenonParams(l=numerics["l"], p=numerics["p"])
+    zeta = numerics["zeta"]
     target = check_order(numerics["target_alpha"])
-    tol = float(numerics["tol"])
+    tol = numerics["tol"]
 
     t0 = time.perf_counter()
-    records = find_crossings(zeta, params,
-                             beta_range=(float(numerics["beta_min"]),
-                                         float(numerics["beta_max"])),
-                             scan_points=int(numerics["scan_points"]))
+    records = find_crossings(
+        zeta, params, beta_range=(numerics["beta_min"], numerics["beta_max"]),
+        scan_points=numerics["scan_points"])
     timings["shoot"] = time.perf_counter() - t0
     _write_crossings(outdir, records)
     outputs = ["crossings.csv"]
@@ -337,10 +365,9 @@ def _cmd_henon_continue(config, outdir, timings):
         unit = rescale_to_unit(record, zeta, params, mesh)
         start = newton_solve(A2, f, unit.profile, tol=tol)
         trace = continue_alpha(start, A2, target, f,
-                               initial_step=float(numerics["alpha_step"]),
-                               min_step=float(numerics["min_step"]), tol=tol)
-        trace_path = outdir / f"trace_{k}.jsonl"
-        with open(trace_path, "w") as fh:
+                               initial_step=numerics["alpha_step"],
+                               min_step=numerics["min_step"], tol=tol)
+        with open(outdir / f"trace_{k}.jsonl", "w") as fh:
             for step in trace.steps:
                 fh.write(json.dumps({
                     "alpha": step.alpha,
@@ -380,39 +407,46 @@ _DISPATCH = {
     "henon-shoot": _cmd_henon_shoot,
     "henon-continue": _cmd_henon_continue,
 }
+COMMANDS = tuple(_DISPATCH)
+
+
+def _make_outdir(path):
+    """``path`` as an existing directory, or None if it cannot be made."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+        return Path(path)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return None
+
+
+def _fail(outdir, exc):
+    """Write ``error.json`` for ``exc`` and return its exit code."""
+    if isinstance(exc, OSError):
+        code, payload = EXIT_IO, {"error": "io", "message": str(exc)}
+    else:
+        code, payload = exc.exit_code, {
+            "error": exc.kind, "message": str(exc),
+            **{key: getattr(exc, key) for key in exc.report_fields}}
+    _write_json(outdir / "error.json", payload)
+    print(payload["message"], file=sys.stderr)
+    return code
 
 
 def run(config):
     """Execute one config; returns the process exit code."""
-    outdir = Path(config.get("output", "out"))
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
+    outdir = _make_outdir(config.get("output", "out"))
+    if outdir is None:
         return EXIT_IO
-
-    def fail(code, payload):
-        _write_json(outdir / "error.json", payload)
-        print(payload["message"], file=sys.stderr)
-        return code
-
-    command = config.get("command")
-    if command not in _DISPATCH:
-        return fail(EXIT_HYPOTHESIS, {
-            "error": "hypothesis_violation", "hypothesis": "command",
-            "message": f"unknown command {command!r}"})
     timings = {}
     started = time.time()
     try:
-        outputs = _DISPATCH[command](config, outdir, timings)
-    except FracBVPError as exc:
-        return fail(exc.exit_code, {
-            "error": exc.kind, "message": str(exc),
-            **{key: getattr(exc, key) for key in exc.report_fields}})
-    except OSError as exc:
-        return fail(EXIT_IO, {"error": "io", "message": str(exc)})
+        config = _typed_config(config)
+        outputs = _DISPATCH[config["command"]](config, outdir, timings)
+    except (FracBVPError, OSError) as exc:
+        return _fail(outdir, exc)
     _write_json(outdir / "manifest.json", {
-        "command": command,
+        "command": config["command"],
         "config": {k: v for k, v in config.items() if k != "command"},
         "versions": {"fracbvp": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
@@ -425,31 +459,28 @@ def run(config):
 
 
 def build_config(args):
-    """Merge the config file (if any) with flag overrides."""
-    config = {"problem": {}, "numerics": dict(NUMERIC_DEFAULTS)}
+    """The config file (if any) with the flags laid over it, values as given
+    (``run`` checks them); raises ``HypothesisError`` unless the file is a
+    JSON object whose output is a string and whose sections are objects."""
+    loaded = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        config["problem"].update(loaded.get("problem", {}))
-        config["numerics"].update(loaded.get("numerics", {}))
-        for key in ("command", "output"):
-            if key in loaded:
-                config[key] = loaded[key]
+    if not (isinstance(loaded, dict) and isinstance(loaded.get("output", ""), str)
+            and all(isinstance(loaded.get(s, {}), dict) for s in CONFIG_TYPES)):
+        raise HypothesisError("config", "a config file holds a JSON object whose "
+                              "output is a string and sections are objects")
+    config = {"output": "out", **loaded,
+              **{section: dict(loaded.get(section, {})) for section in CONFIG_TYPES}}
     if args.command:
         config["command"] = args.command
     if args.out is not None:
         config["output"] = args.out
-    config.setdefault("output", "out")
-    for key in ("alpha", "weight", "nonlinearity"):
-        value = getattr(args, key)
-        if value is not None:
-            config["problem"][key] = value
-    for key in ("n", "grading", "exponent", "tol", "maxit", "alphas", "trials",
-                "l", "p", "zeta", "beta_min", "beta_max", "scan_points",
-                "target_alpha", "alpha_step", "min_step"):
-        value = getattr(args, key)
-        if value is not None:
-            config["numerics"][key] = value
+    for section, types in CONFIG_TYPES.items():
+        for key in types:
+            value = getattr(args, key)
+            if value is not None:
+                config[section][key] = value
     return config
 
 
@@ -462,28 +493,28 @@ def _make_parser():
                         help="pipeline to run (may come from the config file)")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--alpha", type=float, help="differentiation order in (1,2]")
+    parser.add_argument("--alpha", help="differentiation order in (1,2]")
     parser.add_argument("--weight", help="weight spec, e.g. constant:1 or "
                                          "power_offset:4:0.5")
     parser.add_argument("--nonlin", dest="nonlinearity",
                         help="nonlinearity spec, e.g. power:1:0.5")
-    parser.add_argument("--n", type=int, help="mesh intervals")
+    parser.add_argument("--n", help="mesh intervals")
     parser.add_argument("--grading", choices=("auto", "uniform", "graded"))
-    parser.add_argument("--exponent", type=float, help="grading exponent")
-    parser.add_argument("--tol", type=float, help="solver tolerance")
-    parser.add_argument("--maxit", type=int, help="iteration budget")
+    parser.add_argument("--exponent", help="grading exponent")
+    parser.add_argument("--tol", help="solver tolerance")
+    parser.add_argument("--maxit", help="iteration budget")
     parser.add_argument("--alphas", help="sweep schedule start:stop:step")
-    parser.add_argument("--trials", type=int, help="nonexistence probe starts")
-    parser.add_argument("--l", type=float, help="weight exponent l")
-    parser.add_argument("--p", type=float, help="nonlinearity power p")
-    parser.add_argument("--zeta", type=float, help="right endpoint level")
-    parser.add_argument("--beta-min", dest="beta_min", type=float)
-    parser.add_argument("--beta-max", dest="beta_max", type=float)
-    parser.add_argument("--scan-points", dest="scan_points", type=int)
-    parser.add_argument("--target-alpha", dest="target_alpha", type=float)
-    parser.add_argument("--step", dest="alpha_step", type=float,
+    parser.add_argument("--trials", help="nonexistence probe starts")
+    parser.add_argument("--l", help="weight exponent l")
+    parser.add_argument("--p", help="nonlinearity power p")
+    parser.add_argument("--zeta", help="right endpoint level")
+    parser.add_argument("--beta-min", dest="beta_min")
+    parser.add_argument("--beta-max", dest="beta_max")
+    parser.add_argument("--scan-points", dest="scan_points")
+    parser.add_argument("--target-alpha", dest="target_alpha")
+    parser.add_argument("--step", dest="alpha_step",
                         help="continuation step in alpha")
-    parser.add_argument("--min-step", dest="min_step", type=float)
+    parser.add_argument("--min-step", dest="min_step")
     return parser
 
 
@@ -496,6 +527,9 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    except HypothesisError as exc:
+        outdir = _make_outdir(args.out or "out")
+        return EXIT_IO if outdir is None else _fail(outdir, exc)
     return run(config)
 
 

@@ -10,7 +10,6 @@ module.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +17,10 @@ from .errors import ConvergenceError, HypothesisError
 from .grid import GridFunction, boundary_weight, production_mesh
 from .kernel import check_order, gamma
 from .operator import assemble
+
+GAUSS_ORDER = 20            # Gauss-Legendre points per quadrature panel
+DYADIC_LEVELS = 48          # panels refined toward each endpoint
+_GAUSS_RULE = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,7 @@ def principal_eigenpair(A, tol=1e-10, maxit=10000):
                        residual=residual, iterations=it)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def integrate_unit_interval(fun, kinks=(), order=20, dyadic_levels=48):
+def integrate_unit_interval(fun, kinks=()):
     """Composite Gauss-Legendre quadrature on [0,1].
 
     Panels are refined geometrically toward both endpoints (handles the
@@ -94,14 +92,14 @@ def integrate_unit_interval(fun, kinks=(), order=20, dyadic_levels=48):
     piecewise-smooth integrands used here.
     """
     breaks = {0.0, 1.0}
-    for k in range(1, dyadic_levels + 1):
+    for k in range(1, DYADIC_LEVELS + 1):
         breaks.add(2.0 ** -k)
         breaks.add(1.0 - 2.0 ** -k)
     for t0 in kinks:
         if 0.0 < t0 < 1.0:
             breaks.add(float(t0))
     pts = np.array(sorted(breaks))
-    xg, wg = _leggauss(order)
+    xg, wg = _GAUSS_RULE
     left = pts[:-1]
     width = np.diff(pts)
     # map reference nodes to every panel at once

@@ -27,8 +27,9 @@ class HypothesisError(FracBVPError, ValueError):
     ``hypothesis`` names the violated condition, e.g. ``weight-positivity``,
     ``nonlinearity-positivity``, ``sublinear-ratio-condition``,
     ``superlinear-ratio-condition``, ``multiplicity-parameter-condition``,
-    ``order-range``, ``mesh-size``, ``mesh-grading``, ``shooting-range`` or
-    ``problem-spec``.  It is also a ``ValueError``: the data is invalid.
+    ``order-range``, ``mesh-size``, ``mesh-grading``, ``shooting-range``,
+    ``problem-spec``, ``command``, ``config`` (a config key or value type)
+    or ``solver-settings``.  It is also a ``ValueError``: the data is invalid.
     """
 
     exit_code = EXIT_HYPOTHESIS
@@ -76,10 +77,6 @@ class IntegrationError(FracBVPError):
 
 class HorizonError(FracBVPError):
     """No zero of the shooting solution before the integration horizon."""
-
-    def __init__(self, message, x_max=None):
-        super().__init__(message)
-        self.x_max = x_max
 
 
 class TransversalityError(FracBVPError):

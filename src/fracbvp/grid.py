@@ -15,14 +15,16 @@ from .errors import HypothesisError
 from .kernel import check_order
 
 MIN_INTERVALS = 8
+# an inserted node this close to an existing one is taken as already there
+NODE_TOL = 1e-12
 
 
 class Mesh:
     """Ascending nodes t0 = 0 < t1 < ... < tn = 1, immutable after creation."""
 
-    __slots__ = ("nodes", "grading", "exponent")
+    __slots__ = ("nodes",)
 
-    def __init__(self, nodes, grading="explicit", exponent=None):
+    def __init__(self, nodes):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < MIN_INTERVALS + 1:
             raise HypothesisError(
@@ -35,8 +37,6 @@ class Mesh:
             raise ValueError("mesh nodes must be strictly increasing")
         nodes.setflags(write=False)
         self.nodes = nodes
-        self.grading = grading
-        self.exponent = exponent
 
     @property
     def n(self):
@@ -47,15 +47,14 @@ class Mesh:
         return self.nodes.shape == other.nodes.shape and np.array_equal(
             self.nodes, other.nodes)
 
-    def with_node(self, t0, tol=1e-12):
+    def with_node(self, t0):
         """Mesh with ``t0`` inserted as an extra node (no-op if one is close)."""
         t0 = float(t0)
         if not 0.0 <= t0 <= 1.0:
             raise ValueError("inserted node must lie in [0, 1]")
-        if np.min(np.abs(self.nodes - t0)) <= tol:
+        if np.min(np.abs(self.nodes - t0)) <= NODE_TOL:
             return self
-        nodes = np.sort(np.append(self.nodes, t0))
-        return Mesh(nodes, grading=self.grading, exponent=self.exponent)
+        return Mesh(np.sort(np.append(self.nodes, t0)))
 
     def with_kinks(self, weight):
         """Mesh with every interior kink of ``weight`` inserted as a node."""
@@ -67,12 +66,10 @@ class Mesh:
     def refine(self):
         """Uniformly refined mesh (midpoint of every interval inserted)."""
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        nodes = np.sort(np.concatenate([self.nodes, mids]))
-        return Mesh(nodes, grading=self.grading, exponent=self.exponent)
+        return Mesh(np.sort(np.concatenate([self.nodes, mids])))
 
     def __repr__(self):
-        return (f"Mesh(n={self.n}, grading={self.grading!r}, "
-                f"exponent={self.exponent!r})")
+        return f"Mesh(n={self.n})"
 
 
 def make_mesh(n, grading="uniform", exponent=2.0):
@@ -88,13 +85,13 @@ def make_mesh(n, grading="uniform", exponent=2.0):
             "mesh-size", f"need at least {MIN_INTERVALS} intervals, got {n}")
     i = np.arange(n + 1, dtype=float)
     if grading == "uniform":
-        return Mesh(i / n, grading="uniform")
+        return Mesh(i / n)
     if grading == "graded":
         q = float(exponent)
         if not q >= 1.0:
             raise HypothesisError(
                 "mesh-grading", f"grading exponent must be >= 1, got {q!r}")
-        return Mesh((i / n) ** q, grading="graded", exponent=q)
+        return Mesh((i / n) ** q)
     raise ValueError(f"unknown grading {grading!r}")
 
 

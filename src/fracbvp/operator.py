@@ -121,13 +121,8 @@ class WeightFamily:
             return tuple(self.params["table"].mesh.nodes[1:-1])
         return ()
 
-    def describe(self):
-        if self.kind == "tabulated":
-            return {"kind": "tabulated", "n": self.params["table"].mesh.n}
-        return {"kind": self.kind, **self.params}
-
     def __repr__(self):
-        return f"WeightFamily({self.describe()!r})"
+        return f"WeightFamily({self.kind!r}, {self.params!r})"
 
 
 class NonlinearityFamily:
@@ -202,11 +197,8 @@ class NonlinearityFamily:
             return 2.0 * lam, 2.0 * lam
         return self.params["a"], 0.0
 
-    def describe(self):
-        return {"kind": self.kind, **self.params}
-
     def __repr__(self):
-        return f"NonlinearityFamily({self.describe()!r})"
+        return f"NonlinearityFamily({self.kind!r}, {self.params!r})"
 
 
 @dataclass(frozen=True)

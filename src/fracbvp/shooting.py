@@ -33,6 +33,11 @@ X_MAX_DEFAULT = 100.0
 X_MAX_CAP = 1e5
 ZPRIME_DEGENERATE = 1e-6
 WSIGN_REL_THRESHOLD = 1e-6
+POLISH_TOL = 1e-9           # |z(beta) - zeta| of a polished crossing
+MAX_BISECTIONS = 200
+ZERO_SUBSAMPLES = 8         # samples of w per step when counting its zeros
+TANGENCY_REFINE = 64        # and around a near-tangency
+CHECK_MESH_N = 3072         # rescale check mesh: O(n^-2) residual, 2x margin
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,10 @@ class HenonParams:
     p: float
 
     def __post_init__(self):
-        if not (self.l > 1.0 and self.p > 1.0):
+        if not (1.0 < self.l < np.inf and 1.0 < self.p < np.inf):
             raise HypothesisError(
                 "multiplicity-parameter-condition",
-                f"need l > 1 and p > 1, got l={self.l}, p={self.p}")
+                f"need finite l > 1 and p > 1, got l={self.l}, p={self.p}")
 
     def meets_multiplicity_condition(self):
         """(p-1)*l >= 4, the regime with three guaranteed solutions."""
@@ -81,9 +86,8 @@ class UnitSolution:
 class Trajectory:
     """Dense piecewise trajectory of (u, u') and optionally (w, w')."""
 
-    def __init__(self, legs, has_variational):
+    def __init__(self, legs):
         self.legs = legs        # list of scipy OdeSolution objects
-        self.has_variational = has_variational
         self.x_start = legs[0].t_min
         self.x_end = legs[-1].t_max
 
@@ -105,14 +109,7 @@ class Trajectory:
         return self._eval(x)[1]
 
     def w(self, x):
-        if not self.has_variational:
-            raise ValueError("trajectory was integrated without the variational state")
         return self._eval(x)[2]
-
-    def dw(self, x):
-        if not self.has_variational:
-            raise ValueError("trajectory was integrated without the variational state")
-        return self._eval(x)[3]
 
     def step_points(self):
         return np.unique(np.concatenate([leg.ts for leg in self.legs]))
@@ -133,12 +130,14 @@ def _rhs(l, p, variational):
 
 def _integrate(beta, params, x_max, rtol, atol, variational, stop_at_zero):
     """Integrate in legs split at x = 0 (weight kink) with optional zero event."""
+    if beta <= 0.0:
+        raise ValueError("initial slope beta must be positive")
+    if x_max <= -1.0:
+        raise ValueError("x_max must exceed the left endpoint -1")
     rhs = _rhs(params.l, params.p, variational)
     y = [0.0, float(beta), 0.0, 1.0] if variational else [0.0, float(beta)]
     legs = []
-    breakpoints = [x for x in (-1.0, 0.0, float(x_max)) if x <= x_max]
-    if breakpoints[-1] != x_max:
-        breakpoints.append(float(x_max))
+    breakpoints = [x for x in (-1.0, 0.0) if x < x_max] + [float(x_max)]
     event = None
     if stop_at_zero:
         def event(x, yv):      # noqa: ANN001 - scipy event signature
@@ -147,48 +146,38 @@ def _integrate(beta, params, x_max, rtol, atol, variational, stop_at_zero):
         event.direction = -1.0
     zero_x = None
     for x0, x1 in zip(breakpoints[:-1], breakpoints[1:]):
-        if x0 >= x1:
-            continue
         sol = solve_ivp(rhs, (x0, x1), y, method="RK45", rtol=rtol, atol=atol,
                         dense_output=True, events=event)
         if sol.status == -1:
             partial_legs = legs + ([sol.sol] if sol.sol is not None else [])
             raise IntegrationError(
                 f"integrator failed on [{x0}, {x1}]: {sol.message}",
-                partial=Trajectory(partial_legs, variational) if partial_legs else None)
+                partial=Trajectory(partial_legs) if partial_legs else None)
         legs.append(sol.sol)
         if sol.status == 1:    # terminal event fired
             zero_x = float(sol.t_events[0][0])
             break
         y = sol.y[:, -1]
-    return Trajectory(legs, variational), zero_x
+    return Trajectory(legs), zero_x
 
 
-def ivp_integrate(beta, params, x_max, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
-                  include_variational=True):
-    """Dense trajectory of the shooting problem up to ``x_max``.
+def ivp_integrate(beta, params, x_max, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
+    """Dense trajectory of (u, u', w, w') up to ``x_max``.
 
     The integrator is forced to place a step endpoint at x = 0, where the
     weight |x|^l is continuous but not smooth, so the scheme keeps its order.
     The nonlinearity uses |u|^(p-1) u, keeping negative excursions defined.
     """
-    if beta <= 0.0:
-        raise ValueError("initial slope beta must be positive")
-    if x_max <= -1.0:
-        raise ValueError("x_max must exceed the left endpoint -1")
-    traj, _ = _integrate(beta, params, x_max, rtol, atol,
-                         include_variational, stop_at_zero=False)
+    traj, _ = _integrate(beta, params, x_max, rtol, atol, variational=True,
+                         stop_at_zero=False)
     return traj
 
 
 def _shoot_to_zero(beta, params, x_max, rtol, atol, variational):
-    if beta <= 0.0:
-        raise ValueError("initial slope beta must be positive")
     traj, zero_x = _integrate(beta, params, x_max, rtol, atol, variational,
                               stop_at_zero=True)
     if zero_x is None:
-        raise HorizonError(
-            f"u(., beta={beta}) has no zero before x_max={x_max}", x_max=x_max)
+        raise HorizonError(f"u(., beta={beta}) has no zero before x_max={x_max}")
     # polish on the dense output; the event locator already lands at
     # |u| ~ eps, brentq only tightens a marginal bracket
     lo = max(traj.x_start, zero_x - 1e-6 * (1.0 + abs(zero_x)))
@@ -208,12 +197,12 @@ def first_zero(beta, params, x_max=X_MAX_DEFAULT, rtol=RTOL_DEFAULT,
     return z
 
 
-def _count_zeros(traj, z, subsamples=8, refine=64):
+def _count_zeros(traj, z):
     """Transversal zeros of w in the open interval (-1, z)."""
     pts = traj.step_points()
     pts = pts[(pts > -1.0) & (pts < z)]
     xs = np.unique(np.concatenate([
-        np.linspace(a, b, subsamples + 1)
+        np.linspace(a, b, ZERO_SUBSAMPLES + 1)
         for a, b in zip(np.concatenate([[-1.0], pts]),
                         np.concatenate([pts, [z]]))]))
     ws = traj.w(xs)
@@ -229,7 +218,7 @@ def _count_zeros(traj, z, subsamples=8, refine=64):
             roots.append(brentq(traj.w, xs[i], xs[i + 1], xtol=1e-13))
         elif abs(w1) < 1e-7 * scale and w1 != 0.0:
             # near-tangency: refine to catch a double crossing
-            fine = np.linspace(xs[i], xs[min(i + 2, len(xs) - 1)], refine)
+            fine = np.linspace(xs[i], xs[min(i + 2, len(xs) - 1)], TANGENCY_REFINE)
             wf = traj.w(fine)
             for k in range(len(fine) - 1):
                 if wf[k] * wf[k + 1] < 0.0:
@@ -240,8 +229,7 @@ def _count_zeros(traj, z, subsamples=8, refine=64):
     return len(roots)
 
 
-def variational_solve(beta, params, z=None, x_max=X_MAX_DEFAULT,
-                      rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
+def variational_solve(beta, params, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
     """Co-integrate the variational equation and count its interior zeros.
 
     Returns the trajectory, the number of transversal zeros of w in
@@ -249,25 +237,20 @@ def variational_solve(beta, params, z=None, x_max=X_MAX_DEFAULT,
     and w(z).  The solution is nondegenerate exactly when w(z) is away
     from zero relative to the scale of w.
     """
-    z_found, traj = _shoot_to_zero(beta, params, x_max, rtol, atol,
-                                   variational=True)
-    if z is None:
-        z = z_found
-    z = min(float(z), traj.x_end)
+    z, traj = _shoot_to_zero(beta, params, X_MAX_DEFAULT, rtol, atol,
+                             variational=True)
     return VariationalResult(trajectory=traj,
                              zero_count=_count_zeros(traj, z),
                              w_at_z=float(traj.w(z)))
 
 
-def z_prime(beta, params, x_max=X_MAX_DEFAULT, rtol=RTOL_DEFAULT,
-            atol=ATOL_DEFAULT):
+def z_prime(beta, params):
     """Derivative of the shooting map: z'(beta) = -w(z)/u'(z).
 
     The variational solution has the same initial data as the beta
     derivative of the trajectory, so no finite differencing is involved.
     """
-    z, traj = _shoot_to_zero(beta, params, x_max, rtol, atol, variational=True)
-    return -float(traj.w(z)) / _transversal_slope(traj, z, beta)
+    return _record_at(beta, params, X_MAX_DEFAULT).z_prime
 
 
 def _transversal_slope(traj, z, beta):
@@ -279,19 +262,20 @@ def _transversal_slope(traj, z, beta):
     return up
 
 
-def _z_of_beta(beta, params, x_max, rtol, atol):
+def _z_of_beta(beta, params, x_max):
     """z(beta) with automatic horizon enlargement."""
     while True:
         try:
-            return first_zero(beta, params, x_max=x_max, rtol=rtol, atol=atol), x_max
+            return first_zero(beta, params, x_max=x_max), x_max
         except HorizonError:
             x_max *= 4.0
             if x_max > X_MAX_CAP:
                 raise
 
 
-def _record_at(beta, params, x_max, rtol, atol):
-    z, traj = _shoot_to_zero(beta, params, x_max, rtol, atol, variational=True)
+def _record_at(beta, params, x_max):
+    z, traj = _shoot_to_zero(beta, params, x_max, RTOL_DEFAULT, ATOL_DEFAULT,
+                             variational=True)
     w_end = float(traj.w(z))
     wscale = float(np.max(np.abs(traj.w(traj.step_points())))) or 1.0
     if abs(w_end) <= WSIGN_REL_THRESHOLD * wscale:
@@ -306,13 +290,11 @@ def _record_at(beta, params, x_max, rtol, atol):
                           w_end_sign=sign, z_prime=-w_end / up)
 
 
-def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000,
-                   x_max=X_MAX_DEFAULT, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
-                   polish_tol=1e-9, max_bisections=200):
+def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
     """All transversal crossings of z(beta) = zeta over a log-spaced scan.
 
     Every sign change of z(beta) - zeta in the scan is bracketed and
-    polished by bisection to |z(beta) - zeta| <= ``polish_tol``; each
+    polished by bisection to |z(beta) - zeta| <= ``POLISH_TOL``; each
     polished root is returned as a full ``ShootingRecord``.  Finding fewer
     crossings than expected is reported through the list length, not an
     exception.
@@ -328,9 +310,9 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000,
             "shooting-range", f"scan_points must be at least 2, got {scan_points}")
     betas = np.geomspace(beta_range[0], beta_range[1], scan_points)
     gvals = np.empty_like(betas)
-    horizon = x_max
+    horizon = X_MAX_DEFAULT
     for i, b in enumerate(betas):
-        z, horizon = _z_of_beta(b, params, horizon, rtol, atol)
+        z, horizon = _z_of_beta(b, params, horizon)
         gvals[i] = z - zeta
 
     records = []
@@ -341,27 +323,25 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000,
         elif g0 * g1 < 0.0:
             lo, hi, g_lo = betas[i], betas[i + 1], g0
             b_hat, g_hat = lo, g_lo
-            for _ in range(max_bisections):
+            for _ in range(MAX_BISECTIONS):
                 mid = 0.5 * (lo + hi)
-                g_mid = _z_of_beta(mid, params, horizon, rtol, atol)[0] - zeta
+                g_mid = _z_of_beta(mid, params, horizon)[0] - zeta
                 b_hat, g_hat = mid, g_mid
-                if abs(g_mid) <= polish_tol:
+                if abs(g_mid) <= POLISH_TOL:
                     break
                 if g_lo * g_mid <= 0.0:
                     hi = mid
                 else:
                     lo, g_lo = mid, g_mid
-            if abs(g_hat) > polish_tol:
+            if abs(g_hat) > POLISH_TOL:
                 continue    # bracket exhausted without meeting the tolerance
         else:
             continue
-        records.append(_record_at(b_hat, params, horizon, rtol, atol))
+        records.append(_record_at(b_hat, params, horizon))
     return records
 
 
-def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6,
-                    x_max=X_MAX_DEFAULT, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT,
-                    check_mesh=None):
+def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
     """Map a crossing solution on (-1, zeta) to the unit interval.
 
     The profile is v(t) = (1+zeta)^E u((1+zeta) t - 1) with
@@ -369,22 +349,18 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6,
     variables forces, and solves v'' + |t - 1/2 + delta|^l v^p = 0 with
     delta = ``weight_offset(zeta)``.  The profile lives on ``mesh`` with the
     weight kink inserted.  It is accepted when the relative residual of the
-    discrete integral equation on ``check_mesh`` (kink inserted too) is below
-    ``residual_tol``; ``ScalingError`` surfaces the discrepancy otherwise.
+    discrete integral equation on the uniform check mesh (kink inserted) is
+    below ``residual_tol``; ``ScalingError`` surfaces the discrepancy otherwise.
     The check is at order 2, where the product-integration image is an O(n)
     prefix sum (``kernel.classical_image``), so no dense operator is built.
     """
-    z, traj = _shoot_to_zero(record.beta, params, x_max, rtol, atol,
-                             variational=False)
+    z, traj = _shoot_to_zero(record.beta, params, X_MAX_DEFAULT, RTOL_DEFAULT,
+                             ATOL_DEFAULT, variational=False)
     if abs(z - zeta) > 1e-6 * (1.0 + abs(zeta)):
         raise ValueError(
             f"record's zero z = {z} is not at the requested zeta = {zeta}")
     delta = weight_offset(zeta)
     weight = WeightFamily.power_offset(params.l, 0.5 - delta)
-    if check_mesh is None:
-        # the verdict mesh must push the O(n^-2) discretization residual of
-        # the true profile below residual_tol; n = 3072 leaves a 2x margin
-        check_mesh = make_mesh(3072, "uniform")
     stretch = 1.0 + zeta
     exponent = (params.l + 2.0) / (params.p - 1.0)
     scale = stretch ** exponent
@@ -396,7 +372,7 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6,
         vals[-1] = 0.0
         return vals
 
-    check_mesh = check_mesh.with_kinks(weight)
+    check_mesh = make_mesh(CHECK_MESH_N, "uniform").with_kinks(weight)
     v = sample(check_mesh)
     image = classical_image(check_mesh.nodes,
                             weight(check_mesh.nodes) * np.abs(v) ** params.p)

@@ -23,6 +23,11 @@ from .grid import GridFunction, boundary_weight
 
 DELTA_FLOOR = 1e-12
 M_CAP = 2.0 ** 40
+REGIME_S = (1e-8, 1e8)      # classify_regime's range of s, log-spaced
+REGIME_SAMPLES = 2001
+DIVERGENCE_CAP = 1e6        # sup norm above which a probe trial diverged
+DECAY_FLOOR = 1e-10         # and below which it decayed
+PROBE_MAXIT = 100000        # Picard steps before it is inconclusive
 
 
 @dataclass(frozen=True)
@@ -187,9 +192,9 @@ def monotone_solve(bracket, f, A, tol=1e-9, maxit=20000):
                        from_side=side)
 
 
-def classify_regime(f, lambda1, s_lo=1e-8, s_hi=1e8, samples=2001):
+def classify_regime(f, lambda1):
     """Which side of lambda1 the ratio f(s)/s stays on over a wide grid."""
-    s = np.geomspace(s_lo, s_hi, samples)
+    s = np.geomspace(*REGIME_S, REGIME_SAMPLES)
     r = f.f(s) / s
     if np.min(r) > lambda1 * (1.0 + 1e-12):
         return "super"
@@ -198,15 +203,15 @@ def classify_regime(f, lambda1, s_lo=1e-8, s_hi=1e8, samples=2001):
     return "borderline"
 
 
-def nonexistence_probe(f, A, eig, trials=10, divergence_cap=1e6,
-                       decay_floor=1e-10, maxit=100000):
+def nonexistence_probe(f, A, eig, trials=10):
     """Iteration evidence that no positive solution exists.
 
     Runs Picard iteration from a deterministic spread of positive starts.
     In the super regime (f(s)/s above lambda1 everywhere) every trial is
-    expected to blow past ``divergence_cap``; in the sub regime every trial
-    should decay below ``decay_floor``.  Purely diagnostic: never raises on
-    inconclusive outcomes.  ``eig`` is the principal eigenpair of ``A``.
+    expected to blow past ``DIVERGENCE_CAP``; in the sub regime every trial
+    should decay below ``DECAY_FLOOR``; one undecided after ``PROBE_MAXIT``
+    steps is inconclusive, and the probe never raises on inconclusive
+    outcomes.  ``eig`` is the principal eigenpair of ``A``.
     """
     if trials < 1:
         # every verdict is an "all trials" statement: zero trials prove nothing
@@ -225,15 +230,15 @@ def nonexistence_probe(f, A, eig, trials=10, divergence_cap=1e6,
         prev_norm = float(np.max(np.abs(u)))
         outcome, ratio = "inconclusive", float("nan")
         it = 0
-        for it in range(1, maxit + 1):
+        for it in range(1, PROBE_MAXIT + 1):
             u = A.nonlinear_image(f, u)
             nrm = float(np.max(np.abs(u)))
             ratio = nrm / prev_norm if prev_norm > 0 else float("nan")
             prev_norm = nrm
-            if nrm > divergence_cap:
+            if nrm > DIVERGENCE_CAP:
                 outcome = "diverged"
                 break
-            if nrm < decay_floor:
+            if nrm < DECAY_FLOOR:
                 outcome = "decayed"
                 break
         outcomes.append(TrialOutcome(amplitude=float(amp), shape=name,

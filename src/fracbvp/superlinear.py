@@ -28,6 +28,8 @@ from .operator import assemble
 COND_LIMIT = 1e14
 DAMPING_HALVINGS = 30
 MARGIN_REL_THRESHOLD = 1e-6
+# amplitudes of the phi1 seeds, in units of the level where f(s)/s = lambda1
+SEED_MULTIPLIERS = (1.0, 2.0, 0.5, 4.0, 0.25, 8.0, 16.0)
 
 
 @dataclass(frozen=True)
@@ -127,30 +129,29 @@ def newton_solve(A, f, u0, tol=1e-10, maxit=50):
                         iterations=it, converged=positive, positive=positive)
 
 
-def nondegeneracy(A, f, u, threshold=None):
+def nondegeneracy(A, f, u):
     """Smallest singular value of I - L_u, the linearized fixed-point map.
 
     ``L_u`` is the kernel operator with weight h*f'(u).  The solution is
-    flagged degenerate when the margin falls below ``threshold`` (default:
-    1e-6 times the operator norm of I - L_u).
+    flagged degenerate when the margin falls below ``MARGIN_REL_THRESHOLD``
+    times the operator norm of I - L_u.
     """
     J = _jacobian(A, f, u.values)
     svals = np.linalg.svd(J, compute_uv=False)
     margin = float(svals[-1])
-    thr = float(threshold) if threshold is not None else (
-        MARGIN_REL_THRESHOLD * float(svals[0]))
+    thr = MARGIN_REL_THRESHOLD * float(svals[0])
     return NondegeneracyReport(margin=margin, degenerate=margin < thr,
                                threshold=thr)
 
 
 def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
-                   min_step=1e-5, tol=1e-10, maxit=50, margin_threshold=None):
+                   min_step=1e-5, tol=1e-10):
     """Predictor-corrector continuation of a nondegenerate solution in alpha.
 
     The predictor is the previous solution (order zero); the corrector is a
     Newton solve at the shifted order.  Failed correctors halve the step and
-    the trace halts ``halted_diverged`` below ``min_step``; a margin below
-    the threshold halts ``halted_degenerate``.  Every accepted step is
+    the trace halts ``halted_diverged`` below ``min_step``; a degenerate
+    margin (see ``nondegeneracy``) halts ``halted_degenerate``.  Every accepted step is
     positive at interior nodes.  ``A0`` is the operator at the starting
     order on the starting solution's mesh; each step reassembles its weight.
     """
@@ -168,7 +169,7 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
     mesh = A0.mesh
     if not mesh.same_as(start.solution.mesh):
         raise ValueError("starting solution lives on a different mesh than the operator")
-    nd0 = nondegeneracy(A0, f, start.solution, threshold=margin_threshold)
+    nd0 = nondegeneracy(A0, f, start.solution)
     if nd0.degenerate:
         raise HypothesisError(
             "continuation-start", "starting solution is degenerate")
@@ -186,12 +187,12 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
         accepted = False
         try:
             A = assemble(mesh, next_alpha, A0.weight)
-            rep = newton_solve(A, f, cur_u, tol=tol, maxit=maxit)
+            rep = newton_solve(A, f, cur_u, tol=tol)
             accepted = rep.converged
         except (ConvergenceError, DegeneratePointError):
             accepted = False
         if accepted:
-            nd = nondegeneracy(A, f, rep.solution, threshold=margin_threshold)
+            nd = nondegeneracy(A, f, rep.solution)
             if nd.degenerate:
                 status = "halted_degenerate"
                 break
@@ -206,8 +207,7 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
     return ContinuationTrace(steps=tuple(steps), status=status)
 
 
-def find_positive_solution(A, f, eig, tol=1e-10, maxit=50,
-                           multipliers=(1.0, 2.0, 0.5, 4.0, 0.25, 8.0, 16.0)):
+def find_positive_solution(A, f, eig, tol=1e-10, maxit=50):
     """Locate a positive superlinear solution by a deterministic seed sweep.
 
     Seeds are scaled copies of the principal eigenfunction with amplitude
@@ -226,7 +226,7 @@ def find_positive_solution(A, f, eig, tol=1e-10, maxit=50,
     above = np.nonzero(ratio >= eig.lambda1)[0]
     s_star = float(s[above[0]]) if len(above) else 1.0
     failures = []
-    for mult in multipliers:
+    for mult in SEED_MULTIPLIERS:
         u0 = GridFunction(A.mesh, mult * s_star * eig.phi1.values)
         try:
             rep = newton_solve(A, f, u0, tol=tol, maxit=maxit)

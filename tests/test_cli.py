@@ -214,6 +214,29 @@ def test_config_file_with_flag_override(tmp_path):
     assert m["config"]["numerics"]["n"] == 150
 
 
+@pytest.mark.parametrize("content", [
+    [1, 2],
+    {"command": "eig", "problem": {"alpha": 2, "weight": "constant:1"},
+     "numerics": {"n": "abc"}},
+    {"command": "eig", "problem": {"alpha": "x", "weight": "constant:1"}},
+    {"command": "eig", "problem": {"alpha": 2, "weight": "constant:1"},
+     "numerics": {"nn": 100}},
+    {"command": "eig", "problem": ["alpha", 2]},
+    {"command": "bounds", "output": 5,
+     "problem": {"alpha": 1.5, "weight": "constant:1"}},
+], ids=["json-array", "numerics-not-a-number", "alpha-not-a-number",
+        "unknown-numerics-key", "problem-not-an-object", "output-not-a-string"])
+def test_unusable_config_file_exits_2(tmp_path, content):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(content))
+    out = tmp_path / "bad"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_HYPOTHESIS
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "hypothesis_violation"
+    assert error["hypothesis"] == "config"
+    assert not (out / "manifest.json").exists()
+
+
 def test_rerun_byte_reproduces_csvs(tmp_path):
     args = ["eig", "--alpha", "1.7", "--weight", "power_offset:4:0.5",
             "--n", "150"]
@@ -245,12 +268,24 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
     ["henon-continue", "--scan-points", "0"],
     ["nonexist", "--alpha", "2", "--weight", "constant:1",
      "--nonlin", "power:1:1", "--trials", "0"],
+    ["sweep", "--alphas", "1.5,abc", "--weight", "constant:1"],
+    ["sweep", "--alphas", "1.5:2.0", "--weight", "constant:1"],
+    ["sweep", "--alphas", "1.5:nan:0.1", "--weight", "constant:1"],
+    ["sweep", "--alphas", "1.5:2.0:inf", "--weight", "constant:1"],
+    ["eig", "--alpha", "2", "--weight", "constant:1", "--tol", "nan"],
+    ["eig", "--alpha", "2", "--weight", "constant:1", "--tol", "-1"],
+    ["eig", "--alpha", "2", "--weight", "constant:1", "--maxit", "0"],
+    ["henon-shoot", "--p", "inf"],
+    ["henon-shoot", "--l", "inf"],
 ], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
         "nan-polynomial-weight", "zeta-below-minus-1",
         "beta-range-reversed", "grading-exponent-below-1",
         "exponent-without-graded", "missing-weight",
         "missing-nonlinearity", "sweep-grading", "scan-points-negative",
-        "scan-points-one", "continue-scan-points-zero", "probe-zero-trials"])
+        "scan-points-one", "continue-scan-points-zero", "probe-zero-trials",
+        "alphas-not-a-number", "alphas-two-fields", "alphas-nan-stop",
+        "alphas-inf-step", "tol-nan", "tol-negative", "maxit-zero",
+        "p-inf", "l-inf"])
 def test_unusable_input_exits_2(tmp_path, argv):
     out = tmp_path / "bad"
     assert main(argv + ["--n", "50", "--out", str(out)]) == EXIT_HYPOTHESIS
