@@ -25,8 +25,8 @@ from .superlinear import (ContinuationTrace, NewtonReport,
                           find_positive_solution, newton_solve, nondegeneracy)
 from .shooting import (HenonParams, ShootingRecord, UnitSolution,
                        find_crossings, first_zero, ivp_integrate,
-                       rescale_to_unit, variational_solve, weight_offset,
-                       z_prime)
+                       rescale_to_unit, unit_problem, variational_solve,
+                       weight_offset, z_prime)
 
 __version__ = "0.1.0"
 
@@ -48,5 +48,5 @@ __all__ = [
     "nondegeneracy", "continue_alpha", "find_positive_solution",
     "HenonParams", "ShootingRecord", "UnitSolution", "ivp_integrate",
     "first_zero", "variational_solve", "z_prime", "find_crossings",
-    "rescale_to_unit", "weight_offset",
+    "rescale_to_unit", "unit_problem", "weight_offset",
 ]

@@ -3,8 +3,9 @@
 Each run takes a JSON config (flags override individual fields), executes one
 pipeline, and writes a manifest plus command-specific CSV/JSON artifacts into
 the output directory.  All numerical output is printed with 17 significant
-digits so re-running a config reproduces every CSV byte for byte; only the
-manifest carries the timestamp and wall-clock timings.
+digits so re-running a config on the same BLAS build and thread setting
+reproduces every CSV byte for byte; the manifest records both, and only it
+carries the timestamp and wall-clock timings.
 
 Exit codes: 0 success, 2 hypothesis violation, 3 non-convergence, 4 I/O error.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 success, 2 hypothesis violation, 3 non-convergence, 4 I/O error.
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -26,7 +28,8 @@ from .eigen import lambda1_bounds, principal_eigenpair, sweep_alpha
 from .grid import GridFunction, make_mesh, production_mesh
 from .kernel import check_order
 from .operator import NonlinearityFamily, WeightFamily, assemble
-from .shooting import HenonParams, find_crossings, rescale_to_unit, weight_offset
+from .shooting import (HenonParams, find_crossings, rescale_to_unit,
+                       unit_problem)
 from .sublinear import find_bracket, monotone_solve, nonexistence_probe
 from .superlinear import continue_alpha, find_positive_solution, newton_solve, nondegeneracy
 
@@ -52,6 +55,10 @@ NUMERIC_DEFAULTS = {
     "alphas": "1.5:2.0:0.05",
 }
 
+# orders lie in (1, 2] and each one in a sweep costs an assembly and an
+# eigensolve, so a schedule of more steps than this is a mistyped step: one
+# of 1e-7 would build 9e6 orders before the first is solved
+MAX_SCHEDULE_STEPS = 1000
 
 # the type a config value, from a flag or a file, is converted to: a numerics
 # value takes its default's type, and exponent (default None) is a float
@@ -60,6 +67,11 @@ CONFIG_TYPES = {
     "numerics": {key: type(default) for key, default in NUMERIC_DEFAULTS.items()}
     | {"exponent": lambda value: None if value is None else float(value)},
 }
+
+# thread settings the BLAS builds read: the summation order of a product,
+# so the last bits of a result, depends on the thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def _g(x):
@@ -124,7 +136,12 @@ def parse_alphas(spec):
     if not schedule:
         return values
     start, stop, step = values
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step       # inf when the division overflows
+    if not steps <= MAX_SCHEDULE_STEPS:
+        raise HypothesisError(
+            "order-range", f"alpha schedule {spec!r} takes more than "
+            f"{MAX_SCHEDULE_STEPS} steps")
+    count = int(round(steps))
     return [float(v) for v in np.linspace(start, stop, count + 1)]
 
 
@@ -350,9 +367,7 @@ def _cmd_henon_continue(config, outdir, timings):
     outputs = ["crossings.csv"]
 
     seeds = [r for r in records if not r.degenerate]
-    delta = weight_offset(zeta)
-    weight = WeightFamily.power_offset(params.l, 0.5 - delta)
-    f = NonlinearityFamily.power(1.0, params.p)
+    delta, weight, f = unit_problem(zeta, params)
     mesh = _build_mesh(numerics, target, weight)
 
     t0 = time.perf_counter()
@@ -433,6 +448,17 @@ def _fail(outdir, exc):
     return code
 
 
+def _blas():
+    """The BLAS builds of numpy and scipy (the LU runs on scipy's) and the
+    thread settings in the environment."""
+    builds = {}
+    for module in (np, scipy):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        builds[module.__name__] = f"{blas.get('name')} {blas.get('version')}"
+    return {**builds,
+            "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def run(config):
     """Execute one config; returns the process exit code."""
     outdir = _make_outdir(config.get("output", "out"))
@@ -451,6 +477,7 @@ def run(config):
         "versions": {"fracbvp": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
+        "blas": _blas(),
         "timings_s": timings,
         "outputs": outputs,
         "timestamp": started,

@@ -68,11 +68,7 @@ class MonotonicityError(FracBVPError):
 
 
 class IntegrationError(FracBVPError):
-    """The IVP integrator failed; ``partial`` holds the trajectory so far."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """The IVP integrator failed."""
 
 
 class HorizonError(FracBVPError):

@@ -129,9 +129,6 @@ class GridFunction:
     def zeros(cls, mesh):
         return cls(mesh, np.zeros_like(mesh.nodes))
 
-    def copy(self):
-        return GridFunction(self.mesh, self.values.copy())
-
     def interp(self, x):
         return np.interp(x, self.mesh.nodes, self.values)
 

@@ -24,6 +24,11 @@ from .grid import GridFunction, Mesh
 from .kernel import check_order, green_hat_matrix
 
 _VALIDATION_SAMPLES = 2049
+# bytes of the one dense float64 matrix ``assemble`` allocates, 8 m^2 for m
+# nodes.  The solvers hold a few more of its size (Jacobian, LU factors, SVD
+# work), so 1 GiB (m up to 11585; meshes in use reach n = 3072) keeps a run
+# within a few GiB.
+MAX_MATRIX_BYTES = 2 ** 30
 
 
 class WeightFamily:
@@ -228,7 +233,8 @@ def assemble(mesh, alpha, h):
 
     Elements containing a kink of ``h`` are split by inserting the kink as a
     mesh node, so all nodal integrands stay piecewise smooth; the returned
-    matrix's ``mesh`` attribute is then the authoritative mesh.
+    matrix's ``mesh`` attribute is then the authoritative mesh.  A matrix
+    above ``MAX_MATRIX_BYTES`` raises ``HypothesisError`` before allocation.
     """
     alpha = check_order(alpha)
     mesh = mesh.with_kinks(h)
@@ -237,6 +243,11 @@ def assemble(mesh, alpha, h):
         raise HypothesisError("weight-positivity", "weight negative at a node")
     if np.max(hvals) <= 0.0:
         raise HypothesisError("weight-positivity", "weight vanishes at all nodes")
+    m = len(mesh.nodes)
+    if 8 * m * m > MAX_MATRIX_BYTES:
+        raise HypothesisError(
+            "mesh-size", f"a dense operator on {m} nodes takes {8 * m * m} "
+            f"bytes, above the bound of {MAX_MATRIX_BYTES}")
     a = green_hat_matrix(mesh, alpha)
     a *= hvals[np.newaxis, :]
     a[0, :] = 0.0

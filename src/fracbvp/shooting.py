@@ -25,7 +25,7 @@ from .errors import (HorizonError, HypothesisError, IntegrationError,
                      ScalingError, TransversalityError)
 from .grid import GridFunction, make_mesh
 from .kernel import classical_image
-from .operator import WeightFamily
+from .operator import NonlinearityFamily, WeightFamily
 
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
@@ -128,8 +128,26 @@ def _rhs(l, p, variational):
     return rhs
 
 
-def _integrate(beta, params, x_max, rtol, atol, variational, stop_at_zero):
-    """Integrate in legs split at x = 0 (weight kink) with optional zero event."""
+def _downward_zero(x, y):
+    return y[0]
+
+
+_downward_zero.terminal = True
+_downward_zero.direction = -1.0
+
+
+def _integrate(beta, params, x_max, variational, dense=True, stop_at_zero=True,
+               rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
+    """``(z, trajectory)`` of one shot, integrated in legs split at x = 0.
+
+    The integrator is forced to place a step endpoint at x = 0, where the
+    weight |x|^l is continuous but not smooth, so the scheme keeps its order.
+    The nonlinearity uses |u|^(p-1) u, keeping negative excursions defined.
+    With ``stop_at_zero`` the shot ends at the first downward zero z of u,
+    where scipy's event locator puts it, and ``HorizonError`` is raised if u
+    has none before ``x_max``; otherwise z is None.  The trajectory is None
+    unless ``dense``: a shot read only for z keeps no interpolants.
+    """
     if beta <= 0.0:
         raise ValueError("initial slope beta must be positive")
     if x_max <= -1.0:
@@ -138,63 +156,42 @@ def _integrate(beta, params, x_max, rtol, atol, variational, stop_at_zero):
     y = [0.0, float(beta), 0.0, 1.0] if variational else [0.0, float(beta)]
     legs = []
     breakpoints = [x for x in (-1.0, 0.0) if x < x_max] + [float(x_max)]
-    event = None
-    if stop_at_zero:
-        def event(x, yv):      # noqa: ANN001 - scipy event signature
-            return yv[0]
-        event.terminal = True
-        event.direction = -1.0
-    zero_x = None
     for x0, x1 in zip(breakpoints[:-1], breakpoints[1:]):
         sol = solve_ivp(rhs, (x0, x1), y, method="RK45", rtol=rtol, atol=atol,
-                        dense_output=True, events=event)
+                        dense_output=dense,
+                        events=_downward_zero if stop_at_zero else None)
         if sol.status == -1:
-            partial_legs = legs + ([sol.sol] if sol.sol is not None else [])
             raise IntegrationError(
-                f"integrator failed on [{x0}, {x1}]: {sol.message}",
-                partial=Trajectory(partial_legs) if partial_legs else None)
+                f"integrator failed on [{x0}, {x1}]: {sol.message}")
         legs.append(sol.sol)
         if sol.status == 1:    # terminal event fired
-            zero_x = float(sol.t_events[0][0])
-            break
+            z = float(sol.t_events[0][0])
+            return z, Trajectory(legs) if dense else None
         y = sol.y[:, -1]
-    return Trajectory(legs), zero_x
+    if stop_at_zero:
+        raise HorizonError(f"u(., beta={beta}) has no zero before x_max={x_max}")
+    return None, Trajectory(legs) if dense else None
 
 
 def ivp_integrate(beta, params, x_max, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
-    """Dense trajectory of (u, u', w, w') up to ``x_max``.
-
-    The integrator is forced to place a step endpoint at x = 0, where the
-    weight |x|^l is continuous but not smooth, so the scheme keeps its order.
-    The nonlinearity uses |u|^(p-1) u, keeping negative excursions defined.
-    """
-    traj, _ = _integrate(beta, params, x_max, rtol, atol, variational=True,
-                         stop_at_zero=False)
-    return traj
-
-
-def _shoot_to_zero(beta, params, x_max, rtol, atol, variational):
-    traj, zero_x = _integrate(beta, params, x_max, rtol, atol, variational,
-                              stop_at_zero=True)
-    if zero_x is None:
-        raise HorizonError(f"u(., beta={beta}) has no zero before x_max={x_max}")
-    # polish on the dense output; the event locator already lands at
-    # |u| ~ eps, brentq only tightens a marginal bracket
-    lo = max(traj.x_start, zero_x - 1e-6 * (1.0 + abs(zero_x)))
-    if traj.u(lo) > 0.0 > traj.u(traj.x_end):
-        zero_x = brentq(traj.u, lo, traj.x_end, xtol=1e-14)
-    return float(zero_x), traj
+    """Dense trajectory of (u, u', w, w') up to ``x_max``, through any zero."""
+    return _integrate(beta, params, x_max, variational=True,
+                      stop_at_zero=False, rtol=rtol, atol=atol)[1]
 
 
 def first_zero(beta, params, x_max=X_MAX_DEFAULT, rtol=RTOL_DEFAULT,
                atol=ATOL_DEFAULT):
-    """Smallest zero of u(., beta) in (-1, infinity).
+    """Smallest zero z(beta) of u(., beta) in (-1, infinity).
 
-    Raises ``HorizonError`` when no sign change occurs before ``x_max``; the
-    caller is expected to enlarge the horizon.
+    This is the per-beta shot of the scan and of the bisection polish, so it
+    integrates u alone and keeps only the event root: no dense output, no
+    ``Trajectory``.  The steps, and so the root, are those of the dense
+    shot that ``rescale_to_unit`` samples.  Raises ``HorizonError`` when no
+    sign change occurs before ``x_max``; the caller is expected to enlarge
+    the horizon.
     """
-    z, _ = _shoot_to_zero(beta, params, x_max, rtol, atol, variational=False)
-    return z
+    return _integrate(beta, params, x_max, variational=False, dense=False,
+                      rtol=rtol, atol=atol)[0]
 
 
 def _count_zeros(traj, z):
@@ -237,8 +234,8 @@ def variational_solve(beta, params, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
     and w(z).  The solution is nondegenerate exactly when w(z) is away
     from zero relative to the scale of w.
     """
-    z, traj = _shoot_to_zero(beta, params, X_MAX_DEFAULT, rtol, atol,
-                             variational=True)
+    z, traj = _integrate(beta, params, X_MAX_DEFAULT, variational=True,
+                         rtol=rtol, atol=atol)
     return VariationalResult(trajectory=traj,
                              zero_count=_count_zeros(traj, z),
                              w_at_z=float(traj.w(z)))
@@ -274,8 +271,7 @@ def _z_of_beta(beta, params, x_max):
 
 
 def _record_at(beta, params, x_max):
-    z, traj = _shoot_to_zero(beta, params, x_max, RTOL_DEFAULT, ATOL_DEFAULT,
-                             variational=True)
+    z, traj = _integrate(beta, params, x_max, variational=True)
     w_end = float(traj.w(z))
     wscale = float(np.max(np.abs(traj.w(traj.step_points())))) or 1.0
     if abs(w_end) <= WSIGN_REL_THRESHOLD * wscale:
@@ -346,21 +342,20 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
 
     The profile is v(t) = (1+zeta)^E u((1+zeta) t - 1) with
     E = (l+2)/(p-1), the exponent that direct substitution of the change of
-    variables forces, and solves v'' + |t - 1/2 + delta|^l v^p = 0 with
-    delta = ``weight_offset(zeta)``.  The profile lives on ``mesh`` with the
+    variables forces, and solves the problem ``unit_problem(zeta, params)``
+    builds.  It is sampled from one dense shot of u alone, which ends at the
+    zero that ``first_zero`` returns.  The profile lives on ``mesh`` with the
     weight kink inserted.  It is accepted when the relative residual of the
     discrete integral equation on the uniform check mesh (kink inserted) is
     below ``residual_tol``; ``ScalingError`` surfaces the discrepancy otherwise.
     The check is at order 2, where the product-integration image is an O(n)
     prefix sum (``kernel.classical_image``), so no dense operator is built.
     """
-    z, traj = _shoot_to_zero(record.beta, params, X_MAX_DEFAULT, RTOL_DEFAULT,
-                             ATOL_DEFAULT, variational=False)
+    z, traj = _integrate(record.beta, params, X_MAX_DEFAULT, variational=False)
     if abs(z - zeta) > 1e-6 * (1.0 + abs(zeta)):
         raise ValueError(
             f"record's zero z = {z} is not at the requested zeta = {zeta}")
-    delta = weight_offset(zeta)
-    weight = WeightFamily.power_offset(params.l, 0.5 - delta)
+    delta, weight, f = unit_problem(zeta, params)
     stretch = 1.0 + zeta
     exponent = (params.l + 2.0) / (params.p - 1.0)
     scale = stretch ** exponent
@@ -375,7 +370,7 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
     check_mesh = make_mesh(CHECK_MESH_N, "uniform").with_kinks(weight)
     v = sample(check_mesh)
     image = classical_image(check_mesh.nodes,
-                            weight(check_mesh.nodes) * np.abs(v) ** params.p)
+                            weight(check_mesh.nodes) * f.f(np.abs(v)))
     rel = float(np.max(np.abs(v - image)) / max(1.0, np.max(np.abs(v))))
     if rel > residual_tol:
         raise ScalingError(
@@ -385,6 +380,13 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
     profile_mesh = mesh.with_kinks(weight)
     return UnitSolution(profile=GridFunction(profile_mesh, sample(profile_mesh)),
                         delta=delta, scale_exponent_used=exponent)
+
+
+def unit_problem(zeta, params):
+    """(delta, weight, f) of v'' + |t - 1/2 + delta|^l v^p = 0 on (0, 1)."""
+    delta = weight_offset(zeta)
+    return (delta, WeightFamily.power_offset(params.l, 0.5 - delta),
+            NonlinearityFamily.power(1.0, params.p))
 
 
 def weight_offset(zeta):

@@ -2,8 +2,8 @@
 
 ``perfbench/workloads.py`` builds each job's argv and the check its output
 must pass; the benchmark refuses a change on which any job fails.  These
-tests run the seed-1 ``henon-continue`` job and the whole seed-1
-``solver-mix`` pass the same way the benchmark worker does, so such a
+tests run the seed-1 and seed-2 ``henon-continue`` jobs and the whole
+seed-1 ``solver-mix`` pass the same way the benchmark worker does, so such a
 failure shows here first.  The workload module is imported, not changed.
 """
 
@@ -37,8 +37,9 @@ def _failures(jobs, workdir):
     return failures
 
 
-def test_henon_continue_job_passes_its_check(workloads, tmp_path):
-    jobs = workloads.henon_continue(1)
+@pytest.mark.parametrize("seed", (1, 2))
+def test_henon_continue_job_passes_its_check(workloads, tmp_path, seed):
+    jobs = workloads.henon_continue(seed)
     assert len(jobs) == 1
     assert _failures(jobs, tmp_path) == []
 

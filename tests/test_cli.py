@@ -42,9 +42,15 @@ def test_parse_alphas_schedule():
     assert len(vals) == 51
     assert vals[0] == 1.5 and vals[-1] == 2.0
     assert parse_alphas("1.5,1.9,2.0") == [1.5, 1.9, 2.0]
+    assert len(parse_alphas("1.5:2.0:0.0005")) == cli.MAX_SCHEDULE_STEPS + 1
+    with pytest.raises(HypothesisError):
+        parse_alphas("1.5:2.0:0.000499")
 
 
-def test_eig_command_writes_artifacts(tmp_path):
+def test_eig_command_writes_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     out = tmp_path / "run"
     rc = main(["eig", "--alpha", "2", "--weight", "constant:1",
                "--n", "200", "--out", str(out)])
@@ -58,6 +64,13 @@ def test_eig_command_writes_artifacts(tmp_path):
     assert manifest["command"] == "eig"
     assert manifest["outputs"] == ["eig.csv", "phi1.csv"]
     assert "timestamp" in manifest and "versions" in manifest
+    # the BLAS builds and thread settings the CSV bytes depend on
+    blas = manifest["blas"]
+    assert set(blas) == {"numpy", "scipy", "threads"}
+    assert blas["numpy"] and blas["scipy"]
+    assert blas["threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                               "OMP_NUM_THREADS": None,
+                               "MKL_NUM_THREADS": "2"}
 
 
 def test_bounds_schema(tmp_path):
@@ -277,6 +290,8 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
     ["eig", "--alpha", "2", "--weight", "constant:1", "--maxit", "0"],
     ["henon-shoot", "--p", "inf"],
     ["henon-shoot", "--l", "inf"],
+    ["sweep", "--alphas", "1.1:2.0:1e-7", "--weight", "constant:1"],
+    ["sweep", "--alphas", "1.1:2.0:5e-324", "--weight", "constant:1"],
 ], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
         "nan-polynomial-weight", "zeta-below-minus-1",
         "beta-range-reversed", "grading-exponent-below-1",
@@ -285,7 +300,7 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
         "scan-points-one", "continue-scan-points-zero", "probe-zero-trials",
         "alphas-not-a-number", "alphas-two-fields", "alphas-nan-stop",
         "alphas-inf-step", "tol-nan", "tol-negative", "maxit-zero",
-        "p-inf", "l-inf"])
+        "p-inf", "l-inf", "alphas-9e6-orders", "alphas-step-overflows"])
 def test_unusable_input_exits_2(tmp_path, argv):
     out = tmp_path / "bad"
     assert main(argv + ["--n", "50", "--out", str(out)]) == EXIT_HYPOTHESIS

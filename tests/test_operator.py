@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracbvp import operator
 from fracbvp.errors import HypothesisError
 from fracbvp.grid import GridFunction, make_mesh, norms, production_mesh
 from fracbvp.kernel import green_hat_integral, green_integral
@@ -88,6 +89,21 @@ def test_assemble_rejects_zero_weight():
     table.values[3] = -0.5
     with pytest.raises(HypothesisError):
         assemble(mesh, 1.5, WeightFamily.tabulated(table))
+
+
+def test_assemble_bounds_matrix_memory_before_allocating(monkeypatch):
+    # a 51-node matrix (n = 50) fits a bound of exactly its bytes; one node
+    # more is refused before the kernel integrals are reached
+    monkeypatch.setattr(operator, "MAX_MATRIX_BYTES", 8 * 51 ** 2)
+    h = WeightFamily.constant(1.0)
+    assert assemble(make_mesh(50), 2.0, h).matrix.shape == (51, 51)
+
+    def unreachable(mesh, alpha):
+        raise AssertionError("green_hat_matrix called above the bound")
+    monkeypatch.setattr(operator, "green_hat_matrix", unreachable)
+    with pytest.raises(HypothesisError) as info:
+        assemble(make_mesh(51), 2.0, h)
+    assert info.value.hypothesis == "mesh-size"
 
 
 def test_assemble_inserts_weight_kink():

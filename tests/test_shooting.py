@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from fracbvp import shooting
 from fracbvp.errors import HorizonError, HypothesisError, ScalingError
 from fracbvp.grid import make_mesh
 from fracbvp.kernel import classical_image
@@ -48,12 +50,29 @@ def test_first_zero_transversal(henon_params):
     for beta in (0.5, 5.0, 50.0):
         z = first_zero(beta, henon_params)
         assert z > -1.0
-        # the zero is polished on the trajectory that located it
+        # the variational shot, on its own steps, ends at nearly the same zero
         res = variational_solve(beta, henon_params)
         traj = res.trajectory
         assert abs(traj.x_end - z) < 1e-9
         assert traj.du(traj.x_end) < 0.0
         assert abs(traj.u(traj.x_end)) < 1e-11
+
+
+def test_first_zero_is_the_dense_shot_zero(henon_params):
+    # first_zero keeps only the event root; the dense shot of u that
+    # rescale_to_unit samples ends at the same float.  Where u is negative
+    # there, bisecting the dense output for its root gives that float back,
+    # so no polish after the event locator is needed.
+    below = 0
+    for beta in np.geomspace(1e-3, 1e3, 25):
+        z, traj = shooting._integrate(beta, henon_params,
+                                      shooting.X_MAX_DEFAULT, variational=False)
+        assert first_zero(beta, henon_params) == z == traj.x_end
+        lo = z - 1e-6 * (1.0 + abs(z))
+        if traj.u(lo) > 0.0 > traj.u(z):
+            below += 1
+            assert brentq(traj.u, lo, z, xtol=1e-14) == z
+    assert below >= 5
 
 
 def test_first_zero_horizon_error(henon_params):
