@@ -15,7 +15,7 @@ from .grid import (GridFunction, Mesh, WeightedNorms, boundary_weight,
                    default_grading_exponent, make_mesh, norms, production_mesh)
 from .kernel import gamma, green_eval, green_hat_integral, green_integral
 from .operator import (NonlinearityFamily, OperatorMatrix, WeightFamily,
-                       apply_linear, apply_nonlinear, assemble)
+                       assemble)
 from .eigen import (EigenResult, Lambda1Bounds, SweepRow, lambda1_bounds,
                     principal_eigenpair, sweep_alpha)
 from .sublinear import (Bracket, ProbeReport, SolveReport, find_bracket,
@@ -24,9 +24,9 @@ from .superlinear import (ContinuationTrace, NewtonReport,
                           NondegeneracyReport, continue_alpha,
                           find_positive_solution, newton_solve, nondegeneracy)
 from .shooting import (HenonParams, ShootingRecord, UnitSolution,
-                       find_crossings, first_zero, ivp_integrate,
-                       rescale_to_unit, unit_problem, variational_solve,
-                       weight_offset, z_prime)
+                       crossing_record, find_crossings, first_zero,
+                       ivp_integrate, rescale_to_unit, unit_problem,
+                       weight_offset)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "default_grading_exponent", "norms", "boundary_weight",
     "gamma", "green_eval", "green_hat_integral", "green_integral",
     "WeightFamily", "NonlinearityFamily", "OperatorMatrix", "assemble",
-    "apply_linear", "apply_nonlinear",
     "EigenResult", "Lambda1Bounds", "SweepRow", "principal_eigenpair",
     "lambda1_bounds", "sweep_alpha",
     "Bracket", "SolveReport", "ProbeReport", "find_bracket", "monotone_solve",
@@ -47,6 +46,6 @@ __all__ = [
     "NewtonReport", "NondegeneracyReport", "ContinuationTrace", "newton_solve",
     "nondegeneracy", "continue_alpha", "find_positive_solution",
     "HenonParams", "ShootingRecord", "UnitSolution", "ivp_integrate",
-    "first_zero", "variational_solve", "z_prime", "find_crossings",
-    "rescale_to_unit", "unit_problem", "weight_offset",
+    "first_zero", "crossing_record", "find_crossings", "rescale_to_unit",
+    "unit_problem", "weight_offset",
 ]

@@ -7,12 +7,16 @@ digits so re-running a config on the same BLAS build and thread setting
 reproduces every CSV byte for byte; the manifest records both, and only it
 carries the timestamp and wall-clock timings.
 
+Each input is read and checked before the work it feeds: ``henon-continue``
+builds its mesh and order-2 operator before its ``henon-shoot`` beta scan.
+
 Exit codes: 0 success, 2 hypothesis violation, 3 non-convergence, 4 I/O error.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -145,15 +149,6 @@ def parse_alphas(spec):
     return [float(v) for v in np.linspace(start, stop, count + 1)]
 
 
-def _problem(config, key):
-    """A required field of the config's problem section."""
-    try:
-        return config["problem"][key]
-    except KeyError:
-        raise HypothesisError(
-            "problem-spec", f"the problem needs a {key!r} field") from None
-
-
 def _typed_config(config):
     """``config`` with numerics defaults filled in and each value converted
     to its type; raises ``HypothesisError`` on any key or value it rejects."""
@@ -174,10 +169,18 @@ def _typed_config(config):
                 raise HypothesisError(
                     "config", f"cannot read {section} {key} = {value!r}: {exc}"
                 ) from None
-    tol, maxit = typed["numerics"]["tol"], typed["numerics"]["maxit"]
-    if not (tol > 0.0 and maxit >= 1):
-        raise HypothesisError("solver-settings", "need tol > 0 and maxit >= 1, "
-                              f"got tol = {tol!r}, maxit = {maxit}")
+    numerics = typed["numerics"]
+    nonfinite = sorted(key for key, value in numerics.items()
+                       if isinstance(value, float) and not math.isfinite(value))
+    # the step rule is continue_alpha's: a zero step accepts one order forever
+    if nonfinite or not (numerics["tol"] > 0.0 and numerics["maxit"] >= 1
+                         and abs(numerics["alpha_step"]) > 0.0
+                         and numerics["min_step"] > 0.0):
+        got = {key: numerics[key]
+               for key in ("tol", "maxit", "alpha_step", "min_step")}
+        raise HypothesisError(
+            "solver-settings", "need finite settings, tol > 0, maxit >= 1, a "
+            f"nonzero step and min_step > 0; got {got}, non-finite {nonfinite}")
     return typed
 
 
@@ -196,12 +199,25 @@ def _build_mesh(numerics, alpha, weight):
     return make_mesh(numerics["n"], grading, exponent).with_kinks(weight)
 
 
-def _problem_data(config):
-    """Order, weight, nonlinearity and solver mesh of a problem config."""
-    alpha = check_order(_problem(config, "alpha"))
-    weight = parse_weight(_problem(config, "weight"))
-    f = parse_nonlinearity(_problem(config, "nonlinearity"))
-    return alpha, weight, f, _build_mesh(config["numerics"], alpha, weight)
+# how each field of the problem section is read and checked
+_PROBLEM_READERS = {"alpha": check_order, "weight": parse_weight,
+                    "nonlinearity": parse_nonlinearity}
+
+
+def _problem_data(config, fields=("alpha", "weight", "nonlinearity", "mesh")):
+    """The named problem fields, read and checked in order; ``"mesh"`` (after
+    alpha and weight) is the solver mesh, built only for commands naming it."""
+    data = {}
+    for key in fields:
+        if key == "mesh":
+            data[key] = _build_mesh(config["numerics"], data["alpha"],
+                                    data["weight"])
+        elif key not in config["problem"]:
+            raise HypothesisError("problem-spec",
+                                  f"the problem needs a {key!r} field")
+        else:
+            data[key] = _PROBLEM_READERS[key](config["problem"][key])
+    return tuple(data.values())
 
 
 def _write_csv(path, header, rows):
@@ -219,9 +235,7 @@ def _write_json(path, payload):
 
 def _cmd_eig(config, outdir, timings):
     numerics = config["numerics"]
-    alpha = check_order(_problem(config, "alpha"))
-    weight = parse_weight(_problem(config, "weight"))
-    mesh = _build_mesh(numerics, alpha, weight)
+    alpha, weight, mesh = _problem_data(config, ("alpha", "weight", "mesh"))
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
     eig = principal_eigenpair(A, tol=numerics["tol"], maxit=numerics["maxit"])
@@ -234,8 +248,7 @@ def _cmd_eig(config, outdir, timings):
 
 
 def _cmd_bounds(config, outdir, timings):
-    alpha = check_order(_problem(config, "alpha"))
-    weight = parse_weight(_problem(config, "weight"))
+    alpha, weight = _problem_data(config, ("alpha", "weight"))
     t0 = time.perf_counter()
     bounds = lambda1_bounds(alpha, weight)
     timings["solve"] = time.perf_counter() - t0
@@ -250,7 +263,7 @@ def _cmd_sweep(config, outdir, timings):
         raise HypothesisError(
             "mesh-grading", "sweep meshes every order with its graded "
             "production mesh; --grading and --exponent do not apply")
-    weight = parse_weight(_problem(config, "weight"))
+    weight, = _problem_data(config, ("weight",))
     alphas = [check_order(a) for a in parse_alphas(numerics["alphas"])]
     t0 = time.perf_counter()
     rows = sweep_alpha(alphas, weight, n=numerics["n"], tol=numerics["tol"],
@@ -331,23 +344,26 @@ def _cmd_nonexist(config, outdir, timings):
     return ["trials.csv", "probe.json"]
 
 
-def _write_crossings(outdir, records):
-    _write_csv(outdir / "crossings.csv",
-               ["beta", "z", "morse_index", "w_end_sign", "z_prime"],
-               [[_g(r.beta), _g(r.z), r.morse_index, r.w_end_sign,
-                 _g(r.z_prime)] for r in records])
-
-
-def _cmd_henon_shoot(config, outdir, timings):
+def _shoot(config, params, outdir, timings):
+    """Scan, time and write ``crossings.csv``: ``henon-shoot``, and the
+    first stage of ``henon-continue``.  Returns the crossing records."""
     numerics = config["numerics"]
-    params = HenonParams(l=numerics["l"], p=numerics["p"])
     t0 = time.perf_counter()
     records = find_crossings(
         numerics["zeta"], params,
         beta_range=(numerics["beta_min"], numerics["beta_max"]),
         scan_points=numerics["scan_points"])
-    timings["solve"] = time.perf_counter() - t0
-    _write_crossings(outdir, records)
+    timings["shoot"] = time.perf_counter() - t0
+    _write_csv(outdir / "crossings.csv",
+               ["beta", "z", "morse_index", "w_end_sign", "z_prime"],
+               [[_g(r.beta), _g(r.z), r.morse_index, r.w_end_sign,
+                 _g(r.z_prime)] for r in records])
+    return records
+
+
+def _cmd_henon_shoot(config, outdir, timings):
+    params = HenonParams(l=config["numerics"]["l"], p=config["numerics"]["p"])
+    _shoot(config, params, outdir, timings)
     return ["crossings.csv"]
 
 
@@ -355,24 +371,20 @@ def _cmd_henon_continue(config, outdir, timings):
     numerics = config["numerics"]
     params = HenonParams(l=numerics["l"], p=numerics["p"])
     zeta = numerics["zeta"]
-    target = check_order(numerics["target_alpha"])
-    tol = numerics["tol"]
-
-    t0 = time.perf_counter()
-    records = find_crossings(
-        zeta, params, beta_range=(numerics["beta_min"], numerics["beta_max"]),
-        scan_points=numerics["scan_points"])
-    timings["shoot"] = time.perf_counter() - t0
-    _write_crossings(outdir, records)
-    outputs = ["crossings.csv"]
-
-    seeds = [r for r in records if not r.degenerate]
     delta, weight, f = unit_problem(zeta, params)
+    target = check_order(numerics["target_alpha"])
     mesh = _build_mesh(numerics, target, weight)
-
+    tol = numerics["tol"]
     t0 = time.perf_counter()
-    # every seed starts at order 2 on the same mesh: assemble that once
+    # every seed starts at order 2 on the same mesh: assemble that once,
+    # before the scan, so a mesh that cannot be built stops the run first
     A2 = assemble(mesh, 2.0, weight)
+    timings["assemble"] = time.perf_counter() - t0
+
+    records = _shoot(config, params, outdir, timings)
+    outputs = ["crossings.csv"]
+    seeds = [r for r in records if not r.degenerate]
+    t0 = time.perf_counter()
     summary = {"delta": delta, "crossings": len(records),
                "seeds": len(seeds), "traces": []}
     endpoints = []

@@ -28,8 +28,9 @@ class HypothesisError(FracBVPError, ValueError):
     ``nonlinearity-positivity``, ``sublinear-ratio-condition``,
     ``superlinear-ratio-condition``, ``multiplicity-parameter-condition``,
     ``order-range``, ``mesh-size``, ``mesh-grading``, ``shooting-range``,
-    ``problem-spec``, ``command``, ``config`` (a config key or value type)
-    or ``solver-settings``.  It is also a ``ValueError``: the data is invalid.
+    ``problem-spec``, ``command``, ``config`` (a config key or value type),
+    ``solver-settings``, ``continuation-step`` or ``probe-trials``.  It is
+    also a ``ValueError``: the data is invalid.
     """
 
     exit_code = EXIT_HYPOTHESIS
@@ -80,9 +81,12 @@ class TransversalityError(FracBVPError):
 
 
 class ScalingError(FracBVPError):
-    """The scale exponent does not reproduce the unit-interval equation
-    within tolerance."""
+    """The scale ``exponent`` does not reproduce the unit-interval equation
+    within tolerance; ``residual`` is the relative residual it left."""
 
-    def __init__(self, message, residuals=None):
+    report_fields = ("exponent", "residual")
+
+    def __init__(self, message, exponent=None, residual=None):
         super().__init__(message)
-        self.residuals = residuals or {}
+        self.exponent = exponent
+        self.residual = residual

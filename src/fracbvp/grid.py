@@ -15,6 +15,11 @@ from .errors import HypothesisError
 from .kernel import check_order
 
 MIN_INTERVALS = 8
+# bytes of the one dense float64 operator ``operator.assemble`` allocates,
+# 8 m^2 for m nodes.  The solvers hold a few more of its size (Jacobian, LU
+# factors, SVD work), so 1 GiB (m up to 11585; meshes in use reach n = 3072)
+# keeps a run within a few GiB.
+MAX_MATRIX_BYTES = 2 ** 30
 # an inserted node this close to an existing one is taken as already there
 NODE_TOL = 1e-12
 
@@ -77,12 +82,16 @@ def make_mesh(n, grading="uniform", exponent=2.0):
 
     ``grading="uniform"`` gives equispaced nodes; ``grading="graded"`` puts
     node i at (i/n)^exponent, clustering at t = 0 to resolve the t^(alpha-1)
-    boundary behavior of solutions.
+    boundary behavior of solutions.  Raises ``HypothesisError`` before
+    allocating when the dense operator would exceed ``MAX_MATRIX_BYTES``.
     """
     n = int(n)
     if n < MIN_INTERVALS:
         raise HypothesisError(
             "mesh-size", f"need at least {MIN_INTERVALS} intervals, got {n}")
+    if 8 * (n + 1) ** 2 > MAX_MATRIX_BYTES:
+        raise HypothesisError("mesh-size", f"a dense operator on {n + 1} "
+                              f"nodes exceeds {MAX_MATRIX_BYTES} bytes")
     i = np.arange(n + 1, dtype=float)
     if grading == "uniform":
         return Mesh(i / n)
@@ -91,7 +100,11 @@ def make_mesh(n, grading="uniform", exponent=2.0):
         if not q >= 1.0:
             raise HypothesisError(
                 "mesh-grading", f"grading exponent must be >= 1, got {q!r}")
-        return Mesh((i / n) ** q)
+        nodes = (i / n) ** q
+        if np.any(np.diff(nodes) <= 0.0):       # underflow to 0 at large q
+            raise HypothesisError(
+                "mesh-grading", f"grading exponent {q!r} makes nodes coincide")
+        return Mesh(nodes)
     raise ValueError(f"unknown grading {grading!r}")
 
 

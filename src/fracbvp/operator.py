@@ -4,7 +4,9 @@ The linear map x -> integral of G(.,s,alpha) h(s) x(s) ds is discretized by
 product integration: the integrand h*x is replaced by its piecewise-linear
 interpolant and integrated against the kernel exactly.  The resulting dense
 matrix has entries A[i,j] = green_hat_integral(t_i, j) * h(t_j); it applies
-to nodal vectors and is second-order accurate for smooth h*x.  The
+to nodal vectors and is second-order accurate for smooth h*x.  Callers use
+it as the solvers do: ``A.matrix @ x`` for the linear map and
+``A.nonlinear_image(f, u)`` for x = f(|u|).  The
 unweighted matrix comes from ``kernel.green_hat_matrix``, which integrates
 each mesh segment once for both hats that share it and evaluates the
 (t-s)^(alpha-1) branch below the diagonal only; it equals the column-by-column
@@ -20,15 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .grid import GridFunction, Mesh
+from .grid import MAX_MATRIX_BYTES, Mesh
 from .kernel import check_order, green_hat_matrix
 
 _VALIDATION_SAMPLES = 2049
-# bytes of the one dense float64 matrix ``assemble`` allocates, 8 m^2 for m
-# nodes.  The solvers hold a few more of its size (Jacobian, LU factors, SVD
-# work), so 1 GiB (m up to 11585; meshes in use reach n = 3072) keeps a run
-# within a few GiB.
-MAX_MATRIX_BYTES = 2 ** 30
 
 
 class WeightFamily:
@@ -260,17 +257,3 @@ def assemble(mesh, alpha, h):
     np.maximum(a, 0.0, out=a)
     a.setflags(write=False)
     return OperatorMatrix(mesh=mesh, alpha=alpha, weight=h, matrix=a)
-
-
-def apply_linear(A, x):
-    """Matrix-vector product of the assembled operator with a grid function."""
-    if not A.mesh.same_as(x.mesh):
-        raise ValueError("grid function lives on a different mesh than the operator")
-    return GridFunction(A.mesh, A.matrix @ x.values)
-
-
-def apply_nonlinear(A, f, u):
-    """Product integration of s -> h(s) f(|u(s)|) with the assembled operator."""
-    if not A.mesh.same_as(u.mesh):
-        raise ValueError("grid function lives on a different mesh than the operator")
-    return GridFunction(A.mesh, A.nonlinear_image(f, u.values))

@@ -9,6 +9,8 @@ z'(beta) = -w(z)/u'(z), the Morse index of the boundary-value solution on
 (-1, z) equals the number of zeros of w inside the interval, and the
 solution is nondegenerate exactly when w(z) is nonzero.
 
+``crossing_record`` computes all of these from one co-integrated shot; it
+is the one path to them, for ``find_crossings`` and for any other caller.
 Crossings of z(beta) = zeta enumerate the positive solutions of the
 Dirichlet problem on (-1, zeta); each one is rescaled to the unit interval
 where it solves v'' + |t - 1/2 + delta|^l v^p = 0 with
@@ -70,16 +72,8 @@ class ShootingRecord:
 
 
 @dataclass(frozen=True)
-class VariationalResult:
-    trajectory: "Trajectory"
-    zero_count: int
-    w_at_z: float
-
-
-@dataclass(frozen=True)
 class UnitSolution:
     profile: GridFunction
-    delta: float
     scale_exponent_used: float
 
 
@@ -226,39 +220,6 @@ def _count_zeros(traj, z):
     return len(roots)
 
 
-def variational_solve(beta, params, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
-    """Co-integrate the variational equation and count its interior zeros.
-
-    Returns the trajectory, the number of transversal zeros of w in
-    (-1, z) (the Morse index of the boundary-value solution on (-1, z)),
-    and w(z).  The solution is nondegenerate exactly when w(z) is away
-    from zero relative to the scale of w.
-    """
-    z, traj = _integrate(beta, params, X_MAX_DEFAULT, variational=True,
-                         rtol=rtol, atol=atol)
-    return VariationalResult(trajectory=traj,
-                             zero_count=_count_zeros(traj, z),
-                             w_at_z=float(traj.w(z)))
-
-
-def z_prime(beta, params):
-    """Derivative of the shooting map: z'(beta) = -w(z)/u'(z).
-
-    The variational solution has the same initial data as the beta
-    derivative of the trajectory, so no finite differencing is involved.
-    """
-    return _record_at(beta, params, X_MAX_DEFAULT).z_prime
-
-
-def _transversal_slope(traj, z, beta):
-    """u'(z), which must be away from zero for z to be a transversal zero."""
-    up = float(traj.du(z))
-    if abs(up) < 1e-10:
-        raise TransversalityError(
-            f"|u'(z)| = {abs(up):.3e} at beta = {beta}; zero is not transversal")
-    return up
-
-
 def _z_of_beta(beta, params, x_max):
     """z(beta) with automatic horizon enlargement."""
     while True:
@@ -270,7 +231,10 @@ def _z_of_beta(beta, params, x_max):
                 raise
 
 
-def _record_at(beta, params, x_max):
+def crossing_record(beta, params, x_max=X_MAX_DEFAULT):
+    """The ``ShootingRecord`` of slope ``beta``: z, the Morse index, the sign
+    of w(z) and z'(beta) = -w(z)/u'(z), all from one shot of u and w (w is
+    the beta derivative of u, so no finite differencing is involved)."""
     z, traj = _integrate(beta, params, x_max, variational=True)
     w_end = float(traj.w(z))
     wscale = float(np.max(np.abs(traj.w(traj.step_points())))) or 1.0
@@ -280,7 +244,10 @@ def _record_at(beta, params, x_max):
         sign = "positive"
     else:
         sign = "negative"
-    up = _transversal_slope(traj, z, beta)
+    up = float(traj.du(z))      # away from zero at a transversal zero
+    if abs(up) < 1e-10:
+        raise TransversalityError(
+            f"|u'(z)| = {abs(up):.3e} at beta = {beta}; zero is not transversal")
     return ShootingRecord(beta=float(beta), z=z,
                           morse_index=_count_zeros(traj, z),
                           w_end_sign=sign, z_prime=-w_end / up)
@@ -333,7 +300,7 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
                 continue    # bracket exhausted without meeting the tolerance
         else:
             continue
-        records.append(_record_at(b_hat, params, horizon))
+        records.append(crossing_record(b_hat, params, horizon))
     return records
 
 
@@ -355,7 +322,7 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
     if abs(z - zeta) > 1e-6 * (1.0 + abs(zeta)):
         raise ValueError(
             f"record's zero z = {z} is not at the requested zeta = {zeta}")
-    delta, weight, f = unit_problem(zeta, params)
+    _, weight, f = unit_problem(zeta, params)
     stretch = 1.0 + zeta
     exponent = (params.l + 2.0) / (params.p - 1.0)
     scale = stretch ** exponent
@@ -376,10 +343,10 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
         raise ScalingError(
             f"scale exponent {exponent:g} does not reproduce the unit-interval "
             f"equation within {residual_tol:g}: residual {rel:g}",
-            residuals={exponent: rel})
+            exponent=exponent, residual=rel)
     profile_mesh = mesh.with_kinks(weight)
     return UnitSolution(profile=GridFunction(profile_mesh, sample(profile_mesh)),
-                        delta=delta, scale_exponent_used=exponent)
+                        scale_exponent_used=exponent)
 
 
 def unit_problem(zeta, params):

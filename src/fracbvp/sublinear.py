@@ -143,18 +143,13 @@ def monotone_solve(bracket, f, A, tol=1e-9, maxit=20000):
     report says ``both_agree``, the computational witness that the positive
     solution is unique.
     """
-    lo = bracket.lower.values.copy()
-    hi = bracket.upper.values.copy()
-    mono_slack = 1e-12 * max(1.0, float(np.max(hi)))
+    state = {"lower": bracket.lower.values, "upper": bracket.upper.values}
+    mono_slack = 1e-12 * max(1.0, float(np.max(state["upper"])))
 
-    its = {"lower": 0, "upper": 0}
-    done = {"lower": False, "upper": False}
-    state = {"lower": lo, "upper": hi}
-    for _ in range(maxit):
-        if done["lower"] and done["upper"]:
-            break
+    done = set()
+    for sweep in range(1, maxit + 1):
         for side, sign in (("lower", 1.0), ("upper", -1.0)):
-            if done[side]:
+            if side in done:
                 continue
             cur = state[side]
             nxt = A.nonlinear_image(f, cur)
@@ -162,13 +157,14 @@ def monotone_solve(bracket, f, A, tol=1e-9, maxit=20000):
                 raise MonotonicityError(
                     f"iteration from the {side} start lost monotonicity; "
                     "the nonlinearity is not nondecreasing on the bracket")
-            its[side] += 1
             if np.max(np.abs(nxt - cur)) < tol:
-                done[side] = True
+                done.add(side)
             state[side] = nxt
         if np.any(state["lower"] > state["upper"] + mono_slack):
             raise MonotonicityError(
                 "lower iterate overtook the upper iterate")
+        if len(done) == 2:
+            break
     else:
         raise ConvergenceError(
             f"monotone iteration did not converge in {maxit} sweeps",
@@ -179,17 +175,11 @@ def monotone_solve(bracket, f, A, tol=1e-9, maxit=20000):
     res = {side: float(np.max(np.abs(
         state[side] - A.nonlinear_image(f, state[side]))))
         for side in ("lower", "upper")}
-    if gap <= 10.0 * tol:
-        side = "both_agree"
-        solution = state["lower"]
-        residual = res["lower"]
-    else:
-        side = "lower" if res["lower"] <= res["upper"] else "upper"
-        solution = state[side]
-        residual = res[side]
-    return SolveReport(solution=GridFunction(A.mesh, solution),
-                       iterations=max(its.values()), residual=residual,
-                       from_side=side)
+    agree = gap <= 10.0 * tol
+    side = "lower" if agree or res["lower"] <= res["upper"] else "upper"
+    return SolveReport(solution=GridFunction(A.mesh, state[side]),
+                       iterations=sweep, residual=res[side],
+                       from_side="both_agree" if agree else side)
 
 
 def classify_regime(f, lambda1):

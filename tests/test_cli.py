@@ -292,6 +292,14 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
     ["henon-shoot", "--l", "inf"],
     ["sweep", "--alphas", "1.1:2.0:1e-7", "--weight", "constant:1"],
     ["sweep", "--alphas", "1.1:2.0:5e-324", "--weight", "constant:1"],
+    ["solve-super", "--alpha", "1.8", "--weight", "constant:1",
+     "--nonlin", "power:1:2", "--tol", "inf"],
+    ["eig", "--alpha", "2", "--weight", "constant:1", "--tol", "inf"],
+    ["solve-sub", "--alpha", "2", "--weight", "constant:1",
+     "--nonlin", "power:1:0.5", "--tol", "inf"],
+    ["henon-continue", "--step", "inf"],
+    ["eig", "--alpha", "2", "--weight", "constant:1", "--grading", "graded",
+     "--exponent", "1e3"],
 ], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
         "nan-polynomial-weight", "zeta-below-minus-1",
         "beta-range-reversed", "grading-exponent-below-1",
@@ -300,13 +308,39 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
         "scan-points-one", "continue-scan-points-zero", "probe-zero-trials",
         "alphas-not-a-number", "alphas-two-fields", "alphas-nan-stop",
         "alphas-inf-step", "tol-nan", "tol-negative", "maxit-zero",
-        "p-inf", "l-inf", "alphas-9e6-orders", "alphas-step-overflows"])
+        "p-inf", "l-inf", "alphas-9e6-orders", "alphas-step-overflows",
+        "solve-super-tol-inf", "eig-tol-inf", "solve-sub-tol-inf",
+        "continue-step-inf", "grading-exponent-underflows"])
 def test_unusable_input_exits_2(tmp_path, argv):
     out = tmp_path / "bad"
     assert main(argv + ["--n", "50", "--out", str(out)]) == EXIT_HYPOTHESIS
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "hypothesis_violation"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--step", "0"], ["--min-step", "nan"],
+                                   ["--n", "4"]],
+                         ids=["step-zero", "min-step-nan", "n-4"])
+def test_henon_continue_rejects_settings_before_scanning(tmp_path, monkeypatch,
+                                                         flags):
+    def scan(*args, **kwargs):
+        raise AssertionError("the beta scan started")
+    monkeypatch.setattr(cli, "find_crossings", scan)
+    out = tmp_path / "bad"
+    assert main(["henon-continue", *flags, "--out", str(out)]) == EXIT_HYPOTHESIS
+    assert json.loads((out / "error.json").read_text())["error"] == \
+        "hypothesis_violation"
+    assert not (out / "crossings.csv").exists()
+
+
+def test_mesh_size_exits_2_before_allocating(tmp_path):
+    # 10^11 nodes would take 745 GiB; the bound applies before np.arange
+    out = tmp_path / "big"
+    assert main(["eig", "--alpha", "2", "--weight", "constant:1",
+                 "--n", str(10 ** 11), "--out", str(out)]) == EXIT_HYPOTHESIS
+    assert json.loads((out / "error.json").read_text())["hypothesis"] == \
+        "mesh-size"
 
 
 @pytest.mark.parametrize("exc, code, keys", [
@@ -322,7 +356,8 @@ def test_unusable_input_exits_2(tmp_path, argv):
     (errors.HorizonError("bad"), EXIT_NONCONVERGENCE, {"error", "message"}),
     (errors.TransversalityError("bad"), EXIT_NONCONVERGENCE,
      {"error", "message"}),
-    (errors.ScalingError("bad"), EXIT_NONCONVERGENCE, {"error", "message"}),
+    (errors.ScalingError("bad", exponent=6.0, residual=1e-3),
+     EXIT_NONCONVERGENCE, {"error", "message", "exponent", "residual"}),
     (OSError("bad"), EXIT_IO, {"error", "message"}),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
 def test_error_report_per_class(tmp_path, monkeypatch, exc, code, keys):

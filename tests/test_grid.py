@@ -24,6 +24,18 @@ def test_make_mesh_rejects_small_n():
         make_mesh(4)
 
 
+def test_make_mesh_rejects_unbuildable_meshes():
+    # the size bound applies before np.arange: 10^11 nodes are 745 GiB
+    with pytest.raises(HypothesisError) as info:
+        make_mesh(10 ** 11)
+    assert info.value.hypothesis == "mesh-size"
+    # (i/n)^q underflows to 0 for the first nodes, so they coincide
+    for q in (1e3, np.inf):
+        with pytest.raises(HypothesisError) as info:
+            make_mesh(100, "graded", q)
+        assert info.value.hypothesis == "mesh-grading"
+
+
 def test_mesh_rejects_bad_nodes():
     with pytest.raises(ValueError):
         Mesh(np.linspace(0.0, 0.9, 12))

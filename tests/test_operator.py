@@ -7,8 +7,7 @@ from fracbvp import operator
 from fracbvp.errors import HypothesisError
 from fracbvp.grid import GridFunction, make_mesh, norms, production_mesh
 from fracbvp.kernel import green_hat_integral, green_integral
-from fracbvp.operator import (NonlinearityFamily, WeightFamily, apply_linear,
-                              apply_nonlinear, assemble)
+from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
 
 
 def test_weight_families_evaluate():
@@ -127,8 +126,8 @@ def test_classical_sine_image():
     mesh = make_mesh(200, "uniform")
     A = assemble(mesh, 2.0, WeightFamily.constant(1.0))
     x = GridFunction.sample(mesh, lambda t: np.sin(np.pi * t))
-    y = apply_linear(A, x)
-    err = np.max(np.abs(y.values - x.values / math.pi ** 2))
+    y = A.matrix @ x.values
+    err = np.max(np.abs(y - x.values / math.pi ** 2))
     assert err < 5.0 / 200 ** 2
 
 
@@ -137,19 +136,11 @@ def test_apply_linear_is_linear_and_positive():
     A = assemble(mesh, 1.5, WeightFamily.constant(1.0))
     x = GridFunction.sample(mesh, lambda t: np.sin(np.pi * t))
     y = GridFunction.sample(mesh, lambda t: t * (1.0 - t) ** 2)
-    lhs = apply_linear(A, GridFunction(mesh, 2.0 * x.values - 3.0 * y.values))
-    rhs = 2.0 * apply_linear(A, x).values - 3.0 * apply_linear(A, y).values
-    assert np.max(np.abs(lhs.values - rhs)) < 1e-14
-    assert np.all(apply_linear(A, x).values >= 0.0)
-    assert np.all(apply_linear(A, GridFunction.zeros(mesh)).values == 0.0)
-
-
-def test_apply_linear_mesh_mismatch():
-    mesh = production_mesh(1.5, 50)
-    other = make_mesh(50, "uniform")
-    A = assemble(mesh, 1.5, WeightFamily.constant(1.0))
-    with pytest.raises(ValueError):
-        apply_linear(A, GridFunction.zeros(other))
+    lhs = A.matrix @ (2.0 * x.values - 3.0 * y.values)
+    rhs = 2.0 * (A.matrix @ x.values) - 3.0 * (A.matrix @ y.values)
+    assert np.max(np.abs(lhs - rhs)) < 1e-14
+    assert np.all(A.matrix @ x.values >= 0.0)
+    assert np.all(A.matrix @ GridFunction.zeros(mesh).values == 0.0)
 
 
 def test_apply_nonlinear_trivial_and_guarded():
@@ -159,14 +150,14 @@ def test_apply_nonlinear_trivial_and_guarded():
     zero = GridFunction.zeros(mesh)
     for f in (NonlinearityFamily.power(1.0, 2.0),
               NonlinearityFamily.affine_power(1.0, 0.5)):
-        out = apply_nonlinear(A, f, zero)
-        assert np.all(out.values == 0.0)
+        out = A.nonlinear_image(f, zero.values)
+        assert np.all(out == 0.0)
     # negative excursions go through |u|
     f = NonlinearityFamily.power(1.0, 0.5)
     u = GridFunction.sample(mesh, lambda t: -np.sin(np.pi * t))
-    out = apply_nonlinear(A, f, u)
-    assert np.all(np.isfinite(out.values))
-    assert np.all(out.values >= 0.0)
+    out = A.nonlinear_image(f, u.values)
+    assert np.all(np.isfinite(out))
+    assert np.all(out >= 0.0)
 
 
 def test_apply_nonlinear_linear_f_matches_linear_path():
@@ -174,8 +165,8 @@ def test_apply_nonlinear_linear_f_matches_linear_path():
     h = WeightFamily.constant(1.0)
     A = assemble(mesh, 2.0, h)
     u = GridFunction.sample(mesh, lambda t: np.sin(np.pi * t))
-    out = apply_nonlinear(A, NonlinearityFamily.power(1.0, 1.0), u)
-    assert np.max(np.abs(out.values - apply_linear(A, u).values)) < 1e-15
+    out = A.nonlinear_image(NonlinearityFamily.power(1.0, 1.0), u.values)
+    assert np.max(np.abs(out - A.matrix @ u.values)) < 1e-15
 
 
 @pytest.mark.parametrize("alpha", (1.25, 1.75))

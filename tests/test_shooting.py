@@ -7,9 +7,9 @@ from fracbvp.errors import HorizonError, HypothesisError, ScalingError
 from fracbvp.grid import make_mesh
 from fracbvp.kernel import classical_image
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
-from fracbvp.shooting import (HenonParams, first_zero, ivp_integrate,
-                              rescale_to_unit, variational_solve,
-                              weight_offset, z_prime)
+from fracbvp.shooting import (HenonParams, crossing_record, first_zero,
+                              ivp_integrate, rescale_to_unit, unit_problem,
+                              weight_offset)
 from fracbvp.superlinear import newton_solve
 
 
@@ -51,8 +51,8 @@ def test_first_zero_transversal(henon_params):
         z = first_zero(beta, henon_params)
         assert z > -1.0
         # the variational shot, on its own steps, ends at nearly the same zero
-        res = variational_solve(beta, henon_params)
-        traj = res.trajectory
+        _, traj = shooting._integrate(beta, henon_params,
+                                      shooting.X_MAX_DEFAULT, variational=True)
         assert abs(traj.x_end - z) < 1e-9
         assert traj.du(traj.x_end) < 0.0
         assert abs(traj.u(traj.x_end)) < 1e-11
@@ -95,7 +95,7 @@ def test_z_continuity(henon_params):
 
 def test_z_prime_matches_finite_differences(henon_params):
     for beta in (0.5, 20.0):
-        zp = z_prime(beta, henon_params)
+        zp = crossing_record(beta, henon_params).z_prime
         h = 1e-5
         fd = (first_zero(beta + h, henon_params)
               - first_zero(beta - h, henon_params)) / (2.0 * h)
@@ -144,19 +144,26 @@ def test_crossings_nondegenerate(henon_crossings):
 
 
 def test_variational_verdicts_consistent(henon_params, henon_crossings):
-    # |w(z)| and |z'| give the same (non)degeneracy verdict
+    # |w(z)| and |z'| give the same (non)degeneracy verdict, and the sign
+    # changes of w sampled on a fine grid give the recorded Morse index
     for r in henon_crossings:
-        res = variational_solve(r.beta, henon_params)
-        wscale = np.max(np.abs(res.trajectory.w(res.trajectory.step_points())))
-        assert (abs(res.w_at_z) > 1e-6 * wscale) == (abs(r.z_prime) > 1e-6)
-        assert res.zero_count == r.morse_index
+        z, traj = shooting._integrate(r.beta, henon_params,
+                                      shooting.X_MAX_DEFAULT, variational=True)
+        wscale = np.max(np.abs(traj.w(traj.step_points())))
+        assert (abs(traj.w(z)) > 1e-6 * wscale) == (abs(r.z_prime) > 1e-6)
+        w = traj.w(np.linspace(-1.0, z, 20001)[1:-1])
+        assert np.count_nonzero(w[:-1] * w[1:] < 0.0) == r.morse_index
 
 
 def test_morse_count_stable_under_tol_tightening(henon_params, henon_crossings):
     r = henon_crossings[1]
-    loose = variational_solve(r.beta, henon_params, rtol=1e-10, atol=1e-12)
-    tight = variational_solve(r.beta, henon_params, rtol=1e-12, atol=1e-14)
-    assert loose.zero_count == tight.zero_count
+    counts = []
+    for rtol, atol in ((1e-10, 1e-12), (1e-12, 1e-14)):
+        z, traj = shooting._integrate(r.beta, henon_params,
+                                      shooting.X_MAX_DEFAULT, variational=True,
+                                      rtol=rtol, atol=atol)
+        counts.append(shooting._count_zeros(traj, z))
+    assert counts[0] == counts[1] == r.morse_index
     z_loose = first_zero(r.beta, henon_params, rtol=1e-10, atol=1e-12)
     z_tight = first_zero(r.beta, henon_params, rtol=1e-12, atol=1e-14)
     assert abs(z_loose - z_tight) < 1e-7
@@ -174,7 +181,7 @@ def test_rescale_picks_substitution_exponent(henon_params, henon_crossings):
     unit = rescale_to_unit(henon_crossings[0], 1.0, henon_params, mesh)
     # direct substitution forces (l+2)/(p-1); the alternative fails loudly
     assert unit.scale_exponent_used == pytest.approx(6.0)
-    assert unit.delta == 0.0
+    assert unit_problem(1.0, henon_params)[0] == 0.0
     assert unit.profile.values[0] == 0.0 and unit.profile.values[-1] == 0.0
     assert np.all(unit.profile.values[1:-1] > 0.0)
 
@@ -199,9 +206,8 @@ def test_rescale_rejects_residual_above_tolerance(henon_params,
     with pytest.raises(ScalingError) as info:
         rescale_to_unit(henon_crossings[0], 1.0, henon_params, mesh,
                         residual_tol=1e-12)
-    (exponent, residual), = info.value.residuals.items()
-    assert exponent == 6.0
-    assert 1e-12 < residual <= 1e-6
+    assert info.value.exponent == 6.0
+    assert 1e-12 < info.value.residual <= 1e-6
 
 
 @pytest.mark.parametrize("zeta", (1.0, 1.1))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracbvp.errors import HypothesisError
+from fracbvp.errors import ConvergenceError, HypothesisError
 from fracbvp.eigen import principal_eigenpair
 from fracbvp.grid import norms, production_mesh
 from fracbvp.operator import NonlinearityFamily, assemble
@@ -80,6 +80,20 @@ def test_monotone_solve_uniqueness_witness(alpha, unit_weight):
     assert report.from_side == "both_agree"
     assert report.residual <= 1e-8
     assert np.all(report.solution.values[1:-1] > 0.0)
+
+
+def test_monotone_solve_converging_on_last_sweep_succeeds(unit_weight):
+    # alpha = 1.5, f = sqrt(s), n = 100 converges in 28 sweeps: a budget of
+    # exactly 28 must return that solve, and 27 must not
+    A = assemble(production_mesh(1.5, 100), 1.5, unit_weight)
+    bracket = find_bracket(principal_eigenpair(A), SQRT, A)
+    free = monotone_solve(bracket, SQRT, A)
+    assert free.iterations == 28
+    exact = monotone_solve(bracket, SQRT, A, maxit=28)
+    assert exact.iterations == 28
+    assert np.array_equal(exact.solution.values, free.solution.values)
+    with pytest.raises(ConvergenceError):
+        monotone_solve(bracket, SQRT, A, maxit=27)
 
 
 def test_monotone_iterates_stay_ordered(classical, unit_weight):

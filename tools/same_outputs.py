@@ -1,0 +1,88 @@
+"""Check that two source trees write the same CLI outputs, byte for byte.
+
+    python tools/same_outputs.py PARENT_SRC CHANGE_SRC [SEEDS]
+
+Each tree runs, in one process with ``OPENBLAS_NUM_THREADS=1``, the configs
+in ``FIXED`` and every job of the henon-shoot, henon-continue and solver-mix
+workloads of ``perfbench/workloads.py`` for each seed (comma list, default
+1).  Outputs other than ``manifest.json``, exit codes, and the ``error`` and
+``hypothesis`` of an ``error.json`` must be equal; exits 1 otherwise.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open("
+          "sys.argv[1]))\njson.dump([main(a + ['--out', o]) for a, o in jobs], "
+          "open(sys.argv[2], 'w'))")
+# the criterion-12 configs, then polynomial, saturating and tabulated ones
+FIXED = [
+    "eig --alpha 1.5 --weight constant:1 --n 300",
+    "bounds --alpha 1.25 --weight power_offset:4:0.5",
+    "sweep --alphas 1.8:2.0:0.1 --weight constant:1 --n 150",
+    "solve-sub --alpha 2 --weight constant:1 --nonlin power:1:0.5 --n 200",
+    "nonexist --alpha 2 --weight constant:1 --nonlin power:1:1 --n 150 --trials 3",
+    "henon-shoot --l 4 --p 2 --zeta 1 --beta-min 50 --beta-max 300 --scan-points 60",
+    "solve-super --alpha 1.7 --weight polynomial:1,0.3,-0.2 --nonlin power:1:2 --n 300",
+    "solve-sub --alpha 1.6 --weight constant:1 --nonlin saturating:30 --n 200",
+    "eig --alpha 1.8 --weight tabulated:{table} --n 200",
+]
+
+
+def argv_list(parent_src, seeds, table):
+    sys.path.insert(0, str(Path(parent_src).resolve()))    # solver_mix imports it
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [line.format(table=table).split() for line in FIXED] + [
+        job.argv for seed in seeds for make in (
+            workloads.henon_shoot, workloads.henon_continue, workloads.solver_mix)
+        for job in make(seed)]
+
+
+def run_tree(src, argvs, workdir):
+    workdir.mkdir()
+    jobs = [(argv, str(workdir / f"run{k:03d}")) for k, argv in enumerate(argvs)]
+    (workdir / "jobs.json").write_text(json.dumps(jobs))
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()),
+           "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", RUNNER, str(workdir / "jobs.json"),
+                    str(workdir / "codes.json")], env=env, check=True)
+    codes = json.loads((workdir / "codes.json").read_text())
+    return [(code, Path(out)) for code, (_, out) in zip(codes, jobs)]
+
+
+def outputs(rundir):
+    files = {p.name: p.read_bytes() for p in rundir.iterdir()
+             if p.name not in ("manifest.json", "error.json")}
+    if (rundir / "error.json").exists():
+        error = json.loads((rundir / "error.json").read_text())
+        files["error.json"] = (error.get("error"), error.get("hypothesis"))
+    return files
+
+
+def main(parent_src, change_src, seeds="1"):
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "weight.csv"
+        table.write_text("t,value\n" + "".join(
+            f"{k / 16!r},{1.0 + k / 16 * (1.0 - k / 16)!r}\n" for k in range(17)))
+        argvs = argv_list(parent_src, [int(s) for s in seeds.split(",")], table)
+        runs = zip(argvs, run_tree(parent_src, argvs, Path(tmp) / "parent"),
+                   run_tree(change_src, argvs, Path(tmp) / "change"))
+        differ = [" ".join(argv) for argv, (c0, d0), (c1, d1) in runs
+                  if c0 != c1 or outputs(d0) != outputs(d1)]
+    print("".join(f"differs: {argv}\n" for argv in differ), end="")
+    print(f"{len(argvs) - len(differ)} of {len(argvs)} runs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) not in (3, 4):
+        sys.exit(__doc__)
+    sys.exit(main(*sys.argv[1:]))
