@@ -332,9 +332,10 @@ def _cmd_nonexist(config, outdir, timings):
     timings["solve"] = time.perf_counter() - t0
     _write_csv(outdir / "trials.csv",
                ["trial", "amplitude", "shape", "outcome", "iterations",
-                "final_norm"],
+                "final_norm", "residual"],
                [[k, _g(o.amplitude), o.shape, o.outcome, o.iterations,
-                 _g(o.final_norm)] for k, o in enumerate(report.trials)])
+                 _g(o.final_norm), _g(o.residual)]
+                for k, o in enumerate(report.trials)])
     _write_json(outdir / "probe.json", {
         "regime": report.regime,
         "lambda1": report.lambda1,

@@ -68,11 +68,6 @@ class Mesh:
             mesh = mesh.with_node(t0)
         return mesh
 
-    def refine(self):
-        """Uniformly refined mesh (midpoint of every interval inserted)."""
-        mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        return Mesh(np.sort(np.concatenate([self.nodes, mids])))
-
     def __repr__(self):
         return f"Mesh(n={self.n})"
 

@@ -53,10 +53,6 @@ class HenonParams:
                 "multiplicity-parameter-condition",
                 f"need finite l > 1 and p > 1, got l={self.l}, p={self.p}")
 
-    def meets_multiplicity_condition(self):
-        """(p-1)*l >= 4, the regime with three guaranteed solutions."""
-        return (self.p - 1.0) * self.l >= 4.0
-
 
 @dataclass(frozen=True)
 class ShootingRecord:

@@ -8,9 +8,15 @@ the bracket range, and the two one-sided limits coincide exactly when the
 positive solution is unique; their agreement is reported as the uniqueness
 witness.
 
-The nonexistence probe is the falsification companion: when f(s)/s stays on
-one side of the eigenvalue, iterates from any positive start either blow up
-or die out, and the probe reports that evidence.  It certifies nothing.
+The nonexistence probe is the falsification companion.  It runs Picard
+iteration from positive starts until each trial blows up ("diverged"), dies
+out ("decayed"), reaches a fixed point ("converged": the sup-norm step is at
+most ``FIXED_POINT_RTOL`` times the sup norm) or spends ``PROBE_MAXIT`` steps
+("inconclusive").  When f(s)/s stays on one side of the eigenvalue, iterates
+from any positive start either blow up or die out, and the probe reports that
+evidence; it certifies nothing.  When f(s)/s meets the eigenvalue (the
+borderline regime, which holds the sublinear case) the iterates settle on a
+positive fixed point, and the verdict reports it as evidence for a solution.
 Every solver takes the assembled operator A (and its eigenpair if needed).
 """
 
@@ -28,6 +34,7 @@ REGIME_SAMPLES = 2001
 DIVERGENCE_CAP = 1e6        # sup norm above which a probe trial diverged
 DECAY_FLOOR = 1e-10         # and below which it decayed
 PROBE_MAXIT = 100000        # Picard steps before it is inconclusive
+FIXED_POINT_RTOL = 1e-12    # sup step / sup norm at which a trial converged
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,11 @@ class SolveReport:
 class TrialOutcome:
     amplitude: float
     shape: str
-    outcome: str            # "diverged" | "decayed" | "inconclusive"
+    outcome: str            # "diverged" | "decayed" | "converged" | "inconclusive"
     iterations: int
     final_norm: float
     last_ratio: float
+    residual: float         # last sup-norm step over the sup norm
 
 
 @dataclass(frozen=True)
@@ -194,14 +202,18 @@ def classify_regime(f, lambda1):
 
 
 def nonexistence_probe(f, A, eig, trials=10):
-    """Iteration evidence that no positive solution exists.
+    """Iteration evidence about a positive solution, one trial per start.
 
-    Runs Picard iteration from a deterministic spread of positive starts.
-    In the super regime (f(s)/s above lambda1 everywhere) every trial is
-    expected to blow past ``DIVERGENCE_CAP``; in the sub regime every trial
-    should decay below ``DECAY_FLOOR``; one undecided after ``PROBE_MAXIT``
-    steps is inconclusive, and the probe never raises on inconclusive
-    outcomes.  ``eig`` is the principal eigenpair of ``A``.
+    Runs Picard iteration u <- T f(u) from a deterministic spread of positive
+    starts.  Each step first tests for blow-up past ``DIVERGENCE_CAP``
+    ("diverged") and decay below ``DECAY_FLOOR`` ("decayed"), then for a
+    fixed point: a sup-norm step of at most ``FIXED_POINT_RTOL`` times the
+    sup norm ("converged").  A trial undecided after ``PROBE_MAXIT`` steps is
+    "inconclusive"; the probe never raises on it.  In the super regime
+    (f(s)/s above lambda1 everywhere) every trial is expected to diverge, in
+    the sub regime to decay, and in the borderline regime to converge; the
+    verdict names the converged sup norms as evidence for a solution.
+    ``eig`` is the principal eigenpair of ``A``.
     """
     if trials < 1:
         # every verdict is an "all trials" statement: zero trials prove nothing
@@ -218,12 +230,15 @@ def nonexistence_probe(f, A, eig, trials=10):
         name = "phi1" if k % 2 == 0 else "gauge"
         u = amp * shapes[name]
         prev_norm = float(np.max(np.abs(u)))
-        outcome, ratio = "inconclusive", float("nan")
+        outcome, ratio, residual = "inconclusive", float("nan"), float("nan")
         it = 0
         for it in range(1, PROBE_MAXIT + 1):
-            u = A.nonlinear_image(f, u)
-            nrm = float(np.max(np.abs(u)))
+            nxt = A.nonlinear_image(f, u)
+            nrm = float(np.max(np.abs(nxt)))
+            step = float(np.max(np.abs(nxt - u)))
+            u = nxt
             ratio = nrm / prev_norm if prev_norm > 0 else float("nan")
+            residual = step / nrm if nrm > 0 else float("inf")
             prev_norm = nrm
             if nrm > DIVERGENCE_CAP:
                 outcome = "diverged"
@@ -231,9 +246,13 @@ def nonexistence_probe(f, A, eig, trials=10):
             if nrm < DECAY_FLOOR:
                 outcome = "decayed"
                 break
+            if residual <= FIXED_POINT_RTOL:
+                outcome = "converged"
+                break
         outcomes.append(TrialOutcome(amplitude=float(amp), shape=name,
                                      outcome=outcome, iterations=it,
-                                     final_norm=prev_norm, last_ratio=ratio))
+                                     final_norm=prev_norm, last_ratio=ratio,
+                                     residual=residual))
 
     if regime == "super" and all(o.outcome == "diverged" for o in outcomes):
         verdict = "no positive solution detected: all iterates unbounded"
@@ -242,6 +261,13 @@ def nonexistence_probe(f, A, eig, trials=10):
     elif regime == "borderline":
         verdict = ("borderline: f(s)/s meets the eigenvalue; the one-sided "
                    "ratio hypothesis fails")
+        fixed = [o.final_norm for o in outcomes if o.outcome == "converged"]
+        if fixed:
+            verdict += (f"; {len(fixed)} of {len(outcomes)} iterates reach a "
+                        "fixed point, evidence of a positive solution, sup "
+                        f"norm {min(fixed):.12g}")
+            if max(fixed) > min(fixed) * (1.0 + 1e-9):
+                verdict += f" to {max(fixed):.12g}"
     else:
         verdict = "inconclusive: mixed iteration outcomes"
     return ProbeReport(regime=regime, lambda1=eig.lambda1,

@@ -128,7 +128,7 @@ def test_nonexist_command(tmp_path):
     assert probe["regime"] in ("super", "sub", "borderline")
     rows = _read_csv(out / "trials.csv")
     assert rows[0] == ["trial", "amplitude", "shape", "outcome", "iterations",
-                      "final_norm"]
+                      "final_norm", "residual"]
 
 
 def test_henon_shoot_command(tmp_path):

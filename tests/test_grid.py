@@ -101,7 +101,7 @@ def test_sup_below_enorm_for_vanishing_functions(alpha):
 def test_norms_refinement_monotonicity():
     fn = lambda t: np.sin(2.3 * np.pi * t) * (1.0 - t)
     mesh = make_mesh(16, "uniform")
-    fine = mesh.refine()
+    fine = make_mesh(32, "uniform")
     for alpha in (1.5, 2.0):
         coarse = norms(GridFunction.sample(mesh, fn), alpha)
         refined = norms(GridFunction.sample(fine, fn), alpha)

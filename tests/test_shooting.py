@@ -18,8 +18,6 @@ def test_params_validation():
         HenonParams(l=0.5, p=2.0)
     with pytest.raises(HypothesisError):
         HenonParams(l=4.0, p=1.0)
-    assert HenonParams(l=4.0, p=2.0).meets_multiplicity_condition()
-    assert not HenonParams(l=1.5, p=2.0).meets_multiplicity_condition()
 
 
 def test_trajectory_starts_upward(henon_params):

@@ -7,7 +7,8 @@ from fracbvp.errors import ConvergenceError, HypothesisError
 from fracbvp.eigen import principal_eigenpair
 from fracbvp.grid import norms, production_mesh
 from fracbvp.operator import NonlinearityFamily, assemble
-from fracbvp.sublinear import (classify_regime, find_bracket, monotone_solve,
+from fracbvp.sublinear import (FIXED_POINT_RTOL, PROBE_MAXIT, classify_regime,
+                               find_bracket, monotone_solve,
                                nonexistence_probe)
 
 from oracles import fd_newton_bvp
@@ -168,8 +169,44 @@ def test_probe_sub_regime_decays_geometrically(classical, unit_weight):
 
 
 def test_probe_flags_borderline(classical, unit_weight):
+    # sqrt(s) is sublinear: f(s)/s passes through lambda1 from above
     mesh, A, eig = classical
-    f = NonlinearityFamily.power(eig.lambda1, 1.0)
-    report = nonexistence_probe(f, A, eig, trials=2)
+    report = nonexistence_probe(SQRT, A, eig, trials=2)
     assert report.regime == "borderline"
     assert "borderline" in report.verdict
+    for o in report.trials:
+        assert o.outcome == "converged"
+        assert o.residual <= FIXED_POINT_RTOL
+
+
+@pytest.mark.parametrize("alpha", (1.5, 2.0))
+def test_probe_converges_to_the_monotone_solution(alpha, unit_weight):
+    # a borderline power is the sublinear case, so the probe's fixed point is
+    # the unique positive solution the monotone iteration brackets
+    f = NonlinearityFamily.power(10.0, 0.5)
+    A = assemble(production_mesh(alpha, 200), alpha, unit_weight)
+    eig = principal_eigenpair(A)
+    solve = monotone_solve(find_bracket(eig, f, A), f, A, tol=1e-12)
+    assert solve.from_side == "both_agree"
+    sup = float(np.max(solve.solution.values))
+    report = nonexistence_probe(f, A, eig, trials=2)
+    assert report.regime == "borderline"
+    for o in report.trials:
+        assert o.outcome == "converged"
+        assert o.final_norm == pytest.approx(sup, rel=1e-9)
+    assert report.verdict.startswith("borderline:")
+    assert f"sup norm {report.trials[0].final_norm:.12g}" in report.verdict
+
+
+def test_probe_never_calls_slow_decay_a_fixed_point(unit_weight):
+    # each step shrinks the iterate by a factor 1 - 1e-9: a relative step
+    # of 1e-9, far above FIXED_POINT_RTOL, for the whole budget
+    A = assemble(production_mesh(2.0, 40), 2.0, unit_weight)
+    eig = principal_eigenpair(A)
+    f = NonlinearityFamily.power(eig.lambda1 * (1.0 - 1e-9), 1.0)
+    report = nonexistence_probe(f, A, eig, trials=1)
+    assert report.regime == "sub"
+    (trial,) = report.trials
+    assert trial.outcome != "converged"
+    assert trial.iterations == PROBE_MAXIT
+    assert report.verdict == "inconclusive: mixed iteration outcomes"
