@@ -319,6 +319,8 @@ def _cmd_solve_super(config, outdir, timings):
         "sup_norm": float(np.max(np.abs(report.solution.values))),
         "nondegeneracy_margin": margin.margin,
         "degenerate": margin.degenerate,
+        "margin_method": margin.method,
+        "margin_iterations": margin.iterations,
     })
     return ["solution.csv", "newton_report.json"]
 
@@ -462,8 +464,8 @@ def _fail(outdir, exc):
 
 
 def _blas():
-    """The BLAS builds of numpy and scipy (the LU runs on scipy's) and the
-    thread settings in the environment."""
+    """The BLAS builds of numpy and scipy (the Newton triangular solves run
+    on scipy's) and the thread settings in the environment."""
     builds = {}
     for module in (np, scipy):
         blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -16,9 +16,10 @@ from .kernel import check_order
 
 MIN_INTERVALS = 8
 # bytes of the one dense float64 operator ``operator.assemble`` allocates,
-# 8 m^2 for m nodes.  The solvers hold a few more of its size (Jacobian, LU
-# factors, SVD work), so 1 GiB (m up to 11585; meshes in use reach n = 3072)
-# keeps a run within a few GiB.
+# 8 m^2 for m nodes.  Newton and the margin hold one more buffer of its size
+# (the triangular part of the Jacobian; the margin's SVD fallback takes the
+# dense Jacobian and its work instead), so 1 GiB (m up to 11585; meshes in
+# use reach n = 3072) keeps a run within a few GiB.
 MAX_MATRIX_BYTES = 2 ** 30
 # an inserted node this close to an existing one is taken as already there
 NODE_TOL = 1e-12

@@ -11,7 +11,9 @@ kernel exactly against piecewise-linear hat functions: both required
 antiderivatives are elementary powers, so no quadrature is involved and the
 derivative kink along s = t costs no accuracy.  At alpha = 2 the kernel is
 semiseparable, so its product-integration image takes O(n) operations and
-no matrix (``classical_image``).
+no matrix (``classical_image``).  At every order the kernel above the
+diagonal is its separable branch alone, whose hat integrals
+``separable_hat_integrals`` gives in O(n).
 
 All functions are pure and safe to call concurrently.
 """
@@ -170,6 +172,24 @@ def green_hat_matrix(mesh, alpha):
         a[:, k0:k1] += falling
         a[:, k0 + 1:k1 + 1] += rising
     return a
+
+
+def separable_hat_integrals(nodes, alpha):
+    """Separable-branch hat integrals c_j = int (1-s)^(alpha-1) hat_j / Gamma(alpha).
+
+    For t_i <= t_(j-1) the (t-s)^(alpha-1) branch misses hat j, so above the
+    diagonal ``green_hat_matrix`` is the rank-one product of t^(alpha-1) and
+    c.  The same closed forms as there, on one row with t^(alpha-1) = 1 and
+    no singular branch, in O(n).
+    """
+    alpha = check_order(alpha)
+    one = np.ones((1, 1))
+    rising, falling = _segment_hats(one, one, nodes[:-1], nodes[1:], alpha,
+                                    start=1)
+    c = np.zeros(len(nodes))
+    c[:-1] += falling[0]
+    c[1:] += rising[0]
+    return c
 
 
 def classical_image(nodes, g):

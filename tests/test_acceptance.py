@@ -281,6 +281,25 @@ def test_criterion_10_multiplicity_end_to_end(multiplicity_traces):
             elapsed, 600.0, "; ".join(detail))
 
 
+def test_determinant_sign_matches_morse_parity(henon_crossings,
+                                               multiplicity_traces):
+    # the Sherman-Morrison denominator of J = T - u w^T is det J / det T and
+    # T's diagonal is positive, so at the three order-2 starts its sign must
+    # be (-1)^(Morse index) of the shooting record: two layers, no shared code
+    from fracbvp.superlinear import (_SplitJacobian, _fprime,
+                                     _separable_factors)
+    f = NonlinearityFamily.power(1.0, 2.0)
+    A2 = assemble(multiplicity_traces["mesh"], 2.0, HENON_WEIGHT)
+    signs = []
+    for record, trace in zip(henon_crossings[:3], multiplicity_traces["traces"]):
+        u = trace.steps[0].solution.values
+        jac = _SplitJacobian(A2, _fprime(f, u), _separable_factors(A2))
+        assert jac.failure is None
+        signs.append(float(np.sign(jac.denominator)))
+        assert signs[-1] == (-1.0) ** record.morse_index
+    assert signs == [-1.0, 1.0, -1.0]
+
+
 def test_criterion_11_jacobian_consistency():
     from fracbvp.superlinear import _jacobian, _residual
     t0 = time.perf_counter()

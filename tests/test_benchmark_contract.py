@@ -8,13 +8,17 @@ failure shows here first.  The workload module is imported, not changed.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fracbvp import cli
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +53,28 @@ def test_solver_mix_pass_passes_its_checks(workloads, tmp_path):
     assert len(jobs) == sum(count for sizes in workloads.MIX.values()
                             for count in sizes.values())
     assert _failures(jobs, tmp_path) == []
+
+
+def test_traced_solve_super_runs(tmp_path):
+    # the traced benchmark run wraps the layers from outside, by name:
+    # superlinear.lu_factor and numpy.linalg.svd among them.  In a fresh
+    # process, since the wrappers stay installed
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})",
+        "import spans",
+        "recorder = spans.Recorder()",
+        "recorder.install()",
+        "from fracbvp import cli",
+        "code = cli.main(['solve-super', '--alpha', '1.7', '--weight',",
+        "                 'constant:1', '--nonlin', 'power:1:2', '--n', '100',",
+        f"                 '--out', {str(tmp_path / 'run')!r}])",
+        "names = {span[2] for span in recorder.spans}",
+        "assert code == 0, code",
+        "assert {'superlinear.newton_solve', 'superlinear.nondegeneracy'} <= names",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -116,6 +116,8 @@ def test_solve_super_command(tmp_path):
     report = json.loads((out / "newton_report.json").read_text())
     assert report["converged"] and report["positive"]
     assert not report["degenerate"]
+    assert report["margin_method"] == "inverse_iteration"
+    assert report["margin_iterations"] >= 1
 
 
 def test_nonexist_command(tmp_path):

@@ -211,3 +211,127 @@ def test_continuation_rejects_zero_step(classical, classical_solution, steps):
     _, start = classical_solution
     with pytest.raises(HypothesisError):
         continue_alpha(start, A, 1.9, SQUARE, **steps)
+
+
+# the criterion-11 problems: (alpha, weight, f, point u)
+CRITERION_11 = [
+    (2.0, WeightFamily.constant(1.0), SQUARE,
+     lambda t: 12.0 * np.sin(np.pi * t)),
+    (1.5, WeightFamily.power_offset(4.0, 0.5),
+     NonlinearityFamily.affine_power(2.0, 2.0),
+     lambda t: 5.0 * t ** 0.5 * (1.0 - t)),
+]
+
+
+def _problem(alpha, h, f, point, n=400):
+    A = assemble(production_mesh(alpha, n, weight=h), alpha, h)
+    u = point(A.mesh.nodes)
+    u[0] = u[-1] = 0.0
+    return A, f, u
+
+
+@pytest.mark.parametrize("problem", CRITERION_11)
+def test_split_solves_match_dense_lu(problem):
+    # J = T - u w^T solved by triangular solves and Sherman-Morrison agrees
+    # with an LU of the dense Jacobian, for J and J^T
+    from scipy.linalg import lu_factor, lu_solve
+    from fracbvp.superlinear import (_SplitJacobian, _fprime, _jacobian,
+                                     _separable_factors)
+    A, f, u = _problem(*problem)
+    jac = _SplitJacobian(A, _fprime(f, u), _separable_factors(A))
+    assert jac.failure is None
+    lu = lu_factor(_jacobian(A, f, u))
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        b = rng.standard_normal(len(u))
+        for trans, solve in ((0, jac.solve), (1, jac.solve_t)):
+            ref = lu_solve(lu, b, trans=trans)
+            rel = np.max(np.abs(solve(b) - ref)) / np.max(np.abs(ref))
+            assert rel < 1e-12
+
+
+@pytest.mark.parametrize("problem", CRITERION_11 + [
+    (1.6, WeightFamily.power_offset(1.5, 0.4), SQUARE,
+     lambda t: 20.0 * t ** 0.6 * (1.0 - t), 1600)])
+def test_margin_matches_svd(problem):
+    A, f, u = _problem(*problem)
+    report = nondegeneracy(A, f, GridFunction(A.mesh, u))
+    from fracbvp.superlinear import _jacobian
+    svals = np.linalg.svd(_jacobian(A, f, u), compute_uv=False)
+    assert report.method == "inverse_iteration"
+    assert 1 <= report.iterations
+    assert abs(report.margin - svals[-1]) / svals[-1] < 1e-8
+    assert report.threshold == pytest.approx(1e-6 * svals[0], rel=1e-8)
+
+
+def test_margin_iteration_cap_falls_back_to_svd(monkeypatch):
+    from fracbvp import superlinear
+    from fracbvp.superlinear import _jacobian
+    A, f, u = _problem(*CRITERION_11[0])
+    monkeypatch.setattr(superlinear, "MARGIN_MAXIT", 1)
+    report = nondegeneracy(A, f, GridFunction(A.mesh, u))
+    svals = np.linalg.svd(_jacobian(A, f, u), compute_uv=False)
+    assert report.method == "svd"
+    assert report.iterations == 1
+    assert report.margin == float(svals[-1])
+
+
+@pytest.mark.parametrize("problem", CRITERION_11)
+def test_condition_estimate_matches_gecon(problem):
+    # Hager-Higham through the split solves, with ||J||_1 from A's column
+    # sums, against LAPACK gecon on the dense LU and the exact 1-norm
+    # condition number (the estimate is a lower bound)
+    from scipy.linalg import get_lapack_funcs, lu_factor
+    from fracbvp.superlinear import (_SplitJacobian, _fprime, _inverse_norm1,
+                                     _jacobian, _separable_factors)
+    A, f, u = _problem(*problem)
+    fp = _fprime(f, u)
+    jac = _SplitJacobian(A, fp, _separable_factors(A))
+    a_diag = np.diagonal(A.matrix)
+    anorm = np.max(np.abs(1.0 - a_diag * fp)
+                   + np.abs(fp) * (A.matrix.sum(axis=0) - a_diag))
+    J = _jacobian(A, f, u)
+    assert anorm == pytest.approx(np.linalg.norm(J, 1), rel=1e-13)
+    cond = anorm * _inverse_norm1(jac.solve, jac.solve_t, len(u))
+    rcond, _ = get_lapack_funcs("gecon", (J,))(lu_factor(J)[0],
+                                               np.linalg.norm(J, 1))
+    exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
+    assert cond == pytest.approx(1.0 / rcond, rel=1e-8)
+    assert exact / 3.0 <= cond <= exact * (1.0 + 1e-10)
+
+
+def test_newton_condition_guard(classical, monkeypatch):
+    from fracbvp import superlinear
+    from fracbvp.errors import DegeneratePointError
+    mesh, A, eig = classical
+    monkeypatch.setattr(superlinear, "COND_LIMIT", 1.0)
+    u0 = GridFunction(mesh, 2.0 * eig.lambda1 * eig.phi1.values)
+    with pytest.raises(DegeneratePointError) as info:
+        newton_solve(A, SQUARE, u0)
+    assert info.value.iterations == 1
+    assert "condition estimate" in str(info.value)
+
+
+# solve-super jobs of the benchmark's solver_mix seeds 25, 38, 50 (two), 59,
+# 65 and 97, where every amplitude of the seed sweep fails, and four
+# (alpha, p) of the hypothesis region with the same fault
+SWEEP_FAILURES = [
+    (1.34405, WeightFamily.power_offset(1.83525, 0.366846), 800, 0.773539, 2.11007),
+    (1.46746, WeightFamily.power_offset(1.47272, 0.393422), 400, 0.789337, 2.06514),
+    (1.50181, WeightFamily.power_offset(1.68168, 0.422258), 400, 0.74417, 2.04032),
+    (1.35928, WeightFamily.power_offset(1.87619, 0.395055), 800, 0.6294, 1.92826),
+    (1.40108, WeightFamily.power_offset(1.37043, 0.385059), 200, 1.84242, 2.16184),
+    (1.54176, WeightFamily.power_offset(1.95895, 0.457818), 200, 1.68112, 2.17601),
+    (1.59276, WeightFamily.power_offset(1.72253, 0.434769), 400, 0.859859, 1.99727),
+] + [(alpha, WeightFamily.constant(1.0), 200, 1.0, p)
+     for alpha in (1.15, 1.2) for p in (2.5, 3.0)]
+
+
+@pytest.mark.parametrize("alpha, h, n, c, p", SWEEP_FAILURES)
+def test_petviashvili_seed_solves_where_the_sweep_fails(alpha, h, n, c, p):
+    f = NonlinearityFamily.power(c, p)
+    A = assemble(production_mesh(alpha, n, weight=h), alpha, h)
+    report = find_positive_solution(A, f, principal_eigenpair(A), maxit=200)
+    assert report.converged and report.positive
+    assert report.residual < 1e-10
+    assert not nondegeneracy(A, f, report.solution).degenerate
