@@ -4,10 +4,14 @@ The initial value problem u'' + |x|^l |u|^(p-1) u = 0, u(-1) = 0,
 u'(-1) = beta is integrated with an adaptive embedded Runge-Kutta pair; the
 first zero z(beta) of u is located by event detection, and the variational
 solution w (same equation linearized along u, with w(-1) = 0, w'(-1) = 1)
-is co-integrated.  The derivative of the shooting map is
-z'(beta) = -w(z)/u'(z), the Morse index of the boundary-value solution on
-(-1, z) equals the number of zeros of w inside the interval, and the
-solution is nondegenerate exactly when w(z) is nonzero.
+is co-integrated.  The beta scan runs every beta as a lane of one NumPy
+Dormand-Prince pass that reproduces the serial shot lane by lane; each
+sign change of z(beta) - zeta it brackets is polished by a safeguarded
+secant (Illinois regula falsi in log beta) on serial shots.  The
+derivative of the shooting map is z'(beta) = -w(z)/u'(z), the Morse index
+of the boundary-value solution on (-1, z) equals the number of zeros of w
+inside the interval, and the solution is nondegenerate exactly when w(z)
+is nonzero.
 
 ``crossing_record`` computes all of these from one co-integrated shot; it
 is the one path to them, for ``find_crossings`` and for any other caller.
@@ -20,11 +24,11 @@ delta = (zeta-1)/(2(1+zeta)).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
-from .errors import (HorizonError, HypothesisError, IntegrationError,
-                     ScalingError, TransversalityError)
+from .errors import (ConvergenceError, HorizonError, HypothesisError,
+                     IntegrationError, ScalingError, TransversalityError)
 from .grid import GridFunction, make_mesh
 from .kernel import classical_image
 from .operator import NonlinearityFamily, WeightFamily
@@ -36,10 +40,12 @@ X_MAX_CAP = 1e5
 ZPRIME_DEGENERATE = 1e-6
 WSIGN_REL_THRESHOLD = 1e-6
 POLISH_TOL = 1e-9           # |z(beta) - zeta| of a polished crossing
-MAX_BISECTIONS = 200
+MAX_POLISH_SHOTS = 50      # serial shots per bracket of the secant polish
 ZERO_SUBSAMPLES = 8         # samples of w per step when counting its zeros
 TANGENCY_REFINE = 64        # and around a near-tangency
 CHECK_MESH_N = 3072         # rescale check mesh: O(n^-2) residual, 2x margin
+# scipy's RK step controller, which the lane-wise scan reproduces
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 @dataclass(frozen=True)
@@ -173,12 +179,12 @@ def first_zero(beta, params, x_max=X_MAX_DEFAULT, rtol=RTOL_DEFAULT,
                atol=ATOL_DEFAULT):
     """Smallest zero z(beta) of u(., beta) in (-1, infinity).
 
-    This is the per-beta shot of the scan and of the bisection polish, so it
-    integrates u alone and keeps only the event root: no dense output, no
-    ``Trajectory``.  The steps, and so the root, are those of the dense
-    shot that ``rescale_to_unit`` samples.  Raises ``HorizonError`` when no
-    sign change occurs before ``x_max``; the caller is expected to enlarge
-    the horizon.
+    This is the per-beta shot of the secant polish (the scan's lanes
+    reproduce it to rounding), so it integrates u alone and keeps only the
+    event root: no dense output, no ``Trajectory``.  The steps, and so the
+    root, are those of the dense shot that ``rescale_to_unit`` samples.
+    Raises ``HorizonError`` when no sign change occurs before ``x_max``; the
+    caller is expected to enlarge the horizon.
     """
     return _integrate(beta, params, x_max, variational=False, dense=False,
                       rtol=rtol, atol=atol)[0]
@@ -227,6 +233,181 @@ def _z_of_beta(beta, params, x_max):
                 raise
 
 
+def _scan_zeros(betas, params, x_max):
+    """``(z, horizon)``: z(beta) for every beta of the scan at once.
+
+    A lane whose u has no zero before ``x_max`` runs again with a 4x larger
+    horizon, as ``_z_of_beta`` does, and ``HorizonError`` is raised past
+    ``X_MAX_CAP``.  ``horizon`` is the largest one any lane needed.
+    """
+    betas = np.asarray(betas, dtype=float)
+    z = _lane_zeros(betas, params, x_max)
+    miss = np.isnan(z)
+    while np.any(miss):
+        if 4.0 * x_max > X_MAX_CAP:
+            raise HorizonError(f"u(., beta={betas[miss][0]}) has no zero "
+                               f"before x_max={x_max}")
+        x_max *= 4.0
+        z[miss] = _lane_zeros(betas[miss], params, x_max)
+        miss = np.isnan(z)
+    return z, x_max
+
+
+def _lane_zeros(betas, params, x_max):
+    """First downward zero of u for every beta, NaN where none is < x_max.
+
+    Each beta is one lane of a NumPy integration by the integrator of
+    ``first_zero``: scipy's RK45 (Dormand & Prince 1980) with its tableau,
+    RMS error norm, initial-step rule and step controller applied per lane,
+    the same legs split at x = 0 (the initial step is chosen again at the
+    start of the second), and the same event: u going from >= 0 to <= 0
+    over a step, whose zero is then found on that step's quartic dense
+    output.  So every lane gives ``first_zero(beta, params, x_max)`` up to
+    rounding: NumPy's array power and the lane-wise stage sums round in
+    their own way.
+    """
+    rtol, atol = RTOL_DEFAULT, ATOL_DEFAULT
+    order = RK45.error_estimator_order + 1     # of the controlled error
+    ode = _rhs(params.l, params.p, variational=False)
+
+    def rhs(x, y):
+        return np.asarray(ode(x, y))
+
+    def rms(v):
+        return np.sqrt(v[0] * v[0] + v[1] * v[1]) / np.sqrt(2.0)
+
+    def initial_step(t, y, f, t_bound):
+        # scipy.integrate._ivp.common.select_initial_step, lane-wise
+        span = t_bound - t
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = rms(y / scale), rms(f / scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, span)
+        d2 = rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+        flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+        with np.errstate(divide="ignore"):
+            h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                          (0.01 / np.maximum(d1, d2)) ** (1.0 / order))
+        return np.minimum(np.minimum(100.0 * h0, h1), span)
+
+    n = len(betas)
+    leg_end = min(0.0, x_max)
+    lane = np.arange(n)
+    t = np.full(n, -1.0)
+    y = np.stack((np.zeros(n), betas))
+    f = rhs(t, y)
+    t_bound = np.full(n, leg_end)
+    h_abs = initial_step(t, y, f, t_bound)
+    rejected = np.zeros(n, dtype=bool)
+    # the step each lane's zero lies in: start, end, u at start, u's dense
+    # output coefficients (scipy's Q row)
+    ev_t0, ev_t1, ev_u0 = np.full(n, np.nan), np.empty(n), np.empty(n)
+    ev_q = np.empty((n, RK45.P.shape[1]))
+    K = np.empty((RK45.n_stages + 1, 2, n))
+    while lane.size:
+        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+        small = h_abs < min_step
+        if np.any(small & rejected):
+            raise IntegrationError(
+                f"step size fell below its minimum at beta="
+                f"{betas[lane[small & rejected][0]]}")
+        h_abs = np.where(small, min_step, h_abs)
+        t_new = np.minimum(t + h_abs, t_bound)
+        h = t_new - t
+        K[0] = f
+        for s in range(1, RK45.n_stages):
+            dy = np.tensordot(RK45.A[s, :s], K[:s], axes=1) * h
+            K[s] = rhs(t + RK45.C[s] * h, y + dy)
+        y_new = y + h * np.tensordot(RK45.B, K[:-1], axes=1)
+        K[-1] = f_new = rhs(t + h, y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err = rms(np.tensordot(RK45.E, K, axes=1) * h / scale)
+        ok = err < 1.0
+        with np.errstate(divide="ignore"):
+            factor = _SAFETY * err ** (-1.0 / order)
+        factor = np.where(ok, np.where(err == 0.0, _MAX_FACTOR,
+                                       np.minimum(_MAX_FACTOR, factor)),
+                          np.maximum(_MIN_FACTOR, factor))
+        factor = np.where(ok & rejected, np.minimum(1.0, factor), factor)
+        h_abs = h * factor
+        rejected = ~ok
+
+        fired = ok & (y[0] >= 0.0) & (y_new[0] <= 0.0)
+        if np.any(fired):
+            i = lane[fired]
+            ev_t0[i], ev_t1[i], ev_u0[i] = t[fired], t_new[fired], y[0, fired]
+            ev_q[i] = K[:, 0, fired].T @ RK45.P
+        t = np.where(ok, t_new, t)
+        y = np.where(ok, y_new, y)
+        f = np.where(ok, f_new, f)
+        ended = ok & ~fired & (t == t_bound)
+        next_leg = ended & (t_bound < x_max)
+        if np.any(next_leg):
+            t_bound[next_leg] = x_max
+            h_abs[next_leg] = initial_step(t[next_leg], y[:, next_leg],
+                                           f[:, next_leg], x_max)
+        done = fired | (ended & ~next_leg)
+        if np.any(done):
+            keep = ~done
+            lane, t, y, f = lane[keep], t[keep], y[:, keep], f[:, keep]
+            t_bound, h_abs = t_bound[keep], h_abs[keep]
+            rejected = rejected[keep]
+            K = np.empty((RK45.n_stages + 1, 2, lane.size))
+
+    # bisect each lane's dense output for its zero, down to adjacent floats
+    # (solve_ivp's brentq stops within 4 eps)
+    z = np.full(n, np.nan)
+    hit = ~np.isnan(ev_t0)
+    t0, lo, hi, u0 = ev_t0[hit], ev_t0[hit], ev_t1[hit], ev_u0[hit]
+    q, step = ev_q[hit].T, hi - lo
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        x = (mid - t0) / step
+        u = u0 + step * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
+        above = u > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    z[hit] = hi
+    return z
+
+
+def _polish(bracket, zeta, params, x_max):
+    """A beta inside the scan ``bracket`` (lo, g(lo), hi, g(hi)), where
+    g = z - zeta changes sign, with |g(beta)| <= ``POLISH_TOL``.
+
+    Illinois regula falsi in log beta: the secant root of the bracket,
+    with the value kept at an end halved when that end survives twice in
+    a row.  It starts from the scan's end values, so no shot repeats a
+    bracket end.  ``ConvergenceError`` after ``MAX_POLISH_SHOTS`` shots.
+    """
+    lo, g_lo, hi, g_hi = bracket
+    a, ga, c, gc = np.log(lo), g_lo, np.log(hi), g_hi
+    side = 0
+    for _ in range(MAX_POLISH_SHOTS):
+        s = c - gc * (c - a) / (gc - ga)
+        if not a < s < c:
+            s = 0.5 * (a + c)
+        beta = float(np.exp(s))
+        g = _z_of_beta(beta, params, x_max)[0] - zeta
+        if abs(g) <= POLISH_TOL:
+            return beta
+        if g * gc > 0.0:
+            c, gc = s, g
+            if side == -1:
+                ga *= 0.5
+            side = -1
+        else:
+            a, ga = s, g
+            if side == 1:
+                gc *= 0.5
+            side = 1
+    raise ConvergenceError(
+        f"crossing bracket beta in [{lo:.17g}, {hi:.17g}] not polished in "
+        f"{MAX_POLISH_SHOTS} shots: last |z(beta) - zeta| = {abs(g):.3e}, "
+        f"tolerance {POLISH_TOL:g}",
+        iterations=MAX_POLISH_SHOTS, residual=abs(g))
+
+
 def crossing_record(beta, params, x_max=X_MAX_DEFAULT):
     """The ``ShootingRecord`` of slope ``beta``: z, the Morse index, the sign
     of w(z) and z'(beta) = -w(z)/u'(z), all from one shot of u and w (w is
@@ -252,11 +433,13 @@ def crossing_record(beta, params, x_max=X_MAX_DEFAULT):
 def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
     """All transversal crossings of z(beta) = zeta over a log-spaced scan.
 
-    Every sign change of z(beta) - zeta in the scan is bracketed and
-    polished by bisection to |z(beta) - zeta| <= ``POLISH_TOL``; each
-    polished root is returned as a full ``ShootingRecord``.  Finding fewer
-    crossings than expected is reported through the list length, not an
-    exception.
+    The scan integrates every beta at once, as lanes of one Dormand-Prince
+    pass (``_scan_zeros``).  Every sign change of z(beta) - zeta in it is
+    bracketed and polished by a safeguarded secant (``_polish``) to
+    |z(beta) - zeta| <= ``POLISH_TOL``; each polished root is returned as a
+    full ``ShootingRecord``.  A bracket that does not polish raises
+    ``ConvergenceError``.  Finding fewer crossings than expected is reported
+    through the list length, not an exception.
     """
     _check_zeta(zeta)
     if not (0.0 < beta_range[0] < beta_range[1] < np.inf):
@@ -268,11 +451,8 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
         raise HypothesisError(
             "shooting-range", f"scan_points must be at least 2, got {scan_points}")
     betas = np.geomspace(beta_range[0], beta_range[1], scan_points)
-    gvals = np.empty_like(betas)
-    horizon = X_MAX_DEFAULT
-    for i, b in enumerate(betas):
-        z, horizon = _z_of_beta(b, params, horizon)
-        gvals[i] = z - zeta
+    zs, horizon = _scan_zeros(betas, params, X_MAX_DEFAULT)
+    gvals = zs - zeta
 
     records = []
     for i in range(len(betas) - 1):
@@ -280,20 +460,8 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
         if g0 == 0.0:
             b_hat = betas[i]
         elif g0 * g1 < 0.0:
-            lo, hi, g_lo = betas[i], betas[i + 1], g0
-            b_hat, g_hat = lo, g_lo
-            for _ in range(MAX_BISECTIONS):
-                mid = 0.5 * (lo + hi)
-                g_mid = _z_of_beta(mid, params, horizon)[0] - zeta
-                b_hat, g_hat = mid, g_mid
-                if abs(g_mid) <= POLISH_TOL:
-                    break
-                if g_lo * g_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, g_lo = mid, g_mid
-            if abs(g_hat) > POLISH_TOL:
-                continue    # bracket exhausted without meeting the tolerance
+            b_hat = _polish((betas[i], g0, betas[i + 1], g1), zeta, params,
+                            horizon)
         else:
             continue
         records.append(crossing_record(b_hat, params, horizon))

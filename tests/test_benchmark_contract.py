@@ -55,10 +55,10 @@ def test_solver_mix_pass_passes_its_checks(workloads, tmp_path):
     assert _failures(jobs, tmp_path) == []
 
 
-def test_traced_solve_super_runs(tmp_path):
-    # the traced benchmark run wraps the layers from outside, by name:
-    # superlinear.lu_factor and numpy.linalg.svd among them.  In a fresh
-    # process, since the wrappers stay installed
+def _run_traced(argv, expected):
+    """Run ``cli.main(argv)`` in a fresh process with the benchmark's span
+    recorder installed (its wrappers stay installed for the process), and
+    check that it exits 0 and records a span of every name in ``expected``."""
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})",
@@ -66,15 +66,30 @@ def test_traced_solve_super_runs(tmp_path):
         "recorder = spans.Recorder()",
         "recorder.install()",
         "from fracbvp import cli",
-        "code = cli.main(['solve-super', '--alpha', '1.7', '--weight',",
-        "                 'constant:1', '--nonlin', 'power:1:2', '--n', '100',",
-        f"                 '--out', {str(tmp_path / 'run')!r}])",
+        f"code = cli.main({argv!r})",
         "names = {span[2] for span in recorder.spans}",
         "assert code == 0, code",
-        "assert {'superlinear.newton_solve', 'superlinear.nondegeneracy'} <= names",
+        f"assert {set(expected)!r} <= names, names",
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_solve_super_runs(tmp_path):
+    # the traced benchmark run wraps the layers from outside, by name:
+    # superlinear.lu_factor and numpy.linalg.svd among them
+    _run_traced(["solve-super", "--alpha", "1.7", "--weight", "constant:1",
+                 "--nonlin", "power:1:2", "--n", "100",
+                 "--out", str(tmp_path / "run")],
+                {"superlinear.newton_solve", "superlinear.nondegeneracy"})
+
+
+def test_traced_henon_shoot_runs(tmp_path):
+    # shooting.solve_ivp is wrapped by name too: the scan no longer calls
+    # it, but the polish and the crossing records do
+    _run_traced(["henon-shoot", "--beta-min", "50", "--beta-max", "300",
+                 "--scan-points", "60", "--out", str(tmp_path / "run")],
+                {"shooting.find_crossings", "shooting.solve_ivp"})

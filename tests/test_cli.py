@@ -144,6 +144,21 @@ def test_henon_shoot_command(tmp_path):
     assert len(rows) - 1 >= 3
 
 
+def test_unpolished_bracket_exits_3(tmp_path, monkeypatch):
+    # a bracket the polish cannot close is an error, not a dropped crossing
+    from fracbvp import shooting
+    monkeypatch.setattr(shooting, "MAX_POLISH_SHOTS", 1)
+    out = tmp_path / "unpolished"
+    rc = main(["henon-shoot", "--beta-min", "50", "--beta-max", "300",
+               "--scan-points", "60", "--out", str(out)])
+    assert rc == EXIT_NONCONVERGENCE
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "non_convergence"
+    assert "bracket beta in [" in error["message"]
+    assert error["iterations"] == 1
+    assert error["residual"] > shooting.POLISH_TOL
+
+
 def test_henon_continue_command(tmp_path):
     out = tmp_path / "cont"
     rc = main(["henon-continue", "--l", "4", "--p", "2", "--zeta", "1",

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -7,10 +10,25 @@ from fracbvp.errors import HorizonError, HypothesisError, ScalingError
 from fracbvp.grid import make_mesh
 from fracbvp.kernel import classical_image
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
-from fracbvp.shooting import (HenonParams, crossing_record, first_zero,
-                              ivp_integrate, rescale_to_unit, unit_problem,
-                              weight_offset)
+from fracbvp.shooting import (HenonParams, crossing_record, find_crossings,
+                              first_zero, ivp_integrate, rescale_to_unit,
+                              unit_problem, weight_offset)
 from fracbvp.superlinear import newton_solve
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench/workloads.py"
+
+
+def _henon_continue_betas(seed, points=200):
+    """The log-spaced scan of the benchmark's seed-``seed`` henon-continue
+    job, at ``points`` points."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argv = workloads.henon_continue(seed)[0].argv
+    lo = float(argv[argv.index("--beta-min") + 1])
+    hi = float(argv[argv.index("--beta-max") + 1])
+    return np.geomspace(lo, hi, points)
 
 
 def test_params_validation():
@@ -98,6 +116,59 @@ def test_z_prime_matches_finite_differences(henon_params):
         fd = (first_zero(beta + h, henon_params)
               - first_zero(beta - h, henon_params)) / (2.0 * h)
         assert zp == pytest.approx(fd, rel=1e-4)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("l, p", ((4.0, 2.0), (2.0, 3.0)))
+def test_scan_lanes_match_first_zero(l, p, seed):
+    # each lane of the vectorized scan is the serial shot, up to the order
+    # in which stage sums and powers round.  The error is taken relative to
+    # 1 + |z|: z passes through 0 inside these ranges, where the serial
+    # shots agree with each other only to a few ulps of 1
+    params = HenonParams(l=l, p=p)
+    betas = _henon_continue_betas(seed)
+    z, horizon = shooting._scan_zeros(betas, params, shooting.X_MAX_DEFAULT)
+    ref = np.array([first_zero(b, params) for b in betas])
+    assert horizon == shooting.X_MAX_DEFAULT
+    assert np.all(np.abs(z - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+    assert np.array_equal(np.sign(z - 1.0), np.sign(ref - 1.0))
+
+
+def test_scan_enlarges_the_horizon_per_lane(henon_params):
+    # every zero lies beyond x_max = 0.5, so every lane runs again with a
+    # larger horizon, and each matches the serial enlargement
+    betas = np.geomspace(1e-3, 50.0, 40)
+    z, horizon = shooting._scan_zeros(betas, henon_params, 0.5)
+    ref = [shooting._z_of_beta(b, henon_params, 0.5) for b in betas]
+    assert all(r[0] > 0.5 for r in ref)
+    assert horizon == max(r[1] for r in ref) > 0.5
+    ref_z = np.array([r[0] for r in ref])
+    assert np.all(np.abs(z - ref_z) <= 1e-12 * (1.0 + np.abs(ref_z)))
+
+
+def test_scan_horizon_cap(henon_params, monkeypatch):
+    monkeypatch.setattr(shooting, "X_MAX_CAP", 1.0)
+    with pytest.raises(HorizonError):
+        shooting._scan_zeros(np.geomspace(1e-3, 1.0, 5), henon_params, 0.5)
+
+
+def test_polish_takes_few_shots_inside_the_bracket(henon_params, monkeypatch):
+    # the scan runs no serial shot; the secant polish starts from the scan's
+    # values at the bracket ends, so it never shoots at one
+    shots = []
+
+    def counted(beta, *args, **kwargs):
+        shots.append(beta)
+        return first_zero(beta, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "first_zero", counted)
+    records = find_crossings(1.0, henon_params, scan_points=2000)
+    betas = np.geomspace(1e-3, 1e3, 2000)
+    bracket = np.searchsorted(betas, shots)
+    counts = np.unique(bracket, return_counts=True)[1]
+    assert len(records) == len(counts) == 3
+    assert np.all(counts <= 10)
+    assert not np.isin(shots, betas).any()
 
 
 def test_three_crossings_found(henon_crossings):
