@@ -305,14 +305,16 @@ def _cmd_solve_super(config, outdir, timings):
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
     eig = principal_eigenpair(A)
+    maxit = min(numerics["maxit"], 200)
     report = find_positive_solution(A, f, eig, tol=numerics["tol"],
-                                    maxit=min(numerics["maxit"], 200))
+                                    maxit=maxit)
     margin = nondegeneracy(A, f, report.solution)
     timings["solve"] = time.perf_counter() - t0
     report.solution.to_csv(outdir / "solution.csv")
     _write_json(outdir / "newton_report.json", {
         "lambda1": eig.lambda1,
         "iterations": report.iterations,
+        "maxit": maxit,
         "residual": report.residual,
         "converged": report.converged,
         "positive": report.positive,

@@ -153,10 +153,13 @@ class GridFunction:
         ts, vs = [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if header[:2] != ["t", "value"]:
                 raise ValueError(f"unexpected grid CSV header {header!r}")
             for row in reader:
+                if len(row) < 2:
+                    raise ValueError(f"grid CSV line {reader.line_num} has "
+                                     f"{len(row)} fields, need 2")
                 ts.append(float(row[0]))
                 vs.append(float(row[1]))
         return cls(Mesh(np.asarray(ts)), np.asarray(vs))

@@ -13,6 +13,9 @@ re-assembly.  The Sherman-Morrison denominator 1 - w^T T^-1 u is
 det J / det T, and T's diagonal is positive, so its sign is the sign of
 det J.
 
+Newton starts from one seed, Petviashvili's iteration from phi1; where
+several positive solutions exist, the one it reaches is returned.
+
 A solution is nondegenerate when the linearized problem has only the trivial
 solution; numerically that is a positive smallest singular value of
 I - L_u, where L_u is the operator assembled with weight h*f'(u).  The
@@ -43,9 +46,7 @@ MARGIN_REL_THRESHOLD = 1e-6
 # stop: a Ritz residual at most this share of the Ritz value
 MARGIN_MAXIT = 50
 MARGIN_RTOL = 1e-10
-# amplitudes of the phi1 seeds, in units of the level where f(s)/s = lambda1
-SEED_MULTIPLIERS = (1.0, 2.0, 0.5, 4.0, 0.25, 8.0, 16.0)
-# Petviashvili seed after the sweep: step cap and relative sup-norm stop
+# Petviashvili seed of find_positive_solution: step cap and relative stop
 PETVIASHVILI_MAXIT = 500
 PETVIASHVILI_RTOL = 1e-9
 # rows of T built per block, so the block's three passes stay in cache
@@ -388,46 +389,40 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
 
 
 def _petviashvili_seed(A, f, phi):
-    """Petviashvili's normalized iteration for f = c s^p, p > 1.
+    """Petviashvili's normalized iteration from ``phi``.
 
-    u <- M^gamma T f(u), M = <u, u> / <u, T f(u)>, gamma = p / (p - 1)
-    (Petviashvili 1976; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
-    2004), from ``phi``.  The factor M^gamma, which is 1 at a solution,
-    cancels the degree-p growth that makes plain Picard iteration on a
-    superlinear f diverge or collapse.  Returns the iterate once a sup-norm
-    step is at most ``PETVIASHVILI_RTOL`` of its sup norm, or after
+    u <- M^gamma T f(u), M = <u, u> / <u, T f(u)>, gamma = d / (d - 1), d the
+    exponent of f at infinity: p for power, q for affine_power (a saturating
+    f never passes the superlinear ratio check); Petviashvili 1976, Pelinovsky
+    & Stepanyants, SIAM J. Numer. Anal. 42, 2004.  M^gamma, 1 at a solution,
+    cancels the growth that makes Picard iteration on a superlinear f diverge
+    or collapse.  Returns (iterate, steps, last relative step) once a sup-norm
+    step is at most ``PETVIASHVILI_RTOL`` of the sup norm, or after
     ``PETVIASHVILI_MAXIT`` steps.
     """
-    gam = f.params["p"] / (f.params["p"] - 1.0)
+    d = f.params["p"] if f.kind == "power" else f.params["q"]
+    gam = d / (d - 1.0)
     u = phi
-    for _ in range(PETVIASHVILI_MAXIT):
+    for steps in range(1, PETVIASHVILI_MAXIT + 1):
         image = A.nonlinear_image(f, u)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             new = (np.dot(u, u) / np.dot(u, image)) ** gam * image
-        step = np.max(np.abs(new - u))
+            rel_step = float(np.max(np.abs(new - u)) / np.max(np.abs(new)))
         u = new
-        if not step > PETVIASHVILI_RTOL * np.max(np.abs(u)):
+        if not rel_step > PETVIASHVILI_RTOL:
             break
-    return u
-
-
-def _seeds(A, f, phi, s_star):
-    """(label, nodal values) of each Newton start, built only when reached."""
-    for mult in SEED_MULTIPLIERS:
-        yield f"amplitude {mult * s_star:g}", mult * s_star * phi
-    if f.kind == "power":
-        yield "Petviashvili seed", _petviashvili_seed(A, f, phi)
+    return u, steps, rel_step
 
 
 def find_positive_solution(A, f, eig, tol=1e-10, maxit=50):
-    """Locate a positive superlinear solution by a deterministic seed sweep.
+    """Locate a positive superlinear solution by Newton from one seed.
 
-    Seeds are scaled copies of the principal eigenfunction with amplitude
-    near the level where f(s)/s crosses the eigenvalue, which sits above the
-    basin of the trivial solution.  The first seed whose Newton run converges
-    to a positive solution wins.  For a power f, when every seed fails, a
-    last seed comes from Petviashvili's iteration started at phi1 (see
-    ``_petviashvili_seed``).  ``eig`` is the principal eigenpair of ``A``.
+    The seed is Petviashvili's normalized iteration started at the principal
+    eigenfunction (see ``_petviashvili_seed``).  Where several positive
+    solutions exist, this returns the one that Newton reaches from that
+    seed.  A Newton run that fails, or that ends on a solution that is not
+    positive, raises ``ConvergenceError`` naming the seed's step count and
+    last relative step.  ``eig`` is the principal eigenpair of ``A``.
     """
     lim0, liminf = f.ratio_limits()
     if not (lim0 < eig.lambda1 < liminf):
@@ -435,20 +430,18 @@ def find_positive_solution(A, f, eig, tol=1e-10, maxit=50):
             "superlinear-ratio-condition",
             f"need f(s)/s -> ({lim0}, {liminf}) to straddle lambda1 = "
             f"{eig.lambda1} from below then above")
-    s = np.geomspace(1e-8, 1e12, 4001)
-    ratio = f.f(s) / s
-    above = np.nonzero(ratio >= eig.lambda1)[0]
-    s_star = float(s[above[0]]) if len(above) else 1.0
-    failures = []
-    for label, seed in _seeds(A, f, eig.phi1.values, s_star):
-        try:
-            rep = newton_solve(A, f, GridFunction(A.mesh, seed), tol=tol,
-                               maxit=maxit)
-        except (ConvergenceError, DegeneratePointError) as exc:
-            failures.append(f"{label}: {exc}")
-            continue
-        if rep.converged:
-            return rep
-        failures.append(f"{label}: trivial limit")
-    raise ConvergenceError(
-        "seed sweep found no positive solution: " + "; ".join(failures))
+    seed, steps, rel_step = _petviashvili_seed(A, f, eig.phi1.values)
+    where = (f"Newton from the Petviashvili seed ({steps} steps, last "
+             f"relative step {rel_step:.3e})")
+    try:
+        rep = newton_solve(A, f, GridFunction(A.mesh, seed), tol=tol,
+                           maxit=maxit)
+    except ConvergenceError as exc:
+        raise type(exc)(f"{where}: {exc}", last=exc.last,
+                        iterations=exc.iterations,
+                        residual=exc.residual) from exc
+    if not rep.converged:
+        raise ConvergenceError(
+            f"{where} found no positive solution", last=rep.solution,
+            iterations=rep.iterations, residual=rep.residual)
+    return rep

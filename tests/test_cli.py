@@ -115,6 +115,7 @@ def test_solve_super_command(tmp_path):
     assert rc == EXIT_OK
     report = json.loads((out / "newton_report.json").read_text())
     assert report["converged"] and report["positive"]
+    assert report["maxit"] == 200           # the default 10000, capped
     assert not report["degenerate"]
     assert report["margin_method"] == "inverse_iteration"
     assert report["margin_iterations"] >= 1
@@ -277,6 +278,12 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+# malformed weight tables, written into the test's directory
+BAD_TABLES = {"short-row": "t,value\n0,1\n0.5\n1,1\n",
+              "blank-line": "t,value\n0,1\n\n1,1\n",
+              "empty": ""}
+
+
 @pytest.mark.parametrize("argv", [
     ["solve-super", "--alpha", "2", "--weight", "constant:1",
      "--nonlin", "power:nan:2"],
@@ -317,6 +324,9 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
     ["henon-continue", "--step", "inf"],
     ["eig", "--alpha", "2", "--weight", "constant:1", "--grading", "graded",
      "--exponent", "1e3"],
+    ["bounds", "--alpha", "1.5", "--weight", "tabulated:{tables}/short-row"],
+    ["bounds", "--alpha", "1.5", "--weight", "tabulated:{tables}/blank-line"],
+    ["bounds", "--alpha", "1.5", "--weight", "tabulated:{tables}/empty"],
 ], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
         "nan-polynomial-weight", "zeta-below-minus-1",
         "beta-range-reversed", "grading-exponent-below-1",
@@ -327,8 +337,12 @@ def test_rerun_byte_reproduces_csvs(tmp_path):
         "alphas-inf-step", "tol-nan", "tol-negative", "maxit-zero",
         "p-inf", "l-inf", "alphas-9e6-orders", "alphas-step-overflows",
         "solve-super-tol-inf", "eig-tol-inf", "solve-sub-tol-inf",
-        "continue-step-inf", "grading-exponent-underflows"])
+        "continue-step-inf", "grading-exponent-underflows",
+        "table-short-row", "table-blank-line", "table-empty"])
 def test_unusable_input_exits_2(tmp_path, argv):
+    for name, text in BAD_TABLES.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(tables=tmp_path) for a in argv]
     out = tmp_path / "bad"
     assert main(argv + ["--n", "50", "--out", str(out)]) == EXIT_HYPOTHESIS
     error = json.loads((out / "error.json").read_text())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,18 @@ def test_newton_nan_guess_is_not_converged(classical):
     assert np.isnan(info.value.residual)
 
 
+def test_failed_solve_names_the_seed(classical):
+    # a tolerance below rounding cannot be met; the error says how far the
+    # Petviashvili seed got and keeps Newton's last iterate
+    mesh, A, eig = classical
+    with pytest.raises(ConvergenceError) as info:
+        find_positive_solution(A, SQUARE, eig, tol=1e-300, maxit=3)
+    assert re.match(r"Newton from the Petviashvili seed \(\d+ steps, last "
+                    r"relative step \S+\): ", str(info.value))
+    assert 1 <= info.value.iterations <= 3
+    assert info.value.last.mesh is mesh
+
+
 @pytest.mark.parametrize("steps", [{"initial_step": 0.0}, {"min_step": 0.0}])
 def test_continuation_rejects_zero_step(classical, classical_solution, steps):
     _, A, _ = classical
@@ -313,9 +327,9 @@ def test_newton_condition_guard(classical, monkeypatch):
 
 
 # solve-super jobs of the benchmark's solver_mix seeds 25, 38, 50 (two), 59,
-# 65 and 97, where every amplitude of the seed sweep fails, and four
-# (alpha, p) of the hypothesis region with the same fault
-SWEEP_FAILURES = [
+# 65 and 97, and four (alpha, p) of the hypothesis region: Newton from
+# phi1 scaled to 1/4-16 times the level where f(s)/s = lambda1 fails on each
+PETVIASHVILI_CASES = [
     (1.34405, WeightFamily.power_offset(1.83525, 0.366846), 800, 0.773539, 2.11007),
     (1.46746, WeightFamily.power_offset(1.47272, 0.393422), 400, 0.789337, 2.06514),
     (1.50181, WeightFamily.power_offset(1.68168, 0.422258), 400, 0.74417, 2.04032),
@@ -327,11 +341,58 @@ SWEEP_FAILURES = [
      for alpha in (1.15, 1.2) for p in (2.5, 3.0)]
 
 
-@pytest.mark.parametrize("alpha, h, n, c, p", SWEEP_FAILURES)
+def _assert_nondegenerate_solution(A, f, report):
+    assert report.converged and report.positive
+    assert report.residual < 1e-10
+    assert np.all(report.solution.values[1:-1] > 0.0)
+    assert not nondegeneracy(A, f, report.solution).degenerate
+
+
+@pytest.mark.parametrize("alpha, h, n, c, p", PETVIASHVILI_CASES)
 def test_petviashvili_seed_solves_where_the_sweep_fails(alpha, h, n, c, p):
     f = NonlinearityFamily.power(c, p)
     A = assemble(production_mesh(alpha, n, weight=h), alpha, h)
     report = find_positive_solution(A, f, principal_eigenpair(A), maxit=200)
-    assert report.converged and report.positive
-    assert report.residual < 1e-10
-    assert not nondegeneracy(A, f, report.solution).degenerate
+    _assert_nondegenerate_solution(A, f, report)
+
+
+# affine_power f = lam (s + s^q), lam a share of lambda1: (alpha, h, share,
+# q); the last, with sup norm 1e4, is one where scaled phi1 seeds fail
+AFFINE_CASES = [
+    (1.2, WeightFamily.constant(1.0), 0.3, 2.25),
+    (1.6, WeightFamily.power_offset(1.5, 0.4), 0.5, 1.5),
+    (1.9, WeightFamily.power_offset(0.8, 0.6), 0.9, 3.0),
+    (1.16, WeightFamily.constant(1.0), 0.13, 2.9),
+]
+
+
+@pytest.mark.parametrize("alpha, h, share, q", AFFINE_CASES)
+def test_affine_power_solution(alpha, h, share, q):
+    A = assemble(production_mesh(alpha, 200, weight=h), alpha, h)
+    eig = principal_eigenpair(A)
+    f = NonlinearityFamily.affine_power(share * eig.lambda1, q)
+    _assert_nondegenerate_solution(A, f, find_positive_solution(A, f, eig))
+
+
+def test_affine_power_solution_against_fd_oracle(unit_weight):
+    # u'' + lam (u + u^2) = 0 with lam = pi^2 / 2, against the FD oracle
+    mesh = make_mesh(2000, "uniform")
+    A = assemble(mesh, 2.0, unit_weight)
+    lam = np.pi ** 2 / 2.0
+    f = NonlinearityFamily.affine_power(lam, 2.0)
+    report = find_positive_solution(A, f, principal_eigenpair(A))
+    scale = np.max(report.solution.values)
+    x, u_fd = fd_newton_bvp(lambda u: lam * (u + u * np.abs(u)),
+                            lambda u: lam * (1.0 + 2.0 * np.abs(u)), n=4000,
+                            u0=lambda t: scale * np.sin(np.pi * t))
+    assert np.max(np.abs(report.solution.interp(x) - u_fd)) / scale < 1e-6
+
+
+def test_henon_weight_solution():
+    # h = |t - 0.5|^4 has several positive solutions at alpha = 2; the one
+    # Newton reaches from the Petviashvili seed is positive and nondegenerate
+    h = WeightFamily.power_offset(4.0, 0.5)
+    A = assemble(production_mesh(2.0, 400, weight=h), 2.0, h)
+    report = find_positive_solution(A, SQUARE, principal_eigenpair(A),
+                                    maxit=200)
+    _assert_nondegenerate_solution(A, SQUARE, report)

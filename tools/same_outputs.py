@@ -21,7 +21,8 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open("
           "sys.argv[1]))\njson.dump([main(a + ['--out', o]) for a, o in jobs], "
           "open(sys.argv[2], 'w'))")
-# the criterion-12 configs, then polynomial, saturating and tabulated ones
+# the criterion-12 configs, then polynomial, saturating, tabulated,
+# affine_power and Henon-weight ones
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -32,6 +33,8 @@ FIXED = [
     "solve-super --alpha 1.7 --weight polynomial:1,0.3,-0.2 --nonlin power:1:2 --n 300",
     "solve-sub --alpha 1.6 --weight constant:1 --nonlin saturating:30 --n 200",
     "eig --alpha 1.8 --weight tabulated:{table} --n 200",
+    "solve-super --alpha 1.6 --weight constant:1 --nonlin affine_power:2:2 --n 200",
+    "solve-super --alpha 2 --weight power_offset:4:0.5 --nonlin power:1:2 --n 400",
 ]
 
 
