@@ -113,17 +113,24 @@ def lambda1_bounds(alpha, h):
 
     lower = alpha^alpha Gamma(alpha+1) / ((alpha-1)^(alpha-1) ||h||_inf),
     upper = 4 Gamma(alpha) / ((alpha-1)^2 * integral of s^alpha (1-s)^alpha h).
+
+    A weight whose sup norm or moment integral is not positive, or that
+    makes either bound overflow, raises ``HypothesisError``.
     """
     alpha = check_order(alpha)
-    lower = (alpha ** alpha * gamma(alpha + 1.0)
-             / ((alpha - 1.0) ** (alpha - 1.0) * h.sup_norm()))
+    sup = h.sup_norm()
     moment = integrate_unit_interval(
         lambda s: s ** alpha * (1.0 - s) ** alpha * h(s),
         kinks=h.kink_points())
-    if moment <= 0.0:
+    lower = upper = np.inf
+    if sup > 0.0 and moment > 0.0:
+        lower = (alpha ** alpha * gamma(alpha + 1.0)
+                 / ((alpha - 1.0) ** (alpha - 1.0) * sup))
+        upper = 4.0 * gamma(alpha) / ((alpha - 1.0) ** 2 * moment)
+    if not (np.isfinite(lower) and np.isfinite(upper)):
         raise HypothesisError(
-            "weight-positivity", "weight moment integral is degenerate")
-    upper = 4.0 * gamma(alpha) / ((alpha - 1.0) ** 2 * moment)
+            "weight-positivity", f"weight sup norm {sup!r} and moment "
+            f"{moment!r} give eigenvalue bounds ({lower!r}, {upper!r})")
     return Lambda1Bounds(lower=lower, upper=upper)
 
 

@@ -13,7 +13,10 @@ derivative kink along s = t costs no accuracy.  At alpha = 2 the kernel is
 semiseparable, so its product-integration image takes O(n) operations and
 no matrix (``classical_image``).  At every order the kernel above the
 diagonal is its separable branch alone, whose hat integrals
-``separable_hat_integrals`` gives in O(n).
+``separable_hat_integrals`` gives in O(n); ``green_hat_matrix`` subtracts
+the (t-s)^(alpha-1) branch from that rank-one product below the diagonal,
+in row blocks.  ``_segment_hats`` gives both branches' hat integrals with
+one log1p, expm1 and power per segment and row.
 
 All functions are pure and safe to call concurrently.
 """
@@ -26,9 +29,9 @@ from .errors import HypothesisError
 
 ALPHA_MIN = 1.0
 ALPHA_MAX = 2.0
-# segments per block of green_hat_matrix: enough to amortize the per-call
-# cost of numpy, few enough to keep the block temporaries small
-_SEGMENT_BLOCK = 32
+# rows per block of green_hat_matrix: enough to amortize the per-call cost
+# of numpy, few enough to keep the block temporaries small
+_ROW_BLOCK = 32
 
 
 def check_order(alpha):
@@ -69,56 +72,43 @@ def green_eval(t, s, alpha):
     return out if out.ndim else float(out)
 
 
-def _powdiff(x, y, e):
-    """x**e - y**e for x >= y >= 0, without cancellation.
+def _segment_hats(x, y, scale, alpha):
+    """Integrals of u^(alpha-1) against the two hat pieces of one segment.
 
-    The hat-function slopes scale like the reciprocal element width, so the
-    power differences they multiply must be exact to relative (not absolute)
-    rounding; the expm1/log1p form delivers that for any gap size.
+    In u = t - s (singular branch) or u = 1 - s (separable branch) a segment
+    of width d runs from u = x >= 0 down to u = y; y <= 0 means it reaches
+    u = 0.  Returns ``(rising, falling)``, the integrals over u >= 0 against
+    (x - u)/d and (u - y)/d, times ``scale = 1/(Gamma(alpha+2) d)``, from
+    one power difference D = x^a - y^a = y^a expm1(a log1p((x - y)/y)),
+    exact to relative rounding for any gap (x^a where y <= 0), and the
+    identity x^(a+1) - y^(a+1) = x D + (x - y) y^a, of two terms >= 0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y_safe = np.where(y > 0.0, y, 1.0)
-    stable = y_safe ** e * np.expm1(e * np.log1p((x - y) / y_safe))
-    return np.where(y > 0.0, stable, x ** e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = x - y
+        p = y ** alpha
+        delta = np.log1p(w / y)
+        delta *= alpha
+        np.expm1(delta, out=delta)
+        delta *= p
+    edge = ~(y > 0.0)
+    np.power(x, alpha, out=delta, where=edge)
+    np.copyto(p, 0.0, where=edge)
+    xd = x * delta
+    p *= w                                  # (x - y) y^a
+    rising = xd - alpha * p
+    xd += p
+    xd *= alpha
+    falling = y * delta
+    falling *= -(alpha + 1.0)
+    falling += xd
+    rising *= scale
+    falling *= scale
+    return rising, falling
 
 
-def _segment_hats(t, tpow, s1, s2, alpha, start=0):
-    """Integrals of G(t, ., alpha) against the two hat pieces on [s1, s2].
-
-    Returns ``(rising, falling)``: the piece (s - s1)/d of the hat at ``s2``
-    and the piece (s2 - s)/d of the hat at ``s1``, d = s2 - s1, at the points
-    ``t``, with ``tpow = t**(alpha-1)``.  Both pieces share the segment's four
-    power differences.  The separable branch contributes over the whole
-    segment; the (t-s)^(alpha-1) branch only over [s1, min(s2, t)], which the
-    clipped differences select (this is the closed-form split of a segment
-    containing s = t).  That branch is exactly zero for t <= s1, so it is
-    evaluated on ``t[start:]`` only, which must hold every t > s1.
-
-    The segment ends may be arrays of several segments: with ``t`` and
-    ``tpow`` given as columns, each result then has one column per segment.
-    """
-    ap1 = alpha + 1.0
-    d = s2 - s1
-    hats = ((-s1 / d, 1.0 / d), (s2 / d, -1.0 / d))     # a + b*s on [s1, s2]
-
-    sig1 = 1.0 - s1
-    sig2 = 1.0 - s2
-    sep_a = _powdiff(sig1, sig2, alpha)
-    sep_b = _powdiff(sig1, sig2, ap1)
-    tail = t[start:]
-    tm1 = np.maximum(tail - s1, 0.0)
-    tm2 = np.maximum(tail - s2, 0.0)
-    sing_a = _powdiff(tm1, tm2, alpha)
-    sing_b = _powdiff(tm1, tm2, ap1)
-
-    g = math.gamma(alpha)
-    out = []
-    for a, b in hats:
-        part = tpow * ((a + b) * sep_a / alpha - b * sep_b / ap1)
-        part[start:] -= (a + b * tail) * sing_a / alpha - b * sing_b / ap1
-        out.append(part / g)
-    return tuple(out)
+def _hat_scale(nodes, alpha):
+    """1/(Gamma(alpha+2) d) for each segment of width d."""
+    return 1.0 / (math.gamma(alpha + 2.0) * np.diff(nodes))
 
 
 def green_hat_integral(t, node_index, mesh, alpha):
@@ -127,7 +117,7 @@ def green_hat_integral(t, node_index, mesh, alpha):
     Returns ``\\int_0^1 G(t, s, alpha) hat_j(s) ds`` in closed form, where
     ``hat_j`` is the piecewise-linear nodal basis function of ``mesh`` at
     ``node_index``.  ``t`` may be a scalar or an array (one value per row of
-    an operator matrix).
+    an operator matrix).  ``green_hat_matrix``'s operations, in its order.
     """
     alpha = check_order(alpha)
     nodes = mesh.nodes
@@ -139,38 +129,41 @@ def green_hat_integral(t, node_index, mesh, alpha):
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     t_vec = np.atleast_1d(t_arr)
-    tpow = t_vec ** (alpha - 1.0)
-    out = np.zeros(t_vec.shape)
-    if j > 0:
-        out += _segment_hats(t_vec, tpow, nodes[j - 1], nodes[j], alpha)[0]
-    if j < len(nodes) - 1:
-        out += _segment_hats(t_vec, tpow, nodes[j], nodes[j + 1], alpha)[1]
+    lo, hi = max(j - 1, 0), min(j + 1, len(nodes) - 1)
+    out = t_vec ** (alpha - 1.0) * separable_hat_integrals(
+        nodes[lo:hi + 1], alpha)[j - lo]
+    scale = _hat_scale(nodes[lo:hi + 1], alpha)
+    for k in range(lo, hi):
+        rising, falling = _segment_hats(np.maximum(t_vec - nodes[k], 0.0),
+                                        t_vec - nodes[k + 1], scale[k - lo],
+                                        alpha)
+        out -= rising if k < j else falling
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 
 def green_hat_matrix(mesh, alpha):
     """All hat integrals at the nodes: [i, j] = green_hat_integral(t_i, j).
 
-    Built a block of segments at a time, so each segment's power differences
-    serve both hats that share it, and the (t-s)^(alpha-1) branch is
-    evaluated only on the rows below the block.  Entry [i, j] sums its left
-    and right segments as ``green_hat_integral`` does, so the two agree bit
-    for bit.  The matrix is C-ordered: the summation order of a BLAS
-    matrix-vector product depends on the memory layout.
+    The outer product of t^(alpha-1) with ``separable_hat_integrals`` fills
+    the one m x m buffer; the (t-s)^(alpha-1) branch is then subtracted a
+    block of ``_ROW_BLOCK`` rows at a time, from max(t - s_k, 0) formed once
+    for the nodes left of the block's last row.  Right of them the matrix
+    keeps the rank-one product exactly.  Entry [i, j] takes its terms in
+    ``green_hat_integral``'s order, so the two agree bit for bit.  The matrix
+    is C-ordered: a BLAS matrix-vector product sums in memory order.
     """
     alpha = check_order(alpha)
     nodes = mesh.nodes
-    m = len(nodes)
-    t = nodes[:, np.newaxis]
-    tpow = t ** (alpha - 1.0)
-    a = np.zeros((m, m))
-    for k0 in range(0, m - 1, _SEGMENT_BLOCK):
-        k1 = min(k0 + _SEGMENT_BLOCK, m - 1)
-        rising, falling = _segment_hats(t, tpow, nodes[k0:k1],
-                                        nodes[k0 + 1:k1 + 1], alpha,
-                                        start=k0 + 1)
-        a[:, k0:k1] += falling
-        a[:, k0 + 1:k1 + 1] += rising
+    a = np.outer(nodes ** (alpha - 1.0), separable_hat_integrals(nodes, alpha))
+    scale = _hat_scale(nodes, alpha)
+    for r0 in range(0, len(nodes), _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, len(nodes))
+        x = np.subtract.outer(nodes[r0:r1], nodes[:r1])
+        np.maximum(x, 0.0, out=x)
+        rising, falling = _segment_hats(x[:, :-1], x[:, 1:], scale[:r1 - 1],
+                                        alpha)
+        a[r0:r1, 1:r1] -= rising
+        a[r0:r1, :r1 - 1] -= falling
     return a
 
 
@@ -179,16 +172,14 @@ def separable_hat_integrals(nodes, alpha):
 
     For t_i <= t_(j-1) the (t-s)^(alpha-1) branch misses hat j, so above the
     diagonal ``green_hat_matrix`` is the rank-one product of t^(alpha-1) and
-    c.  The same closed forms as there, on one row with t^(alpha-1) = 1 and
-    no singular branch, in O(n).
+    c.  The closed forms of ``_segment_hats`` in u = 1 - s, in O(n).
     """
     alpha = check_order(alpha)
-    one = np.ones((1, 1))
-    rising, falling = _segment_hats(one, one, nodes[:-1], nodes[1:], alpha,
-                                    start=1)
+    rising, falling = _segment_hats(1.0 - nodes[:-1], 1.0 - nodes[1:],
+                                    _hat_scale(nodes, alpha), alpha)
     c = np.zeros(len(nodes))
-    c[:-1] += falling[0]
-    c[1:] += rising[0]
+    c[:-1] += falling
+    c[1:] += rising
     return c
 
 

@@ -250,6 +250,7 @@ def newton_solve(A, f, u0, tol=1e-10, maxit=50):
     while np.isfinite(res) and res >= tol and it < maxit:
         it += 1
         fp = _fprime(f, u)
+        jac = None          # free the last split before building the next
         jac = _SplitJacobian(A, fp, factors)
         failure = jac.failure
         if failure is None:

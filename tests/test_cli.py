@@ -327,6 +327,8 @@ BAD_TABLES = {"short-row": "t,value\n0,1\n0.5\n1,1\n",
     ["bounds", "--alpha", "1.5", "--weight", "tabulated:{tables}/short-row"],
     ["bounds", "--alpha", "1.5", "--weight", "tabulated:{tables}/blank-line"],
     ["bounds", "--alpha", "1.5", "--weight", "tabulated:{tables}/empty"],
+    ["bounds", "--alpha", "1.5", "--weight", "power_offset:1100:0.5"],
+    ["bounds", "--alpha", "1.5", "--weight", "power_offset:1030:0.5"],
 ], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
         "nan-polynomial-weight", "zeta-below-minus-1",
         "beta-range-reversed", "grading-exponent-below-1",
@@ -338,7 +340,8 @@ BAD_TABLES = {"short-row": "t,value\n0,1\n0.5\n1,1\n",
         "p-inf", "l-inf", "alphas-9e6-orders", "alphas-step-overflows",
         "solve-super-tol-inf", "eig-tol-inf", "solve-sub-tol-inf",
         "continue-step-inf", "grading-exponent-underflows",
-        "table-short-row", "table-blank-line", "table-empty"])
+        "table-short-row", "table-blank-line", "table-empty",
+        "bounds-sup-norm-underflows", "bounds-overflow"])
 def test_unusable_input_exits_2(tmp_path, argv):
     for name, text in BAD_TABLES.items():
         (tmp_path / name).write_text(text)

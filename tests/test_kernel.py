@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fracbvp.grid import make_mesh, production_mesh
-from fracbvp.kernel import gamma, green_eval, green_hat_integral, green_integral
+from fracbvp.kernel import (_ROW_BLOCK, gamma, green_eval, green_hat_integral,
+                            green_hat_matrix, green_integral,
+                            separable_hat_integrals)
 
 from oracles import gauss_kernel_hat_integral
 
@@ -124,6 +126,41 @@ def test_hat_integral_against_mpmath_oracle(alpha):
             closed = green_hat_integral(t, j, mesh, alpha)
             scale = t ** (alpha - 1.0)
             assert abs(closed - oracle) <= 1e-12 * abs(oracle) + 1e-14 * scale
+
+
+@pytest.mark.parametrize("alpha, n", [(1.3, 1600), (1.5, 400)])
+def test_hat_matrix_against_mpmath_oracle(alpha, n):
+    # the assembled matrix at production size, with the oracle's bound: the
+    # first rows, the rows on each side of a row-block boundary and a middle
+    # row, each in the first column and the columns around the diagonal
+    mesh = production_mesh(alpha, n)
+    nodes = mesh.nodes
+    a = green_hat_matrix(mesh, alpha)
+    rows = (1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, len(nodes) // 2)
+    cases = sorted({(i, j) for i in rows for j in (0, i - 1, i, i + 1)})
+    with mpmath.workdps(40):
+        for i, j in cases:
+            oracle = float(_mp_hat_integral(nodes[i], j, nodes, alpha))
+            scale = nodes[i] ** (alpha - 1.0)
+            assert abs(a[i, j] - oracle) <= 1e-12 * abs(oracle) + 1e-14 * scale
+
+
+@pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0))
+@pytest.mark.parametrize("grading", ("uniform", "graded"))
+@pytest.mark.parametrize("kink", (None, 0.37), ids=("smooth", "kinked"))
+def test_hat_matrix_above_the_band_is_rank_one(alpha, grading, kink):
+    # where t_i <= s_(j-1) the singular branch misses hat j, so the entry is
+    # the separable product alone, to the last bit
+    mesh = (make_mesh(100, "uniform") if grading == "uniform"
+            else production_mesh(alpha, 100))
+    if kink is not None:
+        mesh = mesh.with_node(kink)
+    nodes = mesh.nodes
+    a = green_hat_matrix(mesh, alpha)
+    product = np.outer(nodes ** (alpha - 1.0),
+                       separable_hat_integrals(nodes, alpha))
+    above = np.triu(np.ones(a.shape, dtype=bool), k=1)
+    assert np.array_equal(a[above], product[above])
 
 
 def _property_grid(n_t=41, n_s=41):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,24 @@ def test_newton_nonconvergence_budget(classical, unit_weight):
     u0 = GridFunction(mesh, 2.0 * eig.lambda1 * eig.phi1.values)
     with pytest.raises(ConvergenceError):
         newton_solve(A, SQUARE, u0, tol=1e-10, maxit=1)
+
+
+def test_newton_holds_one_matrix_buffer(unit_weight):
+    # each iteration's split Jacobian replaces the last one: two alive at
+    # once while the next is built would double the peak
+    mesh = production_mesh(2.0, 800)
+    A = assemble(mesh, 2.0, unit_weight)
+    eig = principal_eigenpair(A)
+    u0 = GridFunction(mesh, 2.0 * eig.lambda1 * eig.phi1.values)
+    tracemalloc.start()
+    try:
+        report = newton_solve(A, SQUARE, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len(A.mesh.nodes)
+    assert report.iterations >= 2
+    assert peak <= 1.25 * 8 * m * m
 
 
 def test_newton_nan_guess_is_not_converged(classical):

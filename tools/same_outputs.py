@@ -7,11 +7,19 @@ in ``FIXED`` and every job of the henon-shoot, henon-continue and solver-mix
 workloads of ``perfbench/workloads.py`` for each seed (comma list, default
 1).  Outputs other than ``manifest.json``, exit codes, and the ``error`` and
 ``hypothesis`` of an ``error.json`` must be equal; exits 1 otherwise.
+
+For each run that differs it prints, per output file, the largest relative
+difference among the file's numeric tokens, and flags every changed token
+that is not a float: a changed exit code, word (a status, a verdict) or
+integer (a count), or a file only one tree wrote.  A float printed without
+a fraction (``2``) counts as an integer only if its new value prints so too.
 """
 
 import importlib.util
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,6 +46,11 @@ FIXED = [
 ]
 
 
+# re.split with this one group puts the numbers at the odd positions
+NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf))")
+INTEGER = re.compile(r"[-+]?\d+")
+
+
 def argv_list(parent_src, seeds, table):
     sys.path.insert(0, str(Path(parent_src).resolve()))    # solver_mix imports it
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
@@ -62,12 +75,47 @@ def run_tree(src, argvs, workdir):
 
 
 def outputs(rundir):
-    files = {p.name: p.read_bytes() for p in rundir.iterdir()
+    files = {p.name: p.read_text() for p in rundir.iterdir()
              if p.name not in ("manifest.json", "error.json")}
     if (rundir / "error.json").exists():
         error = json.loads((rundir / "error.json").read_text())
-        files["error.json"] = (error.get("error"), error.get("hypothesis"))
+        files["error.json"] = json.dumps([error.get("error"),
+                                          error.get("hypothesis")])
     return files
+
+
+def compare(old, new):
+    """(largest relative difference of the float tokens, changed others)."""
+    a, b = NUMBER.split(old), NUMBER.split(new)
+    if len(a) != len(b):
+        return 0.0, [f"{len(a) // 2} numbers -> {len(b) // 2}"]
+    worst, flagged = 0.0, []
+    for k, (x, y) in enumerate(zip(a, b)):
+        if x == y:
+            continue
+        rel = math.nan
+        if k % 2 and not (INTEGER.fullmatch(x) and INTEGER.fullmatch(y)):
+            fx, fy = float(x), float(y)
+            rel = abs(fx - fy) / max(abs(fx), abs(fy))
+        if math.isfinite(rel):
+            worst = max(worst, rel)
+        else:
+            flagged.append(f"{x.strip()!r} -> {y.strip()!r}")
+    return worst, flagged
+
+
+def report(code0, files0, code1, files1):
+    """Lines describing how the change's run differs from the parent's."""
+    lines = [f"  FLAG exit code {code0} -> {code1}"] if code0 != code1 else []
+    for name in sorted(files0.keys() | files1.keys()):
+        if name not in files0 or name not in files1:
+            tree = "change" if name in files1 else "parent"
+            lines.append(f"  FLAG {name}: written by the {tree} only")
+        elif files0[name] != files1[name]:
+            worst, flagged = compare(files0[name], files1[name])
+            lines.append(f"  {name}: largest relative difference {worst:.3g}")
+            lines += [f"  FLAG {name}: {change}" for change in flagged]
+    return lines
 
 
 def main(parent_src, change_src, seeds="1"):
@@ -78,10 +126,15 @@ def main(parent_src, change_src, seeds="1"):
         argvs = argv_list(parent_src, [int(s) for s in seeds.split(",")], table)
         runs = zip(argvs, run_tree(parent_src, argvs, Path(tmp) / "parent"),
                    run_tree(change_src, argvs, Path(tmp) / "change"))
-        differ = [" ".join(argv) for argv, (c0, d0), (c1, d1) in runs
-                  if c0 != c1 or outputs(d0) != outputs(d1)]
-    print("".join(f"differs: {argv}\n" for argv in differ), end="")
-    print(f"{len(argvs) - len(differ)} of {len(argvs)} runs identical")
+        differ = flagged = 0
+        for argv, (c0, d0), (c1, d1) in runs:
+            lines = report(c0, outputs(d0), c1, outputs(d1))
+            if lines:
+                differ += 1
+                flagged += any("FLAG" in line for line in lines)
+                print("differs: " + " ".join(argv), *lines, sep="\n")
+    print(f"{len(argvs) - differ} of {len(argvs)} runs identical, "
+          f"{flagged} with a flagged change")
     return 1 if differ else 0
 
 
