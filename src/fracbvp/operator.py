@@ -239,8 +239,10 @@ def assemble(mesh, alpha, h):
     hvals = np.asarray(h(mesh.nodes), dtype=float)
     if np.any(hvals < 0.0):
         raise HypothesisError("weight-positivity", "weight negative at a node")
-    if np.max(hvals) <= 0.0:
-        raise HypothesisError("weight-positivity", "weight vanishes at all nodes")
+    if not np.max(hvals) >= np.finfo(float).tiny:
+        # a subnormal maximum leaves a matrix no iteration can resolve
+        raise HypothesisError("weight-positivity", "weight vanishes or is "
+                              "subnormal at all nodes")
     m = len(mesh.nodes)
     if 8 * m * m > MAX_MATRIX_BYTES:
         raise HypothesisError(

@@ -88,8 +88,8 @@ def test_traced_solve_super_runs(tmp_path):
 
 
 def test_traced_henon_shoot_runs(tmp_path):
-    # shooting.solve_ivp is wrapped by name too: the scan no longer calls
-    # it, but the polish and the crossing records do
+    # every shot runs on the lane integrator: the scan inside
+    # find_crossings, the polish and the crossing records in polish_crossings
     _run_traced(["henon-shoot", "--beta-min", "50", "--beta-max", "300",
                  "--scan-points", "60", "--out", str(tmp_path / "run")],
-                {"shooting.find_crossings", "shooting.solve_ivp"})
+                {"shooting.find_crossings", "shooting.polish_crossings"})

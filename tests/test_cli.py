@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fracbvp import cli, errors
+from fracbvp import cli, errors, shooting
 from fracbvp.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
                          main, parse_alphas, parse_nonlinearity, parse_weight,
                          run)
@@ -329,6 +334,7 @@ BAD_TABLES = {"short-row": "t,value\n0,1\n0.5\n1,1\n",
     ["bounds", "--alpha", "1.5", "--weight", "tabulated:{tables}/empty"],
     ["bounds", "--alpha", "1.5", "--weight", "power_offset:1100:0.5"],
     ["bounds", "--alpha", "1.5", "--weight", "power_offset:1030:0.5"],
+    ["eig", "--alpha", "1.5", "--weight", "power_offset:1030:0.5"],
 ], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
         "nan-polynomial-weight", "zeta-below-minus-1",
         "beta-range-reversed", "grading-exponent-below-1",
@@ -341,7 +347,8 @@ BAD_TABLES = {"short-row": "t,value\n0,1\n0.5\n1,1\n",
         "solve-super-tol-inf", "eig-tol-inf", "solve-sub-tol-inf",
         "continue-step-inf", "grading-exponent-underflows",
         "table-short-row", "table-blank-line", "table-empty",
-        "bounds-sup-norm-underflows", "bounds-overflow"])
+        "bounds-sup-norm-underflows", "bounds-overflow",
+        "eig-weight-subnormal"])
 def test_unusable_input_exits_2(tmp_path, argv):
     for name, text in BAD_TABLES.items():
         (tmp_path / name).write_text(text)
@@ -375,6 +382,44 @@ def test_mesh_size_exits_2_before_allocating(tmp_path):
                  "--n", str(10 ** 11), "--out", str(out)]) == EXIT_HYPOTHESIS
     assert json.loads((out / "error.json").read_text())["hypothesis"] == \
         "mesh-size"
+
+
+def test_scan_size_exits_2_before_allocating(tmp_path, monkeypatch):
+    # the scan peaks at about 72 doubles per beta; the bound applies
+    # before np.geomspace
+    def geomspace(*args, **kwargs):
+        raise AssertionError("the scan grid was allocated")
+    monkeypatch.setattr(np, "geomspace", geomspace)
+    out = tmp_path / "big"
+    assert main(["henon-shoot", "--scan-points",
+                 str(shooting.MAX_SCAN_POINTS + 1),
+                 "--out", str(out)]) == EXIT_HYPOTHESIS
+    assert json.loads((out / "error.json").read_text())["hypothesis"] == \
+        "shooting-range"
+    assert not (out / "crossings.csv").exists()
+
+
+def test_untraced_runs_leave_scipy_integrate_and_optimize_unloaded(tmp_path):
+    # every shot runs on the lane integrator, so a fresh process that runs
+    # eig and henon-continue never imports either module
+    runs = [["eig", "--alpha", "1.5", "--weight", "constant:1", "--n", "50"],
+            ["henon-continue", "--beta-min", "50", "--beta-max", "300",
+             "--scan-points", "60", "--target-alpha", "1.99", "--n", "100"]]
+    script = "\n".join([
+        "import sys",
+        "from fracbvp.cli import main",
+        *[f"assert main({argv + ['--out', str(tmp_path / str(k))]!r}) == 0"
+          for k, argv in enumerate(runs)],
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("exc, code, keys", [

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from fracbvp import shooting
@@ -29,6 +30,29 @@ def _henon_continue_betas(seed, points=200):
     lo = float(argv[argv.index("--beta-min") + 1])
     hi = float(argv[argv.index("--beta-max") + 1])
     return np.geomspace(lo, hi, points)
+
+
+def _serial_zero(beta, params, x_max=shooting.X_MAX_DEFAULT):
+    """z(beta) from scipy's serial RK45 shot of u alone, an oracle for the
+    lanes: the same tableau, controller and tolerances, legs split at
+    x = 0, and scipy's event locator on the downward zero of u."""
+    def rhs(x, y):
+        return (y[1], -abs(x) ** params.l * abs(y[0]) ** (params.p - 1.0) * y[0])
+
+    def zero(x, y):
+        return y[0]
+
+    zero.terminal, zero.direction = True, -1.0
+    y = [0.0, float(beta)]
+    legs = [x for x in (-1.0, 0.0) if x < x_max] + [x_max]
+    for x0, x1 in zip(legs[:-1], legs[1:]):
+        sol = solve_ivp(rhs, (x0, x1), y, method="RK45",
+                        rtol=shooting.RTOL_DEFAULT, atol=shooting.ATOL_DEFAULT,
+                        events=zero)
+        if sol.status == 1:
+            return float(sol.t_events[0][0])
+        y = sol.y[:, -1]
+    raise HorizonError(f"no zero before {x_max}")
 
 
 def test_params_validation():
@@ -62,27 +86,49 @@ def test_tolerance_self_convergence(henon_params):
     assert abs(t1.u(0.0) - t2.u(0.0)) < 1e-8
 
 
+def test_trajectory_matches_scipy_dense_output(henon_params):
+    # the lane's quartics for (u, u', w) against scipy's serial RK45 shot
+    # with dense output, legs split at x = 0, through the first zero of u
+    l, p = henon_params.l, henon_params.p
+
+    def rhs(x, y):
+        a, up = abs(x) ** l, abs(y[0]) ** (p - 1.0)
+        return (y[1], -a * up * y[0], y[3], -a * p * up * y[2])
+
+    traj = ivp_integrate(30.0, henon_params, x_max=1.5)
+    assert traj.x_end == 1.5 and traj.u(1.5) < 0.0
+    y = [0.0, 30.0, 0.0, 1.0]
+    for x0, x1 in ((-1.0, 0.0), (0.0, 1.5)):
+        sol = solve_ivp(rhs, (x0, x1), y, method="RK45", dense_output=True,
+                        rtol=shooting.RTOL_DEFAULT, atol=shooting.ATOL_DEFAULT)
+        x = np.linspace(x0, x1, 201)
+        for want, got in zip(sol.sol(x), (traj.u, traj.du, traj.w)):
+            assert np.max(np.abs(got(x) - want)) <= 1e-10 * np.max(np.abs(want))
+        y = sol.y[:, -1]
+
+
 def test_first_zero_transversal(henon_params):
     for beta in (0.5, 5.0, 50.0):
         z = first_zero(beta, henon_params)
         assert z > -1.0
         # the variational shot, on its own steps, ends at nearly the same zero
-        _, traj = shooting._integrate(beta, henon_params,
-                                      shooting.X_MAX_DEFAULT, variational=True)
+        _, (traj,) = shooting._lanes([beta], henon_params,
+                                     shooting.X_MAX_DEFAULT, variational=True,
+                                     dense=True)
         assert abs(traj.x_end - z) < 1e-9
         assert traj.du(traj.x_end) < 0.0
         assert abs(traj.u(traj.x_end)) < 1e-11
 
 
 def test_first_zero_is_the_dense_shot_zero(henon_params):
-    # first_zero keeps only the event root; the dense shot of u that
-    # rescale_to_unit samples ends at the same float.  Where u is negative
-    # there, bisecting the dense output for its root gives that float back,
-    # so no polish after the event locator is needed.
+    # first_zero keeps only the zero; the dense shot of u ends at the same
+    # float.  Where u is negative there, bisecting the dense output for its
+    # root gives that float back, so no polish after the step's bisection
+    # is needed.
     below = 0
     for beta in np.geomspace(1e-3, 1e3, 25):
-        z, traj = shooting._integrate(beta, henon_params,
-                                      shooting.X_MAX_DEFAULT, variational=False)
+        (z,), (traj,) = shooting._lanes([beta], henon_params,
+                                        shooting.X_MAX_DEFAULT, dense=True)
         assert first_zero(beta, henon_params) == z == traj.x_end
         lo = z - 1e-6 * (1.0 + abs(z))
         if traj.u(lo) > 0.0 > traj.u(z):
@@ -121,14 +167,14 @@ def test_z_prime_matches_finite_differences(henon_params):
 @pytest.mark.parametrize("seed", (1, 2, 3))
 @pytest.mark.parametrize("l, p", ((4.0, 2.0), (2.0, 3.0)))
 def test_scan_lanes_match_first_zero(l, p, seed):
-    # each lane of the vectorized scan is the serial shot, up to the order
-    # in which stage sums and powers round.  The error is taken relative to
-    # 1 + |z|: z passes through 0 inside these ranges, where the serial
-    # shots agree with each other only to a few ulps of 1
+    # each lane of the vectorized scan is scipy's serial shot, up to the
+    # order in which stage sums and powers round.  The error is taken
+    # relative to 1 + |z|: z passes through 0 inside these ranges, where the
+    # serial shots agree with each other only to a few ulps of 1
     params = HenonParams(l=l, p=p)
     betas = _henon_continue_betas(seed)
-    z, horizon = shooting._scan_zeros(betas, params, shooting.X_MAX_DEFAULT)
-    ref = np.array([first_zero(b, params) for b in betas])
+    z, _, horizon = shooting._shots(betas, params, shooting.X_MAX_DEFAULT)
+    ref = np.array([_serial_zero(b, params) for b in betas])
     assert horizon == shooting.X_MAX_DEFAULT
     assert np.all(np.abs(z - ref) <= 1e-12 * (1.0 + np.abs(ref)))
     assert np.array_equal(np.sign(z - 1.0), np.sign(ref - 1.0))
@@ -136,10 +182,17 @@ def test_scan_lanes_match_first_zero(l, p, seed):
 
 def test_scan_enlarges_the_horizon_per_lane(henon_params):
     # every zero lies beyond x_max = 0.5, so every lane runs again with a
-    # larger horizon, and each matches the serial enlargement
+    # larger horizon, and each matches the serial shot's 4x enlargement
+    def serial(beta, x_max):
+        while True:
+            try:
+                return _serial_zero(beta, henon_params, x_max), x_max
+            except HorizonError:
+                x_max *= 4.0
+
     betas = np.geomspace(1e-3, 50.0, 40)
-    z, horizon = shooting._scan_zeros(betas, henon_params, 0.5)
-    ref = [shooting._z_of_beta(b, henon_params, 0.5) for b in betas]
+    z, _, horizon = shooting._shots(betas, henon_params, 0.5)
+    ref = [serial(b, 0.5) for b in betas]
     assert all(r[0] > 0.5 for r in ref)
     assert horizon == max(r[1] for r in ref) > 0.5
     ref_z = np.array([r[0] for r in ref])
@@ -149,19 +202,22 @@ def test_scan_enlarges_the_horizon_per_lane(henon_params):
 def test_scan_horizon_cap(henon_params, monkeypatch):
     monkeypatch.setattr(shooting, "X_MAX_CAP", 1.0)
     with pytest.raises(HorizonError):
-        shooting._scan_zeros(np.geomspace(1e-3, 1.0, 5), henon_params, 0.5)
+        shooting._shots(np.geomspace(1e-3, 1.0, 5), henon_params, 0.5)
 
 
 def test_polish_takes_few_shots_inside_the_bracket(henon_params, monkeypatch):
-    # the scan runs no serial shot; the secant polish starts from the scan's
-    # values at the bracket ends, so it never shoots at one
+    # the polish shoots variational lanes, the scan lanes of u alone; it
+    # starts from the scan's values at the bracket ends, so it never shoots
+    # at one
     shots = []
+    lanes = shooting._lanes
 
-    def counted(beta, *args, **kwargs):
-        shots.append(beta)
-        return first_zero(beta, *args, **kwargs)
+    def counted(betas, *args, **kwargs):
+        if kwargs.get("variational"):
+            shots.extend(betas)
+        return lanes(betas, *args, **kwargs)
 
-    monkeypatch.setattr(shooting, "first_zero", counted)
+    monkeypatch.setattr(shooting, "_lanes", counted)
     records = find_crossings(1.0, henon_params, scan_points=2000)
     betas = np.geomspace(1e-3, 1e3, 2000)
     bracket = np.searchsorted(betas, shots)
@@ -216,8 +272,7 @@ def test_variational_verdicts_consistent(henon_params, henon_crossings):
     # |w(z)| and |z'| give the same (non)degeneracy verdict, and the sign
     # changes of w sampled on a fine grid give the recorded Morse index
     for r in henon_crossings:
-        z, traj = shooting._integrate(r.beta, henon_params,
-                                      shooting.X_MAX_DEFAULT, variational=True)
+        z, traj = r.z, r.trajectory
         wscale = np.max(np.abs(traj.w(traj.step_points())))
         assert (abs(traj.w(z)) > 1e-6 * wscale) == (abs(r.z_prime) > 1e-6)
         w = traj.w(np.linspace(-1.0, z, 20001)[1:-1])
@@ -228,10 +283,10 @@ def test_morse_count_stable_under_tol_tightening(henon_params, henon_crossings):
     r = henon_crossings[1]
     counts = []
     for rtol, atol in ((1e-10, 1e-12), (1e-12, 1e-14)):
-        z, traj = shooting._integrate(r.beta, henon_params,
-                                      shooting.X_MAX_DEFAULT, variational=True,
-                                      rtol=rtol, atol=atol)
-        counts.append(shooting._count_zeros(traj, z))
+        _, (traj,) = shooting._lanes([r.beta], henon_params,
+                                     shooting.X_MAX_DEFAULT, variational=True,
+                                     dense=True, rtol=rtol, atol=atol)
+        counts.append(shooting._count_zeros(traj))
     assert counts[0] == counts[1] == r.morse_index
     z_loose = first_zero(r.beta, henon_params, rtol=1e-10, atol=1e-12)
     z_tight = first_zero(r.beta, henon_params, rtol=1e-12, atol=1e-14)

@@ -30,7 +30,8 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
           "sys.argv[1]))\njson.dump([main(a + ['--out', o]) for a, o in jobs], "
           "open(sys.argv[2], 'w'))")
 # the criterion-12 configs, then polynomial, saturating, tabulated,
-# affine_power and Henon-weight ones
+# affine_power and Henon-weight ones, and a Henon continuation with
+# delta != 0, whose weight kink is not a mesh node
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -43,6 +44,8 @@ FIXED = [
     "eig --alpha 1.8 --weight tabulated:{table} --n 200",
     "solve-super --alpha 1.6 --weight constant:1 --nonlin affine_power:2:2 --n 200",
     "solve-super --alpha 2 --weight power_offset:4:0.5 --nonlin power:1:2 --n 400",
+    "henon-continue --l 2 --p 3 --zeta 1.1 --scan-points 200 --target-alpha 1.97 "
+    "--n 200",
 ]
 
 
