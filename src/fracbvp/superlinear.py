@@ -18,13 +18,15 @@ several positive solutions exist, the one it reaches is returned.
 
 A solution is nondegenerate when the linearized problem has only the trivial
 solution; numerically that is a positive smallest singular value of
-I - L_u, where L_u is the operator assembled with weight h*f'(u).  The
-margin comes from inverse iteration on J^T J through the same solves, and
-falls back to a dense SVD when that does not converge.  It gates
-predictor-corrector continuation in alpha: nondegenerate solutions persist
-for nearby orders, and the trace records each accepted step until the
-target order, a degeneracy, or a failed step floor.  Every solver takes the
-assembled operator A and reads mesh, order and weight from it.
+I - L_u, where L_u is the operator assembled with weight h*f'(u).  How near
+J is to singular is measured one way throughout: sigma_min(J), by Lanczos
+on J^-1 J^-T through the same solves, relative to ||J||_1, O(m) from A's
+column sums.  Newton's guard takes a few Lanczos steps; the margin runs
+them to convergence, else a dense SVD.  The margin gates predictor-corrector
+continuation in alpha: nondegenerate solutions persist for nearby orders,
+and the trace records each accepted step until the target order, a
+degeneracy, or a failed step floor.  Every solver takes the assembled
+operator A and reads mesh, order and weight from it.
 """
 
 from dataclasses import dataclass
@@ -40,6 +42,8 @@ from .kernel import check_order, separable_hat_integrals
 from .operator import assemble
 
 COND_LIMIT = 1e14
+# Lanczos steps of Newton's guard; its last Ritz value is the estimate
+COND_STEPS = 3
 DAMPING_HALVINGS = 30
 MARGIN_REL_THRESHOLD = 1e-6
 # Lanczos steps of the margin before it falls back to a dense SVD, and their
@@ -164,65 +168,48 @@ class _SplitJacobian:
         return x + self.z * ((self.u @ x) / self.denominator)
 
 
-def _inverse_norm1(solve, solve_t, m):
-    """Hager-Higham estimate of ||J^-1||_1 from solves with J and J^T.
+def _norm1(A):
+    """fp -> ||I - A diag(fp)||_1 in O(m) per call.
 
-    The iteration of LAPACK's xLACON (Higham, ACM TOMS 14, 1988), which
-    ``gecon`` runs, with its cap of 5 steps: a lower bound, taken as the
-    largest of its candidates.
+    A >= 0, so column j of the Jacobian sums to |1 - A_jj fp_j| +
+    |fp_j| (colsum_j - A_jj); the column sums are taken once.
     """
-    y = solve(np.full(m, 1.0 / m))
-    est = float(np.sum(np.abs(y)))
-    sign = np.where(y >= 0.0, 1.0, -1.0)
-    z = solve_t(sign)
-    j = int(np.argmax(np.abs(z)))
-    for _ in range(4):
-        e = np.zeros(m)
-        e[j] = 1.0
-        y = solve(e)
-        new_est = float(np.sum(np.abs(y)))
-        new_sign = np.where(y >= 0.0, 1.0, -1.0)
-        if np.array_equal(new_sign, sign) or new_est <= est:
-            est = max(est, new_est)
-            break
-        est, sign = new_est, new_sign
-        z = solve_t(sign)
-        j_last, j = j, int(np.argmax(np.abs(z)))
-        if abs(z[j_last]) == abs(z[j]):
-            break
-    alt = np.linspace(1.0, 2.0, m)
-    alt[1::2] *= -1.0
-    return max(est, 2.0 * float(np.sum(np.abs(solve(alt)))) / (3.0 * m))
+    a_diag = np.diagonal(A.matrix)
+    off_diag = A.matrix.sum(axis=0) - a_diag
+    return lambda fp: float(np.max(np.abs(1.0 - a_diag * fp)
+                                   + np.abs(fp) * off_diag))
 
 
-def _top_eigenvalue(apply, m):
-    """Top eigenvalue of a symmetric PSD operator by Lanczos from the ones vector.
+def _top_eigenvalue(jac, maxit):
+    """Top eigenvalue of B = J^-1 J^-T, 1 / sigma_min(J)^2, by Lanczos.
 
-    Each step applies the operator once, as a power sweep does, and keeps
-    the Krylov basis fully orthogonal.  The top Ritz value theta, a lower
-    bound that only grows, is returned once its residual ||B y - theta y||
-    = beta_k |s_k| is at most MARGIN_RTOL * theta, which puts theta within
-    that share of an eigenvalue.  Returns (theta, steps), theta None if
-    MARGIN_MAXIT steps do not get there.
+    From the ones vector, each step solves with J^T and J once, as a sweep
+    of inverse iteration on J^T J does, and keeps the Krylov basis fully
+    orthogonal.  The top Ritz value theta is a lower bound that only grows;
+    it has converged once its residual ||B y - theta y|| = beta_k |s_k| is
+    at most MARGIN_RTOL * theta, which puts theta within that share of an
+    eigenvalue.  Returns (theta, steps, converged) on convergence or after
+    ``maxit`` steps, theta NaN if a solve gave a value that is not finite.
     """
-    basis = np.empty((MARGIN_MAXIT + 1, m))
+    m = len(jac.u)
+    basis = np.empty((maxit + 1, m))
     basis[0] = 1.0 / np.sqrt(m)
-    diag, off = np.zeros(MARGIN_MAXIT), np.zeros(MARGIN_MAXIT)
-    for k in range(MARGIN_MAXIT):
-        y = apply(basis[k])
+    diag, off = np.zeros(maxit), np.zeros(maxit)
+    for k in range(maxit):
+        y = jac.solve(jac.solve_t(basis[k]))
         diag[k] = basis[k] @ y
         for _ in range(2):          # classical Gram-Schmidt, twice
             y -= basis[:k + 1].T @ (basis[:k + 1] @ y)
         off[k] = np.linalg.norm(y)
         if not np.isfinite(off[k]):
-            break
+            return np.nan, k + 1, False
         tridiag = (np.diag(diag[:k + 1]) + np.diag(off[:k], 1)
                    + np.diag(off[:k], -1))
         theta, vecs = np.linalg.eigh(tridiag)
         if off[k] * abs(vecs[-1, -1]) <= MARGIN_RTOL * theta[-1]:
-            return float(theta[-1]), k + 1
+            return float(theta[-1]), k + 1, True
         basis[k + 1] = y / off[k]
-    return None, MARGIN_MAXIT
+    return float(theta[-1]), maxit, False
 
 
 def newton_solve(A, f, u0, tol=1e-10, maxit=50):
@@ -233,8 +220,10 @@ def newton_solve(A, f, u0, tol=1e-10, maxit=50):
     collapses onto the trivial solution comes back with ``converged=False``
     and ``positive=False`` rather than an exception.  A residual that is
     not finite ends the iteration with ``ConvergenceError``; a Jacobian
-    whose 1-norm condition estimate exceeds ``COND_LIMIT``, or whose split
-    cannot be solved with, ends it with ``DegeneratePointError``.
+    whose condition estimate ||J||_1 / sigma_min exceeds ``COND_LIMIT``, or
+    whose split cannot be solved with, ends it with ``DegeneratePointError``.
+    sigma_min comes from ``COND_STEPS`` Lanczos steps on J^-1 J^-T, as in
+    ``nondegeneracy``; stopped early, the estimate is a lower bound.
     """
     if not A.mesh.same_as(u0.mesh):
         raise ValueError("initial guess lives on a different mesh than the operator")
@@ -243,10 +232,7 @@ def newton_solve(A, f, u0, tol=1e-10, maxit=50):
     res = float(np.max(np.abs(res_vec)))
     it = 0
     factors = _separable_factors(A)
-    # ||J||_1 in O(m) per step: A >= 0, so column j sums to
-    # |1 - A_jj fp_j| + |fp_j| (colsum_j - A_jj)
-    a_diag = np.diagonal(A.matrix)
-    off_diag = A.matrix.sum(axis=0) - a_diag
+    norm1 = _norm1(A)
     while np.isfinite(res) and res >= tol and it < maxit:
         it += 1
         fp = _fprime(f, u)
@@ -254,9 +240,8 @@ def newton_solve(A, f, u0, tol=1e-10, maxit=50):
         jac = _SplitJacobian(A, fp, factors)
         failure = jac.failure
         if failure is None:
-            anorm = float(np.max(np.abs(1.0 - a_diag * fp)
-                                 + np.abs(fp) * off_diag))
-            cond = anorm * _inverse_norm1(jac.solve, jac.solve_t, len(u))
+            theta, _, _ = _top_eigenvalue(jac, COND_STEPS)
+            cond = norm1(fp) * np.sqrt(theta)
             if not cond <= COND_LIMIT:
                 failure = (f"condition estimate {cond:.3e} exceeds "
                            f"{COND_LIMIT:.0e}")
@@ -292,36 +277,25 @@ def nondegeneracy(A, f, u):
 
     ``L_u`` is the kernel operator with weight h*f'(u).  The solution is
     flagged degenerate when the margin falls below ``MARGIN_REL_THRESHOLD``
-    times the operator norm of I - L_u.  sigma_min comes from inverse
-    iteration on J^T J through the split solves, in its Lanczos form, and
-    sigma_max from Lanczos sweeps on J^T J with A and f'(u).  If the split
-    cannot be solved with, or either iteration misses ``MARGIN_RTOL`` in
-    ``MARGIN_MAXIT`` steps, both come from a dense SVD of J instead, and
+    times ||I - L_u||_1.  sigma_min comes from inverse iteration on J^T J
+    through the split solves, in its Lanczos form.  If the split cannot be
+    solved with, or the iteration misses ``MARGIN_RTOL`` in
+    ``MARGIN_MAXIT`` steps, it comes from a dense SVD of J instead, and
     ``method`` says which; ``iterations`` counts the inverse-iteration steps.
     """
     fp = _fprime(f, u.values)
-    m = len(fp)
     jac = _SplitJacobian(A, fp, _separable_factors(A))
-    inv_top, top, steps = None, None, 0
+    converged, steps = False, 0
     if jac.failure is None:
-        inv_top, steps = _top_eigenvalue(
-            lambda x: jac.solve(jac.solve_t(x)), m)
-    del jac                 # free T before the sweeps or the dense fallback
-    if inv_top is not None:
-        mat = A.matrix
-
-        def normal(x):      # J^T J x, J = I - A diag(fp)
-            y = x - mat @ (fp * x)
-            return y - fp * (mat.T @ y)
-        top, _ = _top_eigenvalue(normal, m)
-    if top is not None:
-        method, margin, sigma_max = ("inverse_iteration",
-                                     1.0 / np.sqrt(inv_top), np.sqrt(top))
+        inv_top, steps, converged = _top_eigenvalue(jac, MARGIN_MAXIT)
+    del jac                 # free T before the dense fallback
+    if converged:
+        method, margin = "inverse_iteration", 1.0 / np.sqrt(inv_top)
     else:
         svals = np.linalg.svd(_jacobian(A, f, u.values), compute_uv=False)
-        method, margin, sigma_max = "svd", svals[-1], svals[0]
+        method, margin = "svd", svals[-1]
     margin = float(margin)
-    thr = MARGIN_REL_THRESHOLD * float(sigma_max)
+    thr = MARGIN_REL_THRESHOLD * _norm1(A)(fp)
     return NondegeneracyReport(margin=margin, degenerate=margin < thr,
                                threshold=thr, method=method, iterations=steps)
 

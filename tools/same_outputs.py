@@ -30,8 +30,10 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
           "sys.argv[1]))\njson.dump([main(a + ['--out', o]) for a, o in jobs], "
           "open(sys.argv[2], 'w'))")
 # the criterion-12 configs, then polynomial, saturating, tabulated,
-# affine_power and Henon-weight ones, and a Henon continuation with
-# delta != 0, whose weight kink is not a mesh node
+# affine_power and Henon-weight ones, a Henon continuation with delta != 0,
+# whose weight kink is not a mesh node, and one run to alpha = 1.9, the only
+# config in reach where Newton fails near the fold and steps are halved, so
+# a change to Newton's guard or stop shows in its halted traces
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -46,6 +48,7 @@ FIXED = [
     "solve-super --alpha 2 --weight power_offset:4:0.5 --nonlin power:1:2 --n 400",
     "henon-continue --l 2 --p 3 --zeta 1.1 --scan-points 200 --target-alpha 1.97 "
     "--n 200",
+    "henon-continue --scan-points 200 --target-alpha 1.9",
 ]
 
 
