@@ -164,7 +164,8 @@ def _typed_config(config):
             if key not in types:
                 raise HypothesisError("config", f"unknown {section} key {key!r}")
             try:
-                typed[section][key] = types[key](value)
+                # read as a flag's text: int(True) is 1 and int(40.9) is 40
+                typed[section][key] = types[key](value if value is None else str(value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise HypothesisError(
                     "config", f"cannot read {section} {key} = {value!r}: {exc}"
@@ -284,7 +285,7 @@ def _cmd_solve_sub(config, outdir, timings):
     A = assemble(mesh, alpha, weight)
     eig = principal_eigenpair(A)
     bracket = find_bracket(eig, f, A)
-    report = monotone_solve(bracket, f, A, tol=max(numerics["tol"], 1e-12),
+    report = monotone_solve(bracket, f, A, tol=numerics["tol"],
                             maxit=numerics["maxit"])
     timings["solve"] = time.perf_counter() - t0
     report.solution.to_csv(outdir / "solution.csv")
@@ -545,7 +546,7 @@ def _make_parser():
     parser.add_argument("--n", help="mesh intervals")
     parser.add_argument("--grading", choices=("auto", "uniform", "graded"))
     parser.add_argument("--exponent", help="grading exponent")
-    parser.add_argument("--tol", help="solver tolerance")
+    parser.add_argument("--tol", help="relative solver tolerance")
     parser.add_argument("--maxit", help="iteration budget")
     parser.add_argument("--alphas", help="sweep schedule start:stop:step")
     parser.add_argument("--trials", help="nonexistence probe starts")

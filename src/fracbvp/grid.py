@@ -23,6 +23,15 @@ MIN_INTERVALS = 8
 MAX_MATRIX_BYTES = 2 ** 30
 # an inserted node this close to an existing one is taken as already there
 NODE_TOL = 1e-12
+RTOL = 1e-12                # relative tolerance of every solver's stop
+
+
+def settled(step, rho, norm, rtol):
+    """True when the sup-norm ``step`` is 0, or when the ratio ``rho`` < 1 of
+    the last two sup-norm residuals bounds the distance to the limit by
+    rho/(1-rho)*step <= rtol*norm, ``norm`` the iterate's sup norm (Zeidler,
+    Nonlinear Functional Analysis I, 1.1).  A NaN rho never settles."""
+    return step == 0.0 or (rho < 1.0 and rho * step <= rtol * norm * (1.0 - rho))
 
 
 class Mesh:

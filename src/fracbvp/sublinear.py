@@ -10,13 +10,13 @@ witness.
 
 The nonexistence probe is the falsification companion.  It runs Picard
 iteration from positive starts until each trial blows up ("diverged"), dies
-out ("decayed"), reaches a fixed point ("converged": the sup-norm step is at
-most ``FIXED_POINT_RTOL`` times the sup norm) or spends ``PROBE_MAXIT`` steps
-("inconclusive").  When f(s)/s stays on one side of the eigenvalue, iterates
-from any positive start either blow up or die out, and the probe reports that
-evidence; it certifies nothing.  When f(s)/s meets the eigenvalue (the
-borderline regime, which holds the sublinear case) the iterates settle on a
-positive fixed point, and the verdict reports it as evidence for a solution.
+out ("decayed"), reaches a fixed point ("converged") or spends
+``PROBE_MAXIT`` steps ("inconclusive").  When f(s)/s stays on one side of the
+eigenvalue, iterates from any positive start either blow up or die out, and
+the probe reports that evidence; it certifies nothing.  When f(s)/s meets
+the eigenvalue (the borderline regime, which holds the sublinear case) the
+iterates settle on a positive fixed point, evidence for a solution.  Both
+iterations stop by ``grid.settled``, rho the ratio of successive steps.
 Every solver takes the assembled operator A (and its eigenpair if needed).
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, MonotonicityError
-from .grid import GridFunction, boundary_weight
+from .grid import RTOL, GridFunction, boundary_weight, settled
 
 DELTA_FLOOR = 1e-12
 M_CAP = 2.0 ** 40
@@ -34,7 +34,6 @@ REGIME_SAMPLES = 2001
 DIVERGENCE_CAP = 1e6        # sup norm above which a probe trial diverged
 DECAY_FLOOR = 1e-10         # and below which it decayed
 PROBE_MAXIT = 100000        # Picard steps before it is inconclusive
-FIXED_POINT_RTOL = 1e-12    # sup step / sup norm at which a trial converged
 
 
 @dataclass(frozen=True)
@@ -142,16 +141,17 @@ def find_bracket(eig, f, A):
                    upper=GridFunction(A.mesh, m_upper * phi))
 
 
-def monotone_solve(bracket, f, A, tol=1e-9, maxit=20000):
+def monotone_solve(bracket, f, A, tol=RTOL, maxit=20000):
     """Monotone Picard iteration from both ends of the bracket.
 
     The lower start produces a nondecreasing sequence and the upper start a
-    nonincreasing one; both stop when consecutive iterates differ by less
-    than ``tol`` in sup norm.  If the two limits agree within ``10*tol`` the
-    report says ``both_agree``, the computational witness that the positive
-    solution is unique.
+    nonincreasing one; each stops once ``settled`` at relative tolerance
+    ``tol``.  If the two limits agree within ``10*tol`` times the upper sup
+    norm the report says ``both_agree``, the computational witness that the
+    positive solution is unique.
     """
     state = {"lower": bracket.lower.values, "upper": bracket.upper.values}
+    last_step = {"lower": np.nan, "upper": np.nan}
     mono_slack = 1e-12 * max(1.0, float(np.max(state["upper"])))
 
     done = set()
@@ -165,9 +165,10 @@ def monotone_solve(bracket, f, A, tol=1e-9, maxit=20000):
                 raise MonotonicityError(
                     f"iteration from the {side} start lost monotonicity; "
                     "the nonlinearity is not nondecreasing on the bracket")
-            if np.max(np.abs(nxt - cur)) < tol:
+            step = np.max(np.abs(nxt - cur))
+            if settled(step, step / last_step[side], np.max(nxt), tol):
                 done.add(side)
-            state[side] = nxt
+            state[side], last_step[side] = nxt, step
         if np.any(state["lower"] > state["upper"] + mono_slack):
             raise MonotonicityError(
                 "lower iterate overtook the upper iterate")
@@ -183,7 +184,7 @@ def monotone_solve(bracket, f, A, tol=1e-9, maxit=20000):
     res = {side: float(np.max(np.abs(
         state[side] - A.nonlinear_image(f, state[side]))))
         for side in ("lower", "upper")}
-    agree = gap <= 10.0 * tol
+    agree = gap <= 10.0 * tol * float(np.max(state["upper"]))
     side = "lower" if agree or res["lower"] <= res["upper"] else "upper"
     return SolveReport(solution=GridFunction(A.mesh, state[side]),
                        iterations=sweep, residual=res[side],
@@ -207,12 +208,12 @@ def nonexistence_probe(f, A, eig, trials=10):
     Runs Picard iteration u <- T f(u) from a deterministic spread of positive
     starts.  Each step first tests for blow-up past ``DIVERGENCE_CAP``
     ("diverged") and decay below ``DECAY_FLOOR`` ("decayed"), then for a
-    fixed point: a sup-norm step of at most ``FIXED_POINT_RTOL`` times the
-    sup norm ("converged").  A trial undecided after ``PROBE_MAXIT`` steps is
-    "inconclusive"; the probe never raises on it.  In the super regime
-    (f(s)/s above lambda1 everywhere) every trial is expected to diverge, in
-    the sub regime to decay, and in the borderline regime to converge; the
-    verdict names the converged sup norms as evidence for a solution.
+    fixed point: ``settled`` at ``RTOL`` ("converged").  A trial undecided
+    after ``PROBE_MAXIT`` steps is "inconclusive"; the probe never raises on
+    it.  In the super regime (f(s)/s above lambda1 everywhere) every trial
+    is expected to diverge, in the sub regime to decay, and in the
+    borderline regime to converge; the verdict names the converged sup norms
+    as evidence for a solution.
     ``eig`` is the principal eigenpair of ``A``.
     """
     if trials < 1:
@@ -230,12 +231,12 @@ def nonexistence_probe(f, A, eig, trials=10):
         name = "phi1" if k % 2 == 0 else "gauge"
         u = amp * shapes[name]
         prev_norm = float(np.max(np.abs(u)))
-        outcome, ratio, residual = "inconclusive", float("nan"), float("nan")
+        outcome, ratio, residual, step = "inconclusive", np.nan, np.nan, np.nan
         it = 0
         for it in range(1, PROBE_MAXIT + 1):
             nxt = A.nonlinear_image(f, u)
             nrm = float(np.max(np.abs(nxt)))
-            step = float(np.max(np.abs(nxt - u)))
+            last_step, step = step, float(np.max(np.abs(nxt - u)))
             u = nxt
             ratio = nrm / prev_norm if prev_norm > 0 else float("nan")
             residual = step / nrm if nrm > 0 else float("inf")
@@ -246,7 +247,7 @@ def nonexistence_probe(f, A, eig, trials=10):
             if nrm < DECAY_FLOOR:
                 outcome = "decayed"
                 break
-            if residual <= FIXED_POINT_RTOL:
+            if settled(step, step / last_step, nrm, RTOL):
                 outcome = "converged"
                 break
         outcomes.append(TrialOutcome(amplitude=float(amp), shape=name,

@@ -13,8 +13,8 @@ re-assembly.  The Sherman-Morrison denominator 1 - w^T T^-1 u is
 det J / det T, and T's diagonal is positive, so its sign is the sign of
 det J.
 
-Newton starts from one seed, Petviashvili's iteration from phi1; where
-several positive solutions exist, the one it reaches is returned.
+Newton starts from one seed, Petviashvili's iteration from phi1 (of several
+positive solutions, it returns the one it reaches); both stop by ``settled``.
 
 A solution is nondegenerate when the linearized problem has only the trivial
 solution; numerically that is a positive smallest singular value of
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import lu_factor, solve_triangular  # noqa: F401
 
 from .errors import ConvergenceError, DegeneratePointError, HypothesisError
-from .grid import GridFunction
+from .grid import RTOL, GridFunction, settled
 from .kernel import check_order, separable_hat_integrals
 from .operator import assemble
 
@@ -50,9 +50,8 @@ MARGIN_REL_THRESHOLD = 1e-6
 # stop: a Ritz residual at most this share of the Ritz value
 MARGIN_MAXIT = 50
 MARGIN_RTOL = 1e-10
-# Petviashvili seed of find_positive_solution: step cap and relative stop
+# step cap of the Petviashvili seed of find_positive_solution
 PETVIASHVILI_MAXIT = 500
-PETVIASHVILI_RTOL = 1e-9
 # rows of T built per block, so the block's three passes stay in cache
 _ROW_BLOCK = 64
 
@@ -62,7 +61,7 @@ class NewtonReport:
     solution: GridFunction
     residual: float
     iterations: int
-    converged: bool         # residual below tol AND positive interior
+    converged: bool         # settled at tol AND positive interior
     positive: bool
 
 
@@ -212,11 +211,13 @@ def _top_eigenvalue(jac, maxit):
     return float(theta[-1]), maxit, False
 
 
-def newton_solve(A, f, u0, tol=1e-10, maxit=50):
+def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     """Damped Newton iteration on the discrete fixed-point equation.
 
     Steps are halved (up to 30 times) until the sup-norm residual decreases.
-    ``converged`` additionally requires interior positivity, so a run that
+    It stops once ``settled`` at ``tol``, rho the residual ratio of a step
+    and the norm the largest sup norm so far, so that a collapse onto zero
+    stops.  ``converged`` also requires interior positivity, so a run that
     collapses onto the trivial solution comes back with ``converged=False``
     and ``positive=False`` rather than an exception.  A residual that is
     not finite ends the iteration with ``ConvergenceError``; a Jacobian
@@ -230,10 +231,11 @@ def newton_solve(A, f, u0, tol=1e-10, maxit=50):
     u = u0.values.copy()
     res_vec = _residual(A, f, u)
     res = float(np.max(np.abs(res_vec)))
-    it = 0
+    norm = float(np.max(np.abs(u)))
+    it, done = 0, res == 0.0        # a zero residual gives a zero step
     factors = _separable_factors(A)
     norm1 = _norm1(A)
-    while np.isfinite(res) and res >= tol and it < maxit:
+    while np.isfinite(res) and not done and it < maxit:
         it += 1
         fp = _fprime(f, u)
         jac = None          # free the last split before building the next
@@ -262,8 +264,10 @@ def newton_solve(A, f, u0, tol=1e-10, maxit=50):
             raise ConvergenceError(
                 "damped Newton step failed to reduce the residual",
                 last=GridFunction(A.mesh, u), iterations=it, residual=res)
+        norm = max(norm, float(np.max(np.abs(u_try))))
+        done = settled(lam * np.max(np.abs(step)), res_try / res, norm, tol)
         u, res_vec, res = u_try, res_try_vec, res_try
-    if not res < tol:
+    if not done:
         raise ConvergenceError(
             f"Newton did not reach tolerance {tol} in {maxit} iterations",
             last=GridFunction(A.mesh, u), iterations=it, residual=res)
@@ -301,7 +305,7 @@ def nondegeneracy(A, f, u):
 
 
 def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
-                   min_step=1e-5, tol=1e-10):
+                   min_step=1e-5, tol=RTOL):
     """Predictor-corrector continuation of a nondegenerate solution in alpha.
 
     The predictor is the previous solution (order zero); the corrector is a
@@ -363,7 +367,7 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
     return ContinuationTrace(steps=tuple(steps), status=status)
 
 
-def _petviashvili_seed(A, f, phi):
+def _petviashvili_seed(A, f, phi, tol):
     """Petviashvili's normalized iteration from ``phi``.
 
     u <- M^gamma T f(u), M = <u, u> / <u, T f(u)>, gamma = d / (d - 1), d the
@@ -371,25 +375,25 @@ def _petviashvili_seed(A, f, phi):
     f never passes the superlinear ratio check); Petviashvili 1976, Pelinovsky
     & Stepanyants, SIAM J. Numer. Anal. 42, 2004.  M^gamma, 1 at a solution,
     cancels the growth that makes Picard iteration on a superlinear f diverge
-    or collapse.  Returns (iterate, steps, last relative step) once a sup-norm
-    step is at most ``PETVIASHVILI_RTOL`` of the sup norm, or after
-    ``PETVIASHVILI_MAXIT`` steps.
+    or collapse.  Returns (iterate, steps, last relative step) once
+    ``settled`` at relative tolerance ``tol``, or after ``PETVIASHVILI_MAXIT``
+    steps.
     """
     d = f.params["p"] if f.kind == "power" else f.params["q"]
     gam = d / (d - 1.0)
-    u = phi
-    for steps in range(1, PETVIASHVILI_MAXIT + 1):
-        image = A.nonlinear_image(f, u)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    u, step = phi, np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for steps in range(1, PETVIASHVILI_MAXIT + 1):
+            image = A.nonlinear_image(f, u)
             new = (np.dot(u, u) / np.dot(u, image)) ** gam * image
-            rel_step = float(np.max(np.abs(new - u)) / np.max(np.abs(new)))
-        u = new
-        if not rel_step > PETVIASHVILI_RTOL:
-            break
-    return u, steps, rel_step
+            last, step = step, np.max(np.abs(new - u))
+            u, norm = new, np.max(np.abs(new))
+            if settled(step, step / last, norm, tol) or not np.isfinite(step):
+                break
+        return u, steps, float(step / norm)
 
 
-def find_positive_solution(A, f, eig, tol=1e-10, maxit=50):
+def find_positive_solution(A, f, eig, tol=RTOL, maxit=50):
     """Locate a positive superlinear solution by Newton from one seed.
 
     The seed is Petviashvili's normalized iteration started at the principal
@@ -405,7 +409,7 @@ def find_positive_solution(A, f, eig, tol=1e-10, maxit=50):
             "superlinear-ratio-condition",
             f"need f(s)/s -> ({lim0}, {liminf}) to straddle lambda1 = "
             f"{eig.lambda1} from below then above")
-    seed, steps, rel_step = _petviashvili_seed(A, f, eig.phi1.values)
+    seed, steps, rel_step = _petviashvili_seed(A, f, eig.phi1.values, tol)
     where = (f"Newton from the Petviashvili seed ({steps} steps, last "
              f"relative step {rel_step:.3e})")
     try:

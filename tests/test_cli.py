@@ -139,6 +139,39 @@ def test_nonexist_command(tmp_path):
                       "final_norm", "residual"]
 
 
+# solutions of sup norm 1e-7 and 1e7-1e20 at the default --tol: an absolute
+# stop ends the monotone iteration short of the solution and puts Newton's
+# stop below its rounding floor
+PROBLEM_200 = ["--weight", "constant:1", "--n", "200"]
+
+
+@pytest.mark.parametrize("alpha", ["1.1", "1.5"])
+def test_solve_sub_meets_the_probe_fixed_point_at_small_norm(tmp_path, alpha):
+    args = ["--alpha", alpha, "--nonlin", "power:1:0.9", *PROBLEM_200]
+    assert main(["solve-sub", *args, "--out", str(tmp_path / "sub")]) == EXIT_OK
+    assert main(["nonexist", *args, "--out", str(tmp_path / "ne")]) == EXIT_OK
+    report = json.loads((tmp_path / "sub" / "solve_report.json").read_text())
+    assert report["from_side"] == "both_agree"
+    fixed = [float(row[5]) for row in _read_csv(tmp_path / "ne" / "trials.csv")
+             if row[3] == "converged"]
+    assert fixed
+    for norm in fixed:
+        assert report["sup_norm"] == pytest.approx(norm, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "2"])
+@pytest.mark.parametrize("p", ["1.05", "1.1"])
+def test_solve_super_converges_at_large_norm(tmp_path, alpha, p):
+    out = tmp_path / "sup"
+    assert main(["solve-super", "--alpha", alpha, "--nonlin", f"power:1:{p}",
+                 *PROBLEM_200, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "newton_report.json").read_text())
+    assert report["converged"] and report["positive"]
+    assert not report["degenerate"]
+    assert report["margin_method"] == "inverse_iteration"
+    assert report["residual"] <= 1e-15 * report["sup_norm"]
+
+
 def test_henon_shoot_command(tmp_path):
     out = tmp_path / "shoot"
     rc = main(["henon-shoot", "--l", "4", "--p", "2", "--zeta", "1",
@@ -260,8 +293,21 @@ def test_config_file_with_flag_override(tmp_path):
     {"command": "eig", "problem": ["alpha", 2]},
     {"command": "bounds", "output": 5,
      "problem": {"alpha": 1.5, "weight": "constant:1"}},
+    {"command": "eig", "problem": {"alpha": 2, "weight": "constant:1"},
+     "numerics": {"n": 40.9}},
+    {"command": "eig", "problem": {"alpha": 2, "weight": "constant:1"},
+     "numerics": {"maxit": True}},
+    {"command": "nonexist", "problem": {"alpha": 2, "weight": "constant:1",
+                                        "nonlinearity": "power:1:1"},
+     "numerics": {"trials": 2.5}},
+    {"command": "henon-shoot", "numerics": {"scan_points": False}},
+    {"command": "eig", "problem": {"alpha": True, "weight": "constant:1"}},
+    {"command": "eig", "problem": {"alpha": 2, "weight": "constant:1"},
+     "numerics": {"tol": True}},
 ], ids=["json-array", "numerics-not-a-number", "alpha-not-a-number",
-        "unknown-numerics-key", "problem-not-an-object", "output-not-a-string"])
+        "unknown-numerics-key", "problem-not-an-object", "output-not-a-string",
+        "n-fractional", "maxit-boolean", "trials-fractional",
+        "scan-points-boolean", "alpha-boolean", "tol-boolean"])
 def test_unusable_config_file_exits_2(tmp_path, content):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(content))

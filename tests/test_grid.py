@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fracbvp.errors import HypothesisError
-from fracbvp.grid import (GridFunction, Mesh, boundary_weight,
+from fracbvp.grid import (RTOL, GridFunction, Mesh, boundary_weight,
                           default_grading_exponent, make_mesh, norms,
-                          production_mesh)
+                          production_mesh, settled)
 
 
 def test_make_mesh_uniform():
@@ -123,3 +123,33 @@ def test_gridfunction_length_mismatch():
     mesh = make_mesh(10, "uniform")
     with pytest.raises(ValueError):
         GridFunction(mesh, np.zeros(5))
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-6])
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
+def test_settled_stops_a_geometric_sequence_near_its_limit(rho, rtol):
+    # u_k = u* + c rho^k, iterated as a solver would: the stop must land
+    # within rtol ||u*|| of the limit, and not on the first step.  The steps
+    # near the stop, rtol (1 - rho) ||u*||, stay far above rounding here; at
+    # rho = 0.999 and rtol = 1e-12 they are a few ulps and the step ratio is
+    # noise
+    limit = np.linspace(1.0, 2.0, 7)
+    c = np.linspace(-3.0, 5.0, 7)
+    prev, last_step = limit + c, np.nan
+    for k in range(1, 100000):
+        cur = limit + c * rho ** k
+        step = np.max(np.abs(cur - prev))
+        if settled(step, step / last_step, np.max(np.abs(cur)), rtol):
+            break
+        prev, last_step = cur, step
+    assert k > 1
+    assert np.max(np.abs(cur - limit)) <= rtol * np.max(limit)
+
+
+def test_settled_needs_a_ratio_below_one_unless_the_step_is_zero():
+    for step in (1e-300, 1e-20, 1.0):
+        assert not settled(step, np.nan, 1.0, RTOL)    # a first step
+        assert not settled(step, 1.0, 1.0, RTOL)
+        assert not settled(step, 2.0, 1.0, RTOL)
+    assert settled(0.0, np.nan, 1.0, RTOL)
+    assert settled(1e-20, 0.5, 1.0, RTOL)

@@ -5,9 +5,9 @@ import pytest
 
 from fracbvp.errors import ConvergenceError, HypothesisError
 from fracbvp.eigen import principal_eigenpair
-from fracbvp.grid import norms, production_mesh
+from fracbvp.grid import RTOL, norms, production_mesh
 from fracbvp.operator import NonlinearityFamily, assemble
-from fracbvp.sublinear import (FIXED_POINT_RTOL, PROBE_MAXIT, classify_regime,
+from fracbvp.sublinear import (PROBE_MAXIT, classify_regime,
                                find_bracket, monotone_solve,
                                nonexistence_probe)
 
@@ -84,17 +84,17 @@ def test_monotone_solve_uniqueness_witness(alpha, unit_weight):
 
 
 def test_monotone_solve_converging_on_last_sweep_succeeds(unit_weight):
-    # alpha = 1.5, f = sqrt(s), n = 100 converges in 28 sweeps: a budget of
-    # exactly 28 must return that solve, and 27 must not
+    # alpha = 1.5, f = sqrt(s), n = 100 converges in 42 sweeps: a budget of
+    # exactly 42 must return that solve, and 41 must not
     A = assemble(production_mesh(1.5, 100), 1.5, unit_weight)
     bracket = find_bracket(principal_eigenpair(A), SQRT, A)
     free = monotone_solve(bracket, SQRT, A)
-    assert free.iterations == 28
-    exact = monotone_solve(bracket, SQRT, A, maxit=28)
-    assert exact.iterations == 28
+    assert free.iterations == 42
+    exact = monotone_solve(bracket, SQRT, A, maxit=42)
+    assert exact.iterations == 42
     assert np.array_equal(exact.solution.values, free.solution.values)
     with pytest.raises(ConvergenceError):
-        monotone_solve(bracket, SQRT, A, maxit=27)
+        monotone_solve(bracket, SQRT, A, maxit=41)
 
 
 def test_monotone_iterates_stay_ordered(classical, unit_weight):
@@ -176,7 +176,7 @@ def test_probe_flags_borderline(classical, unit_weight):
     assert "borderline" in report.verdict
     for o in report.trials:
         assert o.outcome == "converged"
-        assert o.residual <= FIXED_POINT_RTOL
+        assert o.residual <= RTOL
 
 
 @pytest.mark.parametrize("alpha", (1.5, 2.0))
@@ -200,7 +200,7 @@ def test_probe_converges_to_the_monotone_solution(alpha, unit_weight):
 
 def test_probe_never_calls_slow_decay_a_fixed_point(unit_weight):
     # each step shrinks the iterate by a factor 1 - 1e-9: a relative step
-    # of 1e-9, far above FIXED_POINT_RTOL, for the whole budget
+    # of 1e-9, far above RTOL, for the whole budget
     A = assemble(production_mesh(2.0, 40), 2.0, unit_weight)
     eig = principal_eigenpair(A)
     f = NonlinearityFamily.power(eig.lambda1 * (1.0 - 1e-9), 1.0)

@@ -33,7 +33,9 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # affine_power and Henon-weight ones, a Henon continuation with delta != 0,
 # whose weight kink is not a mesh node, and one run to alpha = 1.9, the only
 # config in reach where Newton fails near the fold and steps are halved, so
-# a change to Newton's guard or stop shows in its halted traces
+# a change to Newton's guard or stop shows in its halted traces; last, a
+# sublinear solution of sup norm 5.5e-7 and a superlinear one of 9.3e19,
+# where an absolute stop ends early or never, so a change to any stop shows
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -49,6 +51,8 @@ FIXED = [
     "henon-continue --l 2 --p 3 --zeta 1.1 --scan-points 200 --target-alpha 1.97 "
     "--n 200",
     "henon-continue --scan-points 200 --target-alpha 1.9",
+    "solve-sub --alpha 1.1 --weight constant:1 --nonlin power:1:0.9 --n 200",
+    "solve-super --alpha 2 --weight constant:1 --nonlin power:1:1.05 --n 200",
 ]
 
 
