@@ -406,6 +406,8 @@ def _cmd_henon_continue(config, outdir, timings):
                     "alpha": step.alpha,
                     "residual": step.residual,
                     "margin": step.margin,
+                    "newton_iterations": step.newton_iterations,
+                    "det_sign": step.det_sign,
                     "sup_norm": float(np.max(np.abs(step.solution.values))),
                 }, sort_keys=True) + "\n")
         end = trace.steps[-1]
@@ -417,6 +419,7 @@ def _cmd_henon_continue(config, outdir, timings):
             "scale_exponent": unit.scale_exponent_used,
             "status": trace.status,
             "steps": len(trace.steps),
+            "rejected_steps": trace.rejected_steps,
             "end_alpha": end.alpha,
             "end_residual": end.residual,
             "end_margin": end.margin,
@@ -558,7 +561,8 @@ def _make_parser():
     parser.add_argument("--scan-points", dest="scan_points")
     parser.add_argument("--target-alpha", dest="target_alpha")
     parser.add_argument("--step", dest="alpha_step",
-                        help="continuation step in alpha")
+                        help="initial continuation step in alpha; it doubles "
+                        "after a corrector of at most 3 Newton iterations")
     parser.add_argument("--min-step", dest="min_step")
     return parser
 

@@ -24,8 +24,9 @@ on J^-1 J^-T through the same solves, relative to ||J||_1, O(m) from A's
 column sums.  Newton's guard takes a few Lanczos steps; the margin runs
 them to convergence, else a dense SVD.  The margin gates predictor-corrector
 continuation in alpha: nondegenerate solutions persist for nearby orders,
-and the trace records each accepted step until the target order, a
-degeneracy, or a failed step floor.  Every solver takes the assembled
+and the sign of det J, which a branch keeps up to a fold, keeps each trace
+on its branch.  The trace records each accepted step until the target
+order, a degeneracy, or a failed step floor.  Every solver takes the assembled
 operator A and reads mesh, order and weight from it.
 """
 
@@ -50,6 +51,9 @@ MARGIN_REL_THRESHOLD = 1e-6
 # stop: a Ritz residual at most this share of the Ritz value
 MARGIN_MAXIT = 50
 MARGIN_RTOL = 1e-10
+# a continuation corrector that converges in at most this many Newton
+# iterations doubles the next alpha step
+EASY_NEWTON = 3
 # step cap of the Petviashvili seed of find_positive_solution
 PETVIASHVILI_MAXIT = 500
 # rows of T built per block, so the block's three passes stay in cache
@@ -72,6 +76,7 @@ class NondegeneracyReport:
     threshold: float
     method: str             # "inverse_iteration" | "svd"
     iterations: int         # inverse-iteration steps taken
+    det_sign: int           # sign of det J: -1, 0 or 1
 
 
 @dataclass(frozen=True)
@@ -80,12 +85,15 @@ class ContinuationStep:
     solution: GridFunction
     residual: float
     margin: float
+    newton_iterations: int  # of the corrector, or of the start's solve
+    det_sign: int
 
 
 @dataclass(frozen=True)
 class ContinuationTrace:
     steps: tuple
     status: str             # "completed" | "halted_degenerate" | "halted_diverged"
+    rejected_steps: int     # correctors that failed or changed sign of det J
 
 
 def _residual(A, f, u):
@@ -286,34 +294,47 @@ def nondegeneracy(A, f, u):
     solved with, or the iteration misses ``MARGIN_RTOL`` in
     ``MARGIN_MAXIT`` steps, it comes from a dense SVD of J instead, and
     ``method`` says which; ``iterations`` counts the inverse-iteration steps.
+    ``det_sign`` is the sign of the split's Sherman-Morrison denominator,
+    or of the dense determinant where the split cannot be solved with.
     """
     fp = _fprime(f, u.values)
     jac = _SplitJacobian(A, fp, _separable_factors(A))
-    converged, steps = False, 0
+    converged, steps, sign = False, 0, None
     if jac.failure is None:
         inv_top, steps, converged = _top_eigenvalue(jac, MARGIN_MAXIT)
+        sign = np.sign(jac.denominator)
     del jac                 # free T before the dense fallback
     if converged:
         method, margin = "inverse_iteration", 1.0 / np.sqrt(inv_top)
     else:
-        svals = np.linalg.svd(_jacobian(A, f, u.values), compute_uv=False)
+        dense = _jacobian(A, f, u.values)
+        svals = np.linalg.svd(dense, compute_uv=False)
         method, margin = "svd", svals[-1]
+        if sign is None:
+            sign = np.linalg.slogdet(dense)[0]
     margin = float(margin)
     thr = MARGIN_REL_THRESHOLD * _norm1(A)(fp)
     return NondegeneracyReport(margin=margin, degenerate=margin < thr,
-                               threshold=thr, method=method, iterations=steps)
+                               threshold=thr, method=method, iterations=steps,
+                               det_sign=int(sign))
 
 
 def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
                    min_step=1e-5, tol=RTOL):
     """Predictor-corrector continuation of a nondegenerate solution in alpha.
 
-    The predictor is the previous solution (order zero); the corrector is a
-    Newton solve at the shifted order.  Failed correctors halve the step and
-    the trace halts ``halted_diverged`` below ``min_step``; a degenerate
-    margin (see ``nondegeneracy``) halts ``halted_degenerate``.  Every accepted step is
-    positive at interior nodes.  ``A0`` is the operator at the starting
-    order on the starting solution's mesh; each step reassembles its weight.
+    The first predictor is the start itself (order zero), each later one the
+    secant through the last two accepted solutions, extended by the ratio of
+    the new alpha step to the last; the corrector is a Newton solve at the
+    shifted order (Allgower & Georg 1990, ch. 2).  ``initial_step`` doubles
+    after a corrector that took at most ``EASY_NEWTON`` iterations.  A
+    corrector that fails, or whose sign of det J differs from the last
+    accepted step's (a jump to another branch, across a fold), is rejected
+    and halves the step; the trace halts ``halted_diverged`` below
+    ``min_step``.  A degenerate margin (see ``nondegeneracy``) halts
+    ``halted_degenerate``.  Every accepted step is positive at interior
+    nodes.  ``A0`` is the operator at the starting order on the starting
+    solution's mesh; each step reassembles its weight.
     """
     alpha0 = A0.alpha
     target_alpha = check_order(target_alpha)
@@ -335,36 +356,49 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
             "continuation-start", "starting solution is degenerate")
 
     steps = [ContinuationStep(alpha=alpha0, solution=start.solution,
-                              residual=start.residual, margin=nd0.margin)]
+                              residual=start.residual, margin=nd0.margin,
+                              newton_iterations=start.iterations,
+                              det_sign=nd0.det_sign)]
     direction = 1.0 if target_alpha >= alpha0 else -1.0
-    cur_alpha, cur_u = alpha0, start.solution
-    status = "completed"
-    while cur_alpha != target_alpha:
-        next_alpha = cur_alpha + direction * step
+    status, rejected = "completed", 0
+    while steps[-1].alpha != target_alpha:
+        cur = steps[-1]
+        next_alpha = cur.alpha + direction * step
         if direction * (next_alpha - target_alpha) > 0.0 or (
                 abs(next_alpha - target_alpha) < 1e-9):
             next_alpha = target_alpha
-        accepted = False
+        guess = cur.solution
+        if len(steps) > 1:
+            prev = steps[-2]
+            ratio = (next_alpha - cur.alpha) / (cur.alpha - prev.alpha)
+            guess = GridFunction(mesh, cur.solution.values + ratio * (
+                cur.solution.values - prev.solution.values))
+        rep = nd = None
         try:
             A = assemble(mesh, next_alpha, A0.weight)
-            rep = newton_solve(A, f, cur_u, tol=tol)
-            accepted = rep.converged
+            rep = newton_solve(A, f, guess, tol=tol)
         except (ConvergenceError, DegeneratePointError):
-            accepted = False
-        if accepted:
+            pass
+        if rep is not None and rep.converged:
             nd = nondegeneracy(A, f, rep.solution)
-            if nd.degenerate:
-                status = "halted_degenerate"
-                break
-            steps.append(ContinuationStep(alpha=next_alpha, solution=rep.solution,
-                                          residual=rep.residual, margin=nd.margin))
-            cur_alpha, cur_u = next_alpha, rep.solution
-        else:
+        if nd is None or nd.det_sign != cur.det_sign:
+            rejected += 1
             step *= 0.5
             if step < min_step:
                 status = "halted_diverged"
                 break
-    return ContinuationTrace(steps=tuple(steps), status=status)
+            continue
+        if nd.degenerate:
+            status = "halted_degenerate"
+            break
+        steps.append(ContinuationStep(alpha=next_alpha, solution=rep.solution,
+                                      residual=rep.residual, margin=nd.margin,
+                                      newton_iterations=rep.iterations,
+                                      det_sign=nd.det_sign))
+        if rep.iterations <= EASY_NEWTON:
+            step *= 2.0
+    return ContinuationTrace(steps=tuple(steps), status=status,
+                             rejected_steps=rejected)
 
 
 def _petviashvili_seed(A, f, phi, tol):

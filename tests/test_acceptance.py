@@ -289,7 +289,8 @@ def test_determinant_sign_matches_morse_parity(henon_crossings,
     from fracbvp.superlinear import (_SplitJacobian, _fprime,
                                      _separable_factors)
     f = NonlinearityFamily.power(1.0, 2.0)
-    A2 = assemble(multiplicity_traces["mesh"], 2.0, HENON_WEIGHT)
+    mesh = multiplicity_traces["mesh"]
+    A2 = assemble(mesh, 2.0, HENON_WEIGHT)
     signs = []
     for record, trace in zip(henon_crossings[:3], multiplicity_traces["traces"]):
         u = trace.steps[0].solution.values
@@ -297,6 +298,14 @@ def test_determinant_sign_matches_morse_parity(henon_crossings,
         assert jac.failure is None
         signs.append(float(np.sign(jac.denominator)))
         assert signs[-1] == (-1.0) ** record.morse_index
+        # along the trace no step may cross det J = 0: each recorded sign,
+        # and the sign of the dense det(I - A diag 2u) at the step's order,
+        # stays the start's
+        for step in trace.steps:
+            assert step.det_sign == signs[-1]
+            A = assemble(mesh, step.alpha, HENON_WEIGHT)
+            jac = np.eye(len(u)) - A.matrix * (2.0 * step.solution.values)
+            assert np.linalg.slogdet(jac)[0] == signs[-1]
     assert signs == [-1.0, 1.0, -1.0]
 
 

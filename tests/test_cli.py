@@ -211,7 +211,12 @@ def test_henon_continue_command(tmp_path):
         assert trace["status"] == "completed"
         assert trace["end_alpha"] == 1.99
         assert trace["scale_exponent"] == 6.0
-        assert (out / f"trace_{k}.jsonl").exists()
+        rows = [json.loads(line) for line in
+                (out / f"trace_{k}.jsonl").read_text().splitlines()]
+        assert len(rows) == trace["steps"]
+        assert all(row["newton_iterations"] >= 1 for row in rows)
+        assert {row["det_sign"] for row in rows} in ({-1}, {1})
+        assert trace["rejected_steps"] >= 0
         assert _read_csv(out / f"endpoint_{k}.csv")[0] == ["t", "value"]
     seps = summary["pairwise_sup_distances"]
     assert all(seps[i][j] > 0.01 for i in range(3) for j in range(3) if i != j)

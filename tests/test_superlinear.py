@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracbvp.cli import main as cli_main
 from fracbvp.errors import ConvergenceError, HypothesisError
 from fracbvp.eigen import principal_eigenpair
 from fracbvp.grid import GridFunction, make_mesh, norms, production_mesh
@@ -165,6 +168,70 @@ def test_continuation_trace_invariants(classical_solution, unit_weight):
     assert max(sups) < 100.0 * scale
 
 
+def test_continuation_step_doubling_stays_on_branch(classical_solution,
+                                                    unit_weight):
+    # fixed steps of 0.01 take 4 to reach 1.96; doubled after easy correctors
+    # they take fewer, and the secant-predicted endpoint is the solution a
+    # direct Newton solve at 1.96 reaches from the start
+    mesh, start = classical_solution
+    trace = continue_alpha(start, assemble(mesh, 2.0, unit_weight), 1.96,
+                           SQUARE, initial_step=0.01)
+    assert trace.status == "completed"
+    assert trace.rejected_steps == 0
+    assert len(trace.steps) - 1 < 4
+    assert {s.det_sign for s in trace.steps} == {trace.steps[0].det_sign}
+    end = trace.steps[-1].solution.values
+    direct = newton_solve(assemble(mesh, 1.96, unit_weight), SQUARE,
+                          start.solution)
+    assert np.max(np.abs(end - direct.solution.values)) <= (
+        1e-9 * np.max(np.abs(end)))
+
+
+def test_continuation_rejects_a_change_of_det_sign(classical_solution,
+                                                   unit_weight, monkeypatch):
+    # a corrector that lands on another branch shows it by the sign of det J;
+    # flip the first corrector's sign and that step must be rejected, halved
+    # and retried, with the rest of the trace on the start's sign
+    import fracbvp.superlinear as superlinear
+    mesh, start = classical_solution
+    nondegeneracy_of, orders = superlinear.nondegeneracy, []
+
+    def flip_first_corrector(A, f, u):
+        report = nondegeneracy_of(A, f, u)
+        orders.append(A.alpha)
+        if len(orders) == 2:
+            return dataclasses.replace(report, det_sign=-report.det_sign)
+        return report
+
+    monkeypatch.setattr(superlinear, "nondegeneracy", flip_first_corrector)
+    trace = continue_alpha(start, assemble(mesh, 2.0, unit_weight), 1.98,
+                           SQUARE, initial_step=0.01)
+    assert trace.status == "completed"
+    assert trace.rejected_steps == 1
+    assert orders[:3] == [2.0, 1.99, 1.995]
+    assert trace.steps[1].alpha == 1.995
+    assert {s.det_sign for s in trace.steps} == {trace.steps[0].det_sign}
+
+
+def test_continuation_halts_at_the_fold_on_one_branch(tmp_path):
+    # the index-1 and index-2 Henon solutions meet in a fold near
+    # alpha = 1.933; a step that doubles towards it must not land on the
+    # other branch, whose det J has the opposite sign
+    out = tmp_path / "fold"
+    assert cli_main(["henon-continue", "--scan-points", "200",
+                     "--target-alpha", "1.9", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    signs = []
+    for k, trace in enumerate(summary["traces"][:2]):
+        assert trace["status"] == "halted_diverged"
+        assert 1.93 < trace["end_alpha"] < 1.94
+        assert trace["rejected_steps"] > 0
+        rows = [json.loads(line) for line in
+                (out / f"trace_{k}.jsonl").read_text().splitlines()]
+        signs.append({row["det_sign"] for row in rows})
+    assert signs == [{-1}, {1}]
+
+
 def test_continuation_pushed_far_reports_diagnostics(unit_weight):
     # pushing well below the starting order must end gracefully: either the
     # branch survives or the trace halts with its status and margins intact
@@ -294,6 +361,7 @@ def test_margin_matches_svd(problem):
     assert report.method == "inverse_iteration"
     assert 1 <= report.iterations
     assert abs(report.margin - svals[-1]) / svals[-1] < 1e-8
+    assert report.det_sign == np.linalg.slogdet(_jacobian(A, f, u))[0]
     assert report.threshold == pytest.approx(
         1e-6 * np.linalg.norm(_jacobian(A, f, u), 1), rel=1e-8)
 
@@ -308,6 +376,25 @@ def test_margin_iteration_cap_falls_back_to_svd(monkeypatch):
     assert report.method == "svd"
     assert report.iterations == 1
     assert report.margin == float(svals[-1])
+
+
+def test_margin_without_a_split_takes_the_dense_determinant(monkeypatch):
+    # where the split cannot be solved with, its Sherman-Morrison
+    # denominator says nothing, so the sign of det J comes from the dense J
+    from fracbvp import superlinear
+    from fracbvp.superlinear import _jacobian
+
+    class Unsolvable(superlinear._SplitJacobian):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.denominator, self.failure = np.nan, "cannot be solved with"
+
+    monkeypatch.setattr(superlinear, "_SplitJacobian", Unsolvable)
+    for problem in CRITERION_11:
+        A, f, u = _problem(*problem)
+        report = nondegeneracy(A, f, GridFunction(A.mesh, u))
+        assert (report.method, report.iterations) == ("svd", 0)
+        assert report.det_sign == np.linalg.slogdet(_jacobian(A, f, u))[0]
 
 
 @pytest.mark.parametrize("problem", CRITERION_11)

@@ -11,8 +11,11 @@ workloads of ``perfbench/workloads.py`` for each seed (comma list, default
 For each run that differs it prints, per output file, the largest relative
 difference among the file's numeric tokens, and flags every changed token
 that is not a float: a changed exit code, word (a status, a verdict) or
-integer (a count), or a file only one tree wrote.  A float printed without
-a fraction (``2``) counts as an integer only if its new value prints so too.
+integer (a count), or a file only one tree wrote.  A file whose count of
+numbers changed is flagged with both line counts and the largest relative
+difference of its last lines (per key on the keys both hold, for JSON rows),
+which for a trace is its endpoint.  A float printed without a fraction
+(``2``) counts as an integer only if its new value prints so too.
 """
 
 import importlib.util
@@ -94,11 +97,34 @@ def outputs(rundir):
     return files
 
 
+def last_line_drift(old, new):
+    """Largest relative difference of the two texts' last lines, per key for
+    JSON objects (on the keys both hold), else over all their numbers."""
+    a, b = (text.rstrip("\n").rsplit("\n", 1)[-1] for text in (old, new))
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except ValueError:
+        x = y = None
+    if isinstance(x, dict) and isinstance(y, dict):
+        return ", ".join(
+            f"{k} {compare(json.dumps(x[k]), json.dumps(y[k]))[0]:.3g}"
+            for k in sorted(x.keys() & y.keys()))
+    if len(NUMBER.split(a)) != len(NUMBER.split(b)):
+        return "with different number counts"
+    return f"{compare(a, b)[0]:.3g}"
+
+
 def compare(old, new):
-    """(largest relative difference of the float tokens, changed others)."""
+    """(largest relative difference of the float tokens, changed others).
+
+    Texts with different number counts (a trace with fewer rows, a row with
+    more keys) compare only their last lines, a trace's endpoint.
+    """
     a, b = NUMBER.split(old), NUMBER.split(new)
     if len(a) != len(b):
-        return 0.0, [f"{len(a) // 2} numbers -> {len(b) // 2}"]
+        return 0.0, [f"{len(a) // 2} numbers -> {len(b) // 2}, "
+                     f"{old.count(chr(10))} lines -> {new.count(chr(10))}, "
+                     f"last lines differ by {last_line_drift(old, new)}"]
     worst, flagged = 0.0, []
     for k, (x, y) in enumerate(zip(a, b)):
         if x == y:
