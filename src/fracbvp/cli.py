@@ -185,19 +185,19 @@ def _typed_config(config):
     return typed
 
 
-def _build_mesh(numerics, alpha, weight):
+def _build_mesh(numerics, alpha):
     grading, exponent = numerics["grading"], numerics["exponent"]
     if grading != "graded" and exponent is not None:
         raise HypothesisError(
             "mesh-grading", "--exponent applies only to --grading graded")
     if grading == "auto":
-        return production_mesh(alpha, n=numerics["n"], weight=weight)
+        return production_mesh(alpha, n=numerics["n"])
     if grading not in ("uniform", "graded"):
         raise HypothesisError("mesh-size", f"unknown grading {grading!r}")
     if grading == "graded" and exponent is None:
         raise HypothesisError("mesh-size",
                               "graded meshes need an explicit exponent")
-    return make_mesh(numerics["n"], grading, exponent).with_kinks(weight)
+    return make_mesh(numerics["n"], grading, exponent)
 
 
 # how each field of the problem section is read and checked
@@ -207,12 +207,11 @@ _PROBLEM_READERS = {"alpha": check_order, "weight": parse_weight,
 
 def _problem_data(config, fields=("alpha", "weight", "nonlinearity", "mesh")):
     """The named problem fields, read and checked in order; ``"mesh"`` (after
-    alpha and weight) is the solver mesh, built only for commands naming it."""
+    alpha) is the solver mesh, built only for commands naming it."""
     data = {}
     for key in fields:
         if key == "mesh":
-            data[key] = _build_mesh(config["numerics"], data["alpha"],
-                                    data["weight"])
+            data[key] = _build_mesh(config["numerics"], data["alpha"])
         elif key not in config["problem"]:
             raise HypothesisError("problem-spec",
                                   f"the problem needs a {key!r} field")
@@ -379,7 +378,7 @@ def _cmd_henon_continue(config, outdir, timings):
     zeta = numerics["zeta"]
     delta, weight, f = unit_problem(zeta, params)
     target = check_order(numerics["target_alpha"])
-    mesh = _build_mesh(numerics, target, weight)
+    mesh = _build_mesh(numerics, target)
     tol = numerics["tol"]
     t0 = time.perf_counter()
     # every seed starts at order 2 on the same mesh: assemble that once,
@@ -395,7 +394,7 @@ def _cmd_henon_continue(config, outdir, timings):
                "seeds": len(seeds), "traces": []}
     endpoints = []
     for k, record in enumerate(seeds):
-        unit = rescale_to_unit(record, zeta, params, mesh)
+        unit = rescale_to_unit(record, zeta, params, A2.mesh)
         start = newton_solve(A2, f, unit.profile, tol=tol)
         trace = continue_alpha(start, A2, target, f,
                                initial_step=numerics["alpha_step"],

@@ -143,8 +143,7 @@ def sweep_alpha(alphas, h, n=400, tol=1e-10, maxit=10000):
     """
     rows = []
     for alpha in sorted(float(a) for a in alphas):
-        mesh = production_mesh(alpha, n=n, weight=h)
-        A = assemble(mesh, alpha, h)
+        A = assemble(production_mesh(alpha, n=n), alpha, h)
         eig = principal_eigenpair(A, tol=tol, maxit=maxit)
         bounds = lambda1_bounds(alpha, h)
         rows.append(SweepRow(alpha=alpha, lambda1=eig.lambda1,

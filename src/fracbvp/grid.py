@@ -119,10 +119,10 @@ def default_grading_exponent(alpha):
     return min(3.0, max(1.0, 2.0 / (alpha - 1.0)))
 
 
-def production_mesh(alpha, n=400, weight=None):
-    """Default solver mesh: graded toward t = 0, weight kinks inserted."""
-    mesh = make_mesh(n, "graded", default_grading_exponent(alpha))
-    return mesh if weight is None else mesh.with_kinks(weight)
+def production_mesh(alpha, n=400):
+    """Default solver mesh: graded toward t = 0 (``assemble`` inserts the
+    weight's kinks)."""
+    return make_mesh(n, "graded", default_grading_exponent(alpha))
 
 
 class GridFunction:

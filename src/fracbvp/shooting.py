@@ -7,11 +7,12 @@ for many betas at once as lanes of one NumPy pass.  A lane can carry the
 variational solution w (the same equation linearized along u, with
 w(-1) = 0, w'(-1) = 1) and keep its steps' dense coefficients as a
 ``Trajectory``.  The first zero z(beta) of u is found by bisecting the
-quartic of the step over which u turns nonpositive.  The derivative of the
-shooting map is z'(beta) = -w(z)/u'(z), the Morse index of the
-boundary-value solution on (-1, z) equals the number of zeros of w inside
-the interval, and the solution is nondegenerate exactly when w(z) is
-nonzero.
+quartic of the step over which u turns nonpositive; every such shot has
+the horizon ``X_MAX``, and a slope whose u has no zero before it raises
+``HorizonError``.  The derivative of the shooting map is
+z'(beta) = -w(z)/u'(z), the Morse index of the boundary-value solution on
+(-1, z) equals the number of zeros of w inside the interval, and the
+solution is nondegenerate exactly when w(z) is nonzero.
 
 ``find_crossings`` shoots every beta of its log-spaced scan as a lane of
 one pass of u alone.  ``polish_crossings`` then runs a safeguarded Newton
@@ -37,9 +38,9 @@ from .operator import NonlinearityFamily, WeightFamily
 
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
-X_MAX_DEFAULT = 100.0
-X_MAX_CAP = 1e5
-ZPRIME_DEGENERATE = 1e-6
+# the horizon of every shot; a lane stops at its zero, so a far horizon
+# costs nothing (the farthest zero the benchmark's scans reach is 24.8)
+X_MAX = 25600.0
 WSIGN_REL_THRESHOLD = 1e-6
 POLISH_TOL = 1e-9           # |z(beta) - zeta| of a polished crossing
 MAX_POLISH_SHOTS = 50      # shots per bracket of the Newton polish
@@ -116,7 +117,9 @@ class ShootingRecord:
 
     @property
     def degenerate(self):
-        return abs(self.z_prime) < ZPRIME_DEGENERATE
+        """w(z) = 0 relative to max |w|: the solution on (-1, z) is
+        degenerate."""
+        return self.w_end_sign == "zero-ish"
 
 
 @dataclass(frozen=True)
@@ -180,8 +183,9 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
     chosen again there, so the scheme keeps its order.  |u|^(p-1) u keeps
     negative excursions defined.  With ``to_zero`` a lane ends at the first
     downward zero z of u: the first step over which u goes from >= 0 to
-    <= 0, bisected on its quartic; z is NaN where u has none before
-    ``x_max``.  Otherwise every lane runs to ``x_max`` and z is all NaN.
+    <= 0, bisected on its quartic, and ``HorizonError`` names the first
+    beta whose u has none before ``x_max``.  Otherwise every lane runs to
+    ``x_max`` and z is all NaN.
     ``trajectories`` holds a ``Trajectory`` per lane if ``dense``, else it
     is None.
     """
@@ -284,6 +288,9 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
         i, lo, hi, u0, q = (np.concatenate(e, axis=-1) for e in zip(*events))
         z[i] = _bisect(lambda x: _quartic(u0, hi - lo, q, (x - lo) / (hi - lo)),
                        lo, hi)
+    if to_zero and np.isnan(z).any():
+        raise HorizonError(f"u(., beta={betas[np.isnan(z)][0]}) has no zero "
+                           f"before x_max={x_max}")
     if not dense:
         return z, None
     i, start, length, state, coef = (np.concatenate(s, axis=-1)
@@ -293,42 +300,18 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
                           coef[..., i == k], x_end[k]) for k in range(n)]
 
 
-def _shots(betas, params, x_max, enlarge=True, **options):
-    """``(z, trajectories, horizon)`` of ``_lanes`` with z found for every
-    beta: a lane whose u has no zero before ``x_max`` runs again with a 4x
-    larger horizon, and ``HorizonError`` is raised past ``X_MAX_CAP`` (at
-    once, unless ``enlarge``).  ``horizon`` is the largest one any lane
-    needed."""
-    betas = np.asarray(betas, dtype=float)
-    z, trajs = _lanes(betas, params, x_max, **options)
-    miss = np.isnan(z)
-    while np.any(miss):
-        if not enlarge or 4.0 * x_max > X_MAX_CAP:
-            raise HorizonError(f"u(., beta={betas[miss][0]}) has no zero "
-                               f"before x_max={x_max}")
-        x_max *= 4.0
-        z[miss], again = _lanes(betas[miss], params, x_max, **options)
-        if trajs is not None:
-            for k, traj in zip(np.flatnonzero(miss), again):
-                trajs[k] = traj
-        miss = np.isnan(z)
-    return z, trajs, x_max
-
-
 def ivp_integrate(beta, params, x_max, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
     """Dense trajectory of (u, u', w, w') up to ``x_max``, through any zero."""
     return _lanes([beta], params, x_max, variational=True, dense=True,
                   to_zero=False, rtol=rtol, atol=atol)[1][0]
 
 
-def first_zero(beta, params, x_max=X_MAX_DEFAULT, rtol=RTOL_DEFAULT,
-               atol=ATOL_DEFAULT):
+def first_zero(beta, params, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
     """Smallest zero z(beta) of u(., beta) in (-1, infinity), from a shot of
     u alone.  Raises ``HorizonError`` when no sign change occurs before
-    ``x_max``; the caller is expected to enlarge the horizon.
+    ``X_MAX``.
     """
-    return float(_shots([beta], params, x_max, enlarge=False, rtol=rtol,
-                        atol=atol)[0][0])
+    return float(_lanes([beta], params, X_MAX, rtol=rtol, atol=atol)[0][0])
 
 
 def _count_zeros(traj):
@@ -380,15 +363,14 @@ def _record(beta, traj):
                           w_end_sign=sign, z_prime=-w_end / up, trajectory=traj)
 
 
-def crossing_record(beta, params, x_max=X_MAX_DEFAULT):
+def crossing_record(beta, params):
     """The ``ShootingRecord`` of slope ``beta``: z, the Morse index, the sign
     of w(z) and z'(beta), all from one shot of u and w."""
-    trajs = _shots([beta], params, x_max, enlarge=False, variational=True,
-                   dense=True)[1]
+    trajs = _lanes([beta], params, X_MAX, variational=True, dense=True)[1]
     return _record(beta, trajs[0])
 
 
-def polish_crossings(brackets, zeta, params, x_max=X_MAX_DEFAULT):
+def polish_crossings(brackets, zeta, params):
     """The ``ShootingRecord`` of a root of g = z - zeta in each bracket
     (lo, g(lo), hi, g(hi)) of the scan, polished to |g| <= ``POLISH_TOL``.
 
@@ -418,8 +400,7 @@ def polish_crossings(brackets, zeta, params, x_max=X_MAX_DEFAULT):
                 iterations=shots, residual=abs(last[i]))
         shots += 1
         betas = np.exp(s[todo])
-        z, trajs, x_max = _shots(betas, params, x_max, variational=True,
-                                 dense=True)
+        z, trajs = _lanes(betas, params, X_MAX, variational=True, dense=True)
         for i, beta, g, traj in zip(todo, betas, z - zeta, trajs):
             if abs(g) <= POLISH_TOL:
                 records[i] = _record(beta, traj)
@@ -457,12 +438,11 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
             "shooting-range", f"scan_points must lie in [2, {MAX_SCAN_POINTS}], "
             f"got {scan_points}")
     betas = np.geomspace(beta_range[0], beta_range[1], scan_points)
-    zs, _, horizon = _shots(betas, params, X_MAX_DEFAULT)
-    g = zs - zeta
+    g = _lanes(betas, params, X_MAX)[0] - zeta
     i = np.flatnonzero((g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0))
     j = np.where(g[i] == 0.0, i, i + 1)     # a scan point on the root
     return polish_crossings(np.column_stack((betas[i], g[i], betas[j], g[j])),
-                            zeta, params, horizon)
+                            zeta, params)
 
 
 def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
@@ -472,8 +452,8 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
     E = (l+2)/(p-1), the exponent that direct substitution of the change of
     variables forces, and solves the problem ``unit_problem(zeta, params)``
     builds.  It is sampled from the record's trajectory, which ends at its
-    zero z.  The profile lives on ``mesh`` with the weight kink inserted.
-    It is accepted when the relative residual of the discrete integral
+    zero z.  The profile lives on ``mesh``, the operator's (``A.mesh``, where
+    ``assemble`` inserted the weight kink).  It is accepted when the relative residual of the discrete integral
     equation on the uniform check mesh (kink inserted) is below
     ``residual_tol``; ``ScalingError`` surfaces the discrepancy otherwise.
     The check is at order 2, where the product-integration image is an O(n)
@@ -503,8 +483,7 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
             f"scale exponent {exponent:g} does not reproduce the unit-interval "
             f"equation within {residual_tol:g}: residual {rel:g}",
             exponent=exponent, residual=rel)
-    profile_mesh = mesh.with_kinks(weight)
-    return UnitSolution(profile=GridFunction(profile_mesh, sample(profile_mesh)),
+    return UnitSolution(profile=GridFunction(mesh, sample(mesh)),
                         scale_exponent_used=exponent)
 
 

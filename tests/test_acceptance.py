@@ -70,7 +70,7 @@ def test_criterion_03_bound_containment():
     detail = []
     for h, label in ((UNIT, "const"), (HENON_WEIGHT, "henon")):
         for alpha in (1.1, 1.25, 1.5, 1.75, 2.0):
-            mesh = production_mesh(alpha, 800, weight=h)
+            mesh = production_mesh(alpha, 800)
             eig = principal_eigenpair(assemble(mesh, alpha, h))
             b = lambda1_bounds(alpha, h)
             contained = (b.lower + 1e-6 <= eig.lambda1 <= b.upper - 1e-6)
@@ -167,12 +167,12 @@ def test_criterion_06_sublinear_uniqueness_witness(sublinear_solutions):
 def multiplicity_traces(henon_params, henon_crossings):
     f = NonlinearityFamily.power(1.0, 2.0)
     t0 = time.perf_counter()
-    mesh = production_mesh(1.95, 400, weight=HENON_WEIGHT)
+    mesh = production_mesh(1.95, 400)
     A2 = assemble(mesh, 2.0, HENON_WEIGHT)
     traces = []
     units = []
     for record in henon_crossings[:3]:
-        unit = rescale_to_unit(record, 1.0, henon_params, mesh)
+        unit = rescale_to_unit(record, 1.0, henon_params, A2.mesh)
         start = newton_solve(A2, f, unit.profile, tol=1e-10)
         trace = continue_alpha(start, A2, 1.95, f,
                                initial_step=0.005, tol=1e-10)
@@ -323,7 +323,7 @@ def test_criterion_11_jacobian_consistency():
     ok = True
     worst = 0.0
     for alpha, h, f, seed in problems:
-        mesh = production_mesh(alpha, 400, weight=h)
+        mesh = production_mesh(alpha, 400)
         A = assemble(mesh, alpha, h)
         u = seed(A.mesh.nodes)
         u[0] = u[-1] = 0.0

@@ -90,7 +90,7 @@ def test_quadrature_helper_exactness():
 @pytest.mark.parametrize("weight_spec", ("constant", "henon"))
 def test_bound_containment(alpha, weight_spec, unit_weight):
     h = unit_weight if weight_spec == "constant" else WeightFamily.power_offset(4.0, 0.5)
-    mesh = production_mesh(alpha, 400, weight=h)
+    mesh = production_mesh(alpha, 400)
     eig = principal_eigenpair(assemble(mesh, alpha, h))
     b = lambda1_bounds(alpha, h)
     assert b.lower + 1e-6 <= eig.lambda1 <= b.upper - 1e-6

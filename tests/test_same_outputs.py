@@ -1,0 +1,53 @@
+"""``tools/same_outputs.py`` flags changed words in JSON outputs whose count
+of numbers changed too, where its token-by-token comparison cannot align
+them."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SAME_OUTPUTS_PY = Path(__file__).resolve().parents[1] / "tools/same_outputs.py"
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  SAME_OUTPUTS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _summary(statuses, rejected=None):
+    traces = [{"beta": 10.0 + k, "status": status, "steps": 12}
+              for k, status in enumerate(statuses)]
+    if rejected is not None:
+        for trace in traces:
+            trace["rejected_steps"] = rejected
+    return json.dumps({"crossings": 3, "traces": traces}, sort_keys=True)
+
+
+def test_changed_status_is_flagged_when_keys_are_added(same_outputs):
+    old = _summary(["completed", "completed", "completed"])
+    new = _summary(["completed", "halted_diverged", "completed"], rejected=0)
+    lines = same_outputs.report(0, {"summary.json": old},
+                                0, {"summary.json": new})
+    flags = [line for line in lines if "FLAG" in line]
+    assert any("numbers" in line for line in flags)
+    status = [line for line in flags if "status:" in line]
+    assert status == ["  FLAG summary.json: traces[1].status: 'completed' "
+                      "-> 'halted_diverged'"]
+
+
+def test_changed_row_word_is_flagged_in_a_shorter_trace(same_outputs):
+    rows = [{"alpha": 2.0 - 0.005 * k, "det_sign": 1, "status": "ok"}
+            for k in range(4)]
+    old = "".join(json.dumps(row) + "\n" for row in rows)
+    rows[1]["status"] = "rejected"
+    new = "".join(json.dumps(row) + "\n" for row in rows[:3])
+    lines = same_outputs.report(0, {"trace_0.jsonl": old},
+                                0, {"trace_0.jsonl": new})
+    assert [line for line in lines if "status:" in line] == [
+        "  FLAG trace_0.jsonl: [1].status: 'ok' -> 'rejected'"]

@@ -32,7 +32,7 @@ def _henon_continue_betas(seed, points=200):
     return np.geomspace(lo, hi, points)
 
 
-def _serial_zero(beta, params, x_max=shooting.X_MAX_DEFAULT):
+def _serial_zero(beta, params, x_max=shooting.X_MAX):
     """z(beta) from scipy's serial RK45 shot of u alone, an oracle for the
     lanes: the same tableau, controller and tolerances, legs split at
     x = 0, and scipy's event locator on the downward zero of u."""
@@ -112,9 +112,8 @@ def test_first_zero_transversal(henon_params):
         z = first_zero(beta, henon_params)
         assert z > -1.0
         # the variational shot, on its own steps, ends at nearly the same zero
-        _, (traj,) = shooting._lanes([beta], henon_params,
-                                     shooting.X_MAX_DEFAULT, variational=True,
-                                     dense=True)
+        _, (traj,) = shooting._lanes([beta], henon_params, shooting.X_MAX,
+                                     variational=True, dense=True)
         assert abs(traj.x_end - z) < 1e-9
         assert traj.du(traj.x_end) < 0.0
         assert abs(traj.u(traj.x_end)) < 1e-11
@@ -127,8 +126,8 @@ def test_first_zero_is_the_dense_shot_zero(henon_params):
     # is needed.
     below = 0
     for beta in np.geomspace(1e-3, 1e3, 25):
-        (z,), (traj,) = shooting._lanes([beta], henon_params,
-                                        shooting.X_MAX_DEFAULT, dense=True)
+        (z,), (traj,) = shooting._lanes([beta], henon_params, shooting.X_MAX,
+                                        dense=True)
         assert first_zero(beta, henon_params) == z == traj.x_end
         lo = z - 1e-6 * (1.0 + abs(z))
         if traj.u(lo) > 0.0 > traj.u(z):
@@ -137,9 +136,10 @@ def test_first_zero_is_the_dense_shot_zero(henon_params):
     assert below >= 5
 
 
-def test_first_zero_horizon_error(henon_params):
-    with pytest.raises(HorizonError):
-        first_zero(1.0, henon_params, x_max=0.2)
+def test_first_zero_horizon_error(henon_params, monkeypatch):
+    monkeypatch.setattr(shooting, "X_MAX", 0.2)
+    with pytest.raises(HorizonError, match=r"beta=1\.0\b"):
+        first_zero(1.0, henon_params)
 
 
 def test_z_bracketing_small_and_large_beta(henon_params):
@@ -173,36 +173,31 @@ def test_scan_lanes_match_first_zero(l, p, seed):
     # serial shots agree with each other only to a few ulps of 1
     params = HenonParams(l=l, p=p)
     betas = _henon_continue_betas(seed)
-    z, _, horizon = shooting._shots(betas, params, shooting.X_MAX_DEFAULT)
+    z = shooting._lanes(betas, params, shooting.X_MAX)[0]
     ref = np.array([_serial_zero(b, params) for b in betas])
-    assert horizon == shooting.X_MAX_DEFAULT
     assert np.all(np.abs(z - ref) <= 1e-12 * (1.0 + np.abs(ref)))
     assert np.array_equal(np.sign(z - 1.0), np.sign(ref - 1.0))
 
 
-def test_scan_enlarges_the_horizon_per_lane(henon_params):
-    # every zero lies beyond x_max = 0.5, so every lane runs again with a
-    # larger horizon, and each matches the serial shot's 4x enlargement
-    def serial(beta, x_max):
-        while True:
-            try:
-                return _serial_zero(beta, henon_params, x_max), x_max
-            except HorizonError:
-                x_max *= 4.0
-
-    betas = np.geomspace(1e-3, 50.0, 40)
-    z, _, horizon = shooting._shots(betas, henon_params, 0.5)
-    ref = [serial(b, 0.5) for b in betas]
-    assert all(r[0] > 0.5 for r in ref)
-    assert horizon == max(r[1] for r in ref) > 0.5
-    ref_z = np.array([r[0] for r in ref])
-    assert np.all(np.abs(z - ref_z) <= 1e-12 * (1.0 + np.abs(ref_z)))
+def test_scan_finds_far_zeros_in_one_pass():
+    # at l = 2, p = 3 the zeros of slopes below 1e-5 lie beyond x = 100;
+    # one pass of lanes finds them beside the near ones, and each matches
+    # the serial shot at the same horizon
+    params = HenonParams(l=2.0, p=3.0)
+    betas = np.geomspace(1e-7, 50.0, 40)
+    z = shooting._lanes(betas, params, shooting.X_MAX)[0]
+    ref = np.array([_serial_zero(b, params) for b in betas])
+    assert np.count_nonzero(ref > 100.0) >= 8 and np.any(ref < 1.0)
+    assert np.all(np.abs(z - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
 def test_scan_horizon_cap(henon_params, monkeypatch):
-    monkeypatch.setattr(shooting, "X_MAX_CAP", 1.0)
-    with pytest.raises(HorizonError):
-        shooting._shots(np.geomspace(1e-3, 1.0, 5), henon_params, 0.5)
+    # below the horizon no slope of the scan has its zero: the error names
+    # the first one
+    monkeypatch.setattr(shooting, "X_MAX", 1.0)
+    with pytest.raises(HorizonError, match=r"beta=0\.001\b"):
+        find_crossings(1.0, henon_params, beta_range=(1e-3, 1.0),
+                       scan_points=5)
 
 
 def test_polish_takes_few_shots_inside_the_bracket(henon_params, monkeypatch):
@@ -268,6 +263,19 @@ def test_crossings_nondegenerate(henon_crossings):
         assert abs(r.z_prime) >= 1e-6
 
 
+def test_degeneracy_is_the_relative_test_on_w_end():
+    # a record is degenerate when w(z) = 0 relative to max |w|, whatever
+    # the size of z' (which scales with beta)
+    def record(sign, z_prime):
+        return shooting.ShootingRecord(beta=1.0, z=1.0, morse_index=1,
+                                       w_end_sign=sign, z_prime=z_prime,
+                                       trajectory=None)
+
+    assert record("zero-ish", 1e-3).degenerate
+    assert not record("positive", 1e-7).degenerate
+    assert not record("negative", -1e-7).degenerate
+
+
 def test_variational_verdicts_consistent(henon_params, henon_crossings):
     # |w(z)| and |z'| give the same (non)degeneracy verdict, and the sign
     # changes of w sampled on a fine grid give the recorded Morse index
@@ -283,9 +291,9 @@ def test_morse_count_stable_under_tol_tightening(henon_params, henon_crossings):
     r = henon_crossings[1]
     counts = []
     for rtol, atol in ((1e-10, 1e-12), (1e-12, 1e-14)):
-        _, (traj,) = shooting._lanes([r.beta], henon_params,
-                                     shooting.X_MAX_DEFAULT, variational=True,
-                                     dense=True, rtol=rtol, atol=atol)
+        _, (traj,) = shooting._lanes([r.beta], henon_params, shooting.X_MAX,
+                                     variational=True, dense=True, rtol=rtol,
+                                     atol=atol)
         counts.append(shooting._count_zeros(traj))
     assert counts[0] == counts[1] == r.morse_index
     z_loose = first_zero(r.beta, henon_params, rtol=1e-10, atol=1e-12)

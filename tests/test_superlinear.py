@@ -236,7 +236,7 @@ def test_continuation_pushed_far_reports_diagnostics(unit_weight):
     # pushing well below the starting order must end gracefully: either the
     # branch survives or the trace halts with its status and margins intact
     weight = WeightFamily.power_offset(4.0, 0.5)
-    mesh = production_mesh(1.5, 150, weight=weight)
+    mesh = production_mesh(1.5, 150)
     A2 = assemble(mesh, 2.0, weight)
     eig = principal_eigenpair(A2)
     start = find_positive_solution(A2, SQUARE, eig)
@@ -324,7 +324,7 @@ CRITERION_11 = [
 
 
 def _problem(alpha, h, f, point, n=400):
-    A = assemble(production_mesh(alpha, n, weight=h), alpha, h)
+    A = assemble(production_mesh(alpha, n), alpha, h)
     u = point(A.mesh.nodes)
     u[0] = u[-1] = 0.0
     return A, f, u
@@ -468,7 +468,7 @@ def _assert_nondegenerate_solution(A, f, report):
 @pytest.mark.parametrize("alpha, h, n, c, p", PETVIASHVILI_CASES)
 def test_petviashvili_seed_solves_where_the_sweep_fails(alpha, h, n, c, p):
     f = NonlinearityFamily.power(c, p)
-    A = assemble(production_mesh(alpha, n, weight=h), alpha, h)
+    A = assemble(production_mesh(alpha, n), alpha, h)
     report = find_positive_solution(A, f, principal_eigenpair(A), maxit=200)
     _assert_nondegenerate_solution(A, f, report)
 
@@ -485,7 +485,7 @@ AFFINE_CASES = [
 
 @pytest.mark.parametrize("alpha, h, share, q", AFFINE_CASES)
 def test_affine_power_solution(alpha, h, share, q):
-    A = assemble(production_mesh(alpha, 200, weight=h), alpha, h)
+    A = assemble(production_mesh(alpha, 200), alpha, h)
     eig = principal_eigenpair(A)
     f = NonlinearityFamily.affine_power(share * eig.lambda1, q)
     _assert_nondegenerate_solution(A, f, find_positive_solution(A, f, eig))
@@ -509,7 +509,7 @@ def test_henon_weight_solution():
     # h = |t - 0.5|^4 has several positive solutions at alpha = 2; the one
     # Newton reaches from the Petviashvili seed is positive and nondegenerate
     h = WeightFamily.power_offset(4.0, 0.5)
-    A = assemble(production_mesh(2.0, 400, weight=h), 2.0, h)
+    A = assemble(production_mesh(2.0, 400), 2.0, h)
     report = find_positive_solution(A, SQUARE, principal_eigenpair(A),
                                     maxit=200)
     _assert_nondegenerate_solution(A, SQUARE, report)

@@ -14,8 +14,10 @@ that is not a float: a changed exit code, word (a status, a verdict) or
 integer (a count), or a file only one tree wrote.  A file whose count of
 numbers changed is flagged with both line counts and the largest relative
 difference of its last lines (per key on the keys both hold, for JSON rows),
-which for a trace is its endpoint.  A float printed without a fraction
-(``2``) counts as an integer only if its new value prints so too.
+which for a trace is its endpoint; in a JSON or JSONL file, every string,
+integer and boolean that changed at a key path both trees wrote is flagged
+too.  A float printed without a fraction (``2``) counts as an integer only
+if its new value prints so too.
 """
 
 import importlib.util
@@ -114,17 +116,47 @@ def last_line_drift(old, new):
     return f"{compare(a, b)[0]:.3g}"
 
 
+def leaves(value, path=""):
+    """(key path, value) of every string, integer and boolean in ``value``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from leaves(item, f"{path}[{k}]")
+    elif isinstance(value, (str, int)):
+        yield path, value
+
+
+def changed_words(old, new):
+    """The strings, integers and booleans that changed at a key path both
+    JSON texts hold; a JSONL text is the list of its rows."""
+    def parse(text):
+        try:
+            return json.loads(text)
+        except ValueError:
+            return [json.loads(line) for line in text.splitlines()]
+    try:
+        x, y = (dict(leaves(parse(text))) for text in (old, new))
+    except ValueError:
+        return []
+    return [f"{path}: {x[path]!r} -> {y[path]!r}"
+            for path in x if path in y and x[path] != y[path]]
+
+
 def compare(old, new):
     """(largest relative difference of the float tokens, changed others).
 
     Texts with different number counts (a trace with fewer rows, a row with
-    more keys) compare only their last lines, a trace's endpoint.
+    more keys) compare only their last lines, a trace's endpoint, and, for
+    JSON, the words and integers at the key paths both hold.
     """
     a, b = NUMBER.split(old), NUMBER.split(new)
     if len(a) != len(b):
         return 0.0, [f"{len(a) // 2} numbers -> {len(b) // 2}, "
                      f"{old.count(chr(10))} lines -> {new.count(chr(10))}, "
-                     f"last lines differ by {last_line_drift(old, new)}"]
+                     f"last lines differ by {last_line_drift(old, new)}",
+                     *changed_words(old, new)]
     worst, flagged = 0.0, []
     for k, (x, y) in enumerate(zip(a, b)):
         if x == y:
