@@ -11,9 +11,9 @@ pipeline for Henon-type weights that seeds the multiplicity experiments.
 from .errors import (ConvergenceError, DegeneratePointError, FracBVPError,
                      HorizonError, HypothesisError, IntegrationError,
                      MonotonicityError, ScalingError, TransversalityError)
-from .grid import (GridFunction, Mesh, WeightedNorms, boundary_weight,
-                   default_grading_exponent, make_mesh, norms, production_mesh)
-from .kernel import gamma, green_eval, green_hat_integral, green_integral
+from .grid import (GridFunction, Mesh, boundary_weight,
+                   default_grading_exponent, make_mesh, production_mesh)
+from .kernel import gamma
 from .operator import (NonlinearityFamily, OperatorMatrix, WeightFamily,
                        assemble)
 from .eigen import (EigenResult, Lambda1Bounds, SweepRow, lambda1_bounds,
@@ -24,9 +24,7 @@ from .superlinear import (ContinuationTrace, NewtonReport,
                           NondegeneracyReport, continue_alpha,
                           find_positive_solution, newton_solve, nondegeneracy)
 from .shooting import (HenonParams, ShootingRecord, UnitSolution,
-                       crossing_record, find_crossings, first_zero,
-                       ivp_integrate, rescale_to_unit, unit_problem,
-                       weight_offset)
+                       find_crossings, rescale_to_unit, unit_problem)
 
 __version__ = "0.1.0"
 
@@ -35,9 +33,8 @@ __all__ = [
     "FracBVPError", "HypothesisError", "ConvergenceError",
     "DegeneratePointError", "MonotonicityError", "IntegrationError",
     "HorizonError", "TransversalityError", "ScalingError",
-    "Mesh", "GridFunction", "WeightedNorms", "make_mesh", "production_mesh",
-    "default_grading_exponent", "norms", "boundary_weight",
-    "gamma", "green_eval", "green_hat_integral", "green_integral",
+    "Mesh", "GridFunction", "make_mesh", "production_mesh",
+    "default_grading_exponent", "boundary_weight", "gamma",
     "WeightFamily", "NonlinearityFamily", "OperatorMatrix", "assemble",
     "EigenResult", "Lambda1Bounds", "SweepRow", "principal_eigenpair",
     "lambda1_bounds", "sweep_alpha",
@@ -45,7 +42,6 @@ __all__ = [
     "nonexistence_probe",
     "NewtonReport", "NondegeneracyReport", "ContinuationTrace", "newton_solve",
     "nondegeneracy", "continue_alpha", "find_positive_solution",
-    "HenonParams", "ShootingRecord", "UnitSolution", "ivp_integrate",
-    "first_zero", "crossing_record", "find_crossings", "rescale_to_unit",
-    "unit_problem", "weight_offset",
+    "HenonParams", "ShootingRecord", "UnitSolution", "find_crossings",
+    "rescale_to_unit", "unit_problem",
 ]

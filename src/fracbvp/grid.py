@@ -1,13 +1,12 @@
-"""Meshes on [0,1], grid functions, and the weighted norms of the problem.
+"""Meshes on [0,1] and grid functions on them.
 
 Grid functions are nodal values with piecewise-linear interpolation in
-between, matching the product-integration scheme.  Three norms are tracked:
-the sup norm, the boundary-compensated norm max t^(2-alpha)|u(t)|, and the
-e-norm against e(t) = t^(alpha-1)(1-t).
+between, matching the product-integration scheme.  ``boundary_weight`` is
+the cone gauge e(t) = t^(alpha-1)(1-t), and ``settled`` the one convergence
+test of every solver iteration.
 """
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,31 +174,6 @@ class GridFunction:
 
     def __repr__(self):
         return f"GridFunction(n={self.mesh.n})"
-
-
-@dataclass(frozen=True)
-class WeightedNorms:
-    sup: float
-    c2ma: float
-    enorm: float
-
-
-def norms(u, alpha):
-    """Sup norm, max t^(2-alpha)|u|, and e-norm of a grid function.
-
-    The e-norm is taken over interior nodes only (e vanishes at the
-    endpoints); the t = 0 node contributes |u(0)| to the weighted norm at
-    alpha = 2 and nothing for fractional orders, matching the limit of
-    t^(2-alpha)|u(t)|.
-    """
-    alpha = check_order(alpha)
-    t = u.mesh.nodes
-    av = np.abs(u.values)
-    sup = float(np.max(av))
-    c2ma = float(np.max(t ** (2.0 - alpha) * av))
-    ti = t[1:-1]
-    enorm = float(np.max(av[1:-1] / (ti ** (alpha - 1.0) * (1.0 - ti))))
-    return WeightedNorms(sup=sup, c2ma=c2ma, enorm=enorm)
 
 
 def boundary_weight(mesh, alpha):

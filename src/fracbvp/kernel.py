@@ -6,17 +6,17 @@ The kernel has the two-branch form
     G(t,s,alpha) =   (t(1-s))^(alpha-1) / Gamma(alpha),                      t <= s,
 
 with 1 < alpha <= 2.  At alpha = 2 it reduces to the classical kernel
-s(1-t) / t(1-s).  Besides pointwise evaluation this module integrates the
-kernel exactly against piecewise-linear hat functions: both required
-antiderivatives are elementary powers, so no quadrature is involved and the
-derivative kink along s = t costs no accuracy.  At alpha = 2 the kernel is
-semiseparable, so its product-integration image takes O(n) operations and
-no matrix (``classical_image``).  At every order the kernel above the
-diagonal is its separable branch alone, whose hat integrals
-``separable_hat_integrals`` gives in O(n); ``green_hat_matrix`` subtracts
-the (t-s)^(alpha-1) branch from that rank-one product below the diagonal,
-in row blocks.  ``_segment_hats`` gives both branches' hat integrals with
-one log1p, expm1 and power per segment and row.
+s(1-t) / t(1-s).  This module integrates the kernel exactly against
+piecewise-linear hat functions: both required antiderivatives are elementary
+powers, so no quadrature is involved and the derivative kink along s = t
+costs no accuracy.  At alpha = 2 the kernel is semiseparable, so its
+product-integration image takes O(n) operations and no matrix
+(``classical_image``).  At every order the kernel above the diagonal is its
+separable branch alone, whose hat integrals ``separable_hat_integrals``
+gives in O(n); ``green_hat_matrix`` subtracts the (t-s)^(alpha-1) branch
+from that rank-one product below the diagonal, in row blocks.
+``_segment_hats`` gives both branches' hat integrals with one log1p, expm1
+and power per segment and row.
 
 All functions are pure and safe to call concurrently.
 """
@@ -53,23 +53,6 @@ def gamma(x):
     if x <= 0.0:
         raise ValueError(f"gamma requires a positive argument, got {x!r}")
     return math.gamma(x)
-
-
-def green_eval(t, s, alpha):
-    """Evaluate G(t, s, alpha); ``t`` and ``s`` may be scalars or arrays.
-
-    Both coordinates must lie in [0, 1].  The second branch term
-    (t-s)^(alpha-1) is clipped at zero so a single expression covers both
-    branches.
-    """
-    alpha = check_order(alpha)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0) or np.any(s < 0.0) or np.any(s > 1.0):
-        raise ValueError("kernel arguments must lie in the unit square")
-    a1 = alpha - 1.0
-    out = ((t * (1.0 - s)) ** a1 - np.maximum(t - s, 0.0) ** a1) / math.gamma(alpha)
-    return out if out.ndim else float(out)
 
 
 def _segment_hats(x, y, scale, alpha):
@@ -111,46 +94,17 @@ def _hat_scale(nodes, alpha):
     return 1.0 / (math.gamma(alpha + 2.0) * np.diff(nodes))
 
 
-def green_hat_integral(t, node_index, mesh, alpha):
-    """Integral of G(t, ., alpha) against the hat function of one mesh node.
-
-    Returns ``\\int_0^1 G(t, s, alpha) hat_j(s) ds`` in closed form, where
-    ``hat_j`` is the piecewise-linear nodal basis function of ``mesh`` at
-    ``node_index``.  ``t`` may be a scalar or an array (one value per row of
-    an operator matrix).  ``green_hat_matrix``'s operations, in its order.
-    """
-    alpha = check_order(alpha)
-    nodes = mesh.nodes
-    j = int(node_index)
-    if not 0 <= j < len(nodes):
-        raise IndexError(f"node index {j} out of range for mesh with "
-                         f"{len(nodes)} nodes")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    t_vec = np.atleast_1d(t_arr)
-    lo, hi = max(j - 1, 0), min(j + 1, len(nodes) - 1)
-    out = t_vec ** (alpha - 1.0) * separable_hat_integrals(
-        nodes[lo:hi + 1], alpha)[j - lo]
-    scale = _hat_scale(nodes[lo:hi + 1], alpha)
-    for k in range(lo, hi):
-        rising, falling = _segment_hats(np.maximum(t_vec - nodes[k], 0.0),
-                                        t_vec - nodes[k + 1], scale[k - lo],
-                                        alpha)
-        out -= rising if k < j else falling
-    return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
-
-
 def green_hat_matrix(mesh, alpha):
-    """All hat integrals at the nodes: [i, j] = green_hat_integral(t_i, j).
+    """All hat integrals at the nodes: [i, j] is the integral of
+    G(t_i, ., alpha) against hat_j, the piecewise-linear nodal basis
+    function of node j.
 
     The outer product of t^(alpha-1) with ``separable_hat_integrals`` fills
     the one m x m buffer; the (t-s)^(alpha-1) branch is then subtracted a
     block of ``_ROW_BLOCK`` rows at a time, from max(t - s_k, 0) formed once
     for the nodes left of the block's last row.  Right of them the matrix
-    keeps the rank-one product exactly.  Entry [i, j] takes its terms in
-    ``green_hat_integral``'s order, so the two agree bit for bit.  The matrix
-    is C-ordered: a BLAS matrix-vector product sums in memory order.
+    keeps the rank-one product exactly.  The matrix is C-ordered: a BLAS
+    matrix-vector product sums in memory order.
     """
     alpha = check_order(alpha)
     nodes = mesh.nodes
@@ -208,11 +162,3 @@ def classical_image(nodes, g):
     left = np.concatenate(([0.0], np.cumsum(s_moment)))
     right = np.concatenate((np.cumsum(r_moment[::-1])[::-1], [0.0]))
     return (1.0 - nodes) * left + nodes * right
-
-
-def green_integral(t, alpha):
-    """Closed form of the full kernel integral: t^(alpha-1)(1-t)/Gamma(alpha+1)."""
-    alpha = check_order(alpha)
-    t = np.asarray(t, dtype=float)
-    out = t ** (alpha - 1.0) * (1.0 - t) / math.gamma(alpha + 1.0)
-    return out if out.ndim else float(out)

@@ -3,15 +3,14 @@
 The linear map x -> integral of G(.,s,alpha) h(s) x(s) ds is discretized by
 product integration: the integrand h*x is replaced by its piecewise-linear
 interpolant and integrated against the kernel exactly.  The resulting dense
-matrix has entries A[i,j] = green_hat_integral(t_i, j) * h(t_j); it applies
-to nodal vectors and is second-order accurate for smooth h*x.  Callers use
-it as the solvers do: ``A.matrix @ x`` for the linear map and
-``A.nonlinear_image(f, u)`` for x = f(|u|).  The
-unweighted matrix comes from ``kernel.green_hat_matrix``: the outer product
-of t^(alpha-1) with the separable-branch hat integrals, minus the
-(t-s)^(alpha-1) branch, which it evaluates below the diagonal only, in
-blocks of rows.  It equals the column-by-column ``green_hat_integral`` stack
-bit for bit.
+matrix has entries A[i,j] = (integral of G(t_i, .) hat_j) * h(t_j), hat_j
+the nodal basis function of node j; it applies to nodal vectors and is
+second-order accurate for smooth h*x.  Callers use it as the solvers do:
+``A.matrix @ x`` for the linear map and ``A.nonlinear_image(f, u)`` for
+x = f(|u|).  The unweighted matrix comes from ``kernel.green_hat_matrix``:
+the outer product of t^(alpha-1) with the separable-branch hat integrals,
+minus the (t-s)^(alpha-1) branch, which it evaluates below the diagonal
+only, in blocks of rows.
 
 Assembly is a pure function of its arguments; matrices are immutable after
 construction and safe to share across threads.

@@ -133,7 +133,7 @@ class Trajectory:
 
     Step k starts at ``t[k]`` in state ``y[:, k]`` (u, u' and, on a
     variational lane, w, w'), has length ``h[k]`` and dense coefficients
-    ``q[:, :, k]``.  The trajectory ends at ``x_end``.
+    ``q[:, :, k]``.  The trajectory ends at the zero of u, ``x_end``.
     """
 
     def __init__(self, t, h, y, q, x_end):
@@ -172,7 +172,7 @@ def _bisect(fn, lo, hi):
 
 
 def _lanes(betas, params, x_max, variational=False, dense=False,
-           to_zero=True, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
+           rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
     """``(z, trajectories)``: one shot of u, and of w if ``variational``, per
     beta, all run as lanes of one NumPy Dormand-Prince pass.
 
@@ -181,13 +181,11 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
     factor capped at 1 right after a rejection.  A step ends at x = 0, where
     the weight |x|^l is continuous but not smooth, and the initial step is
     chosen again there, so the scheme keeps its order.  |u|^(p-1) u keeps
-    negative excursions defined.  With ``to_zero`` a lane ends at the first
-    downward zero z of u: the first step over which u goes from >= 0 to
-    <= 0, bisected on its quartic, and ``HorizonError`` names the first
-    beta whose u has none before ``x_max``.  Otherwise every lane runs to
-    ``x_max`` and z is all NaN.
-    ``trajectories`` holds a ``Trajectory`` per lane if ``dense``, else it
-    is None.
+    negative excursions defined.  A lane ends at the first downward zero z
+    of u: the first step over which u goes from >= 0 to <= 0, bisected on
+    its quartic, and ``HorizonError`` names the first beta whose u has none
+    before ``x_max``.  ``trajectories`` holds a ``Trajectory`` per lane,
+    ending at its z, if ``dense``, else it is None.
     """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas <= 0.0) or x_max <= -1.0:
@@ -261,7 +259,7 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
         h_abs = h * np.where(ok & rejected, np.minimum(1.0, factor), factor)
         rejected = ~ok
 
-        fired = ok & (y[0] >= 0.0) & (y_new[0] <= 0.0) & to_zero
+        fired = ok & (y[0] >= 0.0) & (y_new[0] <= 0.0)
         if dense or fired.any():
             Q = np.dot(_P.T, stages).reshape(4, d, m)
             if fired.any():
@@ -288,30 +286,15 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
         i, lo, hi, u0, q = (np.concatenate(e, axis=-1) for e in zip(*events))
         z[i] = _bisect(lambda x: _quartic(u0, hi - lo, q, (x - lo) / (hi - lo)),
                        lo, hi)
-    if to_zero and np.isnan(z).any():
+    if np.isnan(z).any():
         raise HorizonError(f"u(., beta={betas[np.isnan(z)][0]}) has no zero "
                            f"before x_max={x_max}")
     if not dense:
         return z, None
     i, start, length, state, coef = (np.concatenate(s, axis=-1)
                                      for s in zip(*steps))
-    x_end = np.where(np.isnan(z), x_max, z)
     return z, [Trajectory(start[i == k], length[i == k], state[:, i == k],
-                          coef[..., i == k], x_end[k]) for k in range(n)]
-
-
-def ivp_integrate(beta, params, x_max, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
-    """Dense trajectory of (u, u', w, w') up to ``x_max``, through any zero."""
-    return _lanes([beta], params, x_max, variational=True, dense=True,
-                  to_zero=False, rtol=rtol, atol=atol)[1][0]
-
-
-def first_zero(beta, params, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
-    """Smallest zero z(beta) of u(., beta) in (-1, infinity), from a shot of
-    u alone.  Raises ``HorizonError`` when no sign change occurs before
-    ``X_MAX``.
-    """
-    return float(_lanes([beta], params, X_MAX, rtol=rtol, atol=atol)[0][0])
+                          coef[..., i == k], z[k]) for k in range(n)]
 
 
 def _count_zeros(traj):
@@ -361,13 +344,6 @@ def _record(beta, traj):
     return ShootingRecord(beta=float(beta), z=z,
                           morse_index=_count_zeros(traj),
                           w_end_sign=sign, z_prime=-w_end / up, trajectory=traj)
-
-
-def crossing_record(beta, params):
-    """The ``ShootingRecord`` of slope ``beta``: z, the Morse index, the sign
-    of w(z) and z'(beta), all from one shot of u and w."""
-    trajs = _lanes([beta], params, X_MAX, variational=True, dense=True)[1]
-    return _record(beta, trajs[0])
 
 
 def polish_crossings(brackets, zeta, params):
@@ -488,16 +464,12 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
 
 
 def unit_problem(zeta, params):
-    """(delta, weight, f) of v'' + |t - 1/2 + delta|^l v^p = 0 on (0, 1)."""
-    delta = weight_offset(zeta)
+    """(delta, weight, f) of v'' + |t - 1/2 + delta|^l v^p = 0 on (0, 1),
+    with the offset delta = (zeta-1)/(2(1+zeta)) of the rescaled weight."""
+    _check_zeta(zeta)
+    delta = (zeta - 1.0) / (2.0 * (1.0 + zeta))
     return (delta, WeightFamily.power_offset(params.l, 0.5 - delta),
             NonlinearityFamily.power(1.0, params.p))
-
-
-def weight_offset(zeta):
-    """Offset delta = (zeta-1)/(2(1+zeta)) of the rescaled weight."""
-    _check_zeta(zeta)
-    return (zeta - 1.0) / (2.0 * (1.0 + zeta))
 
 
 def _check_zeta(zeta):

@@ -96,10 +96,6 @@ class ContinuationTrace:
     rejected_steps: int     # correctors that failed or changed sign of det J
 
 
-def _residual(A, f, u):
-    return u - A.nonlinear_image(f, u)
-
-
 def _fprime(f, u):
     """f'(|u|) sign(u), the column scaling of the Jacobian; NaN and inf as 0."""
     with np.errstate(invalid="ignore"):
@@ -222,9 +218,11 @@ def _top_eigenvalue(jac, maxit):
 def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     """Damped Newton iteration on the discrete fixed-point equation.
 
-    Steps are halved (up to 30 times) until the sup-norm residual decreases.
-    It stops once ``settled`` at ``tol``, rho the residual ratio of a step
-    and the norm the largest sup norm so far, so that a collapse onto zero
+    Steps are halved (up to 30 times) until the sup-norm residual decreases;
+    where none does, a full step of at most ``tol`` times the sup norm of u
+    has settled, and a larger one raises ``ConvergenceError``.  It also
+    stops once ``settled`` at ``tol``, rho the residual ratio of a step and
+    the norm the largest sup norm so far, so that a collapse onto zero
     stops.  ``converged`` also requires interior positivity, so a run that
     collapses onto the trivial solution comes back with ``converged=False``
     and ``positive=False`` rather than an exception.  A residual that is
@@ -237,7 +235,7 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     if not A.mesh.same_as(u0.mesh):
         raise ValueError("initial guess lives on a different mesh than the operator")
     u = u0.values.copy()
-    res_vec = _residual(A, f, u)
+    res_vec = u - A.nonlinear_image(f, u)
     res = float(np.max(np.abs(res_vec)))
     norm = float(np.max(np.abs(u)))
     it, done = 0, res == 0.0        # a zero residual gives a zero step
@@ -263,12 +261,17 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
         lam = 1.0
         for _ in range(DAMPING_HALVINGS + 1):
             u_try = u - lam * step
-            res_try_vec = _residual(A, f, u_try)
+            res_try_vec = u_try - A.nonlinear_image(f, u_try)
             res_try = float(np.max(np.abs(res_try_vec)))
             if res_try < res:
                 break
             lam *= 0.5
         else:
+            # no damping lowers a residual already at rounding level; a
+            # full correction within tol of u says the start has settled
+            done = np.max(np.abs(step)) <= tol * np.max(np.abs(u))
+            if done:
+                break
             raise ConvergenceError(
                 "damped Newton step failed to reduce the residual",
                 last=GridFunction(A.mesh, u), iterations=it, residual=res)

@@ -1,14 +1,44 @@
 """Independent oracles used to pin expected values in the tests.
 
 Everything here deliberately avoids the package's own discretization paths:
-the BVP oracle is a classical second-order finite-difference Newton solver on
-a fine uniform grid, and the kernel-integral oracle is composite
-Gauss-Legendre quadrature split at the kernel kink.  Run this module directly
-to regenerate the frozen golden numbers quoted in the tests.
+the kernel and its full integral are the paper's closed forms, the BVP
+oracle is a classical second-order finite-difference Newton solver on a fine
+uniform grid, and the kernel-integral oracle is composite Gauss-Legendre
+quadrature split at the kernel kink.  Run this module directly to regenerate
+the frozen golden numbers quoted in the tests.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from fracbvp.kernel import check_order
+
+
+def green_eval(t, s, alpha):
+    """Evaluate G(t, s, alpha); ``t`` and ``s`` may be scalars or arrays.
+
+    Both coordinates must lie in [0, 1].  The second branch term
+    (t-s)^(alpha-1) is clipped at zero so a single expression covers both
+    branches.
+    """
+    alpha = check_order(alpha)
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if np.any(t < 0.0) or np.any(t > 1.0) or np.any(s < 0.0) or np.any(s > 1.0):
+        raise ValueError("kernel arguments must lie in the unit square")
+    a1 = alpha - 1.0
+    out = ((t * (1.0 - s)) ** a1 - np.maximum(t - s, 0.0) ** a1) / math.gamma(alpha)
+    return out if out.ndim else float(out)
+
+
+def green_integral(t, alpha):
+    """Closed form of the full kernel integral: t^(alpha-1)(1-t)/Gamma(alpha+1)."""
+    alpha = check_order(alpha)
+    t = np.asarray(t, dtype=float)
+    out = t ** (alpha - 1.0) * (1.0 - t) / math.gamma(alpha + 1.0)
+    return out if out.ndim else float(out)
 
 
 def fd_newton_bvp(g, gp, n=4000, u0=None, maxit=200, tol=1e-12):

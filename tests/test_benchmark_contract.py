@@ -93,3 +93,12 @@ def test_traced_henon_shoot_runs(tmp_path):
     _run_traced(["henon-shoot", "--beta-min", "50", "--beta-max", "300",
                  "--scan-points", "60", "--out", str(tmp_path / "run")],
                 {"shooting.find_crossings", "shooting.polish_crossings"})
+
+
+def test_traced_henon_continue_runs(tmp_path):
+    # the henon-continue workload's path: one crossing (beta near 237),
+    # rescaled to the unit interval and continued a few alpha steps
+    _run_traced(["henon-continue", "--beta-min", "200", "--beta-max", "300",
+                 "--scan-points", "20", "--target-alpha", "1.99", "--n", "100",
+                 "--out", str(tmp_path / "run")],
+                {"shooting.rescale_to_unit", "superlinear.continue_alpha"})

@@ -172,6 +172,23 @@ def test_solve_super_converges_at_large_norm(tmp_path, alpha, p):
     assert report["residual"] <= 1e-15 * report["sup_norm"]
 
 
+@pytest.mark.parametrize("problem", [
+    ["--alpha", "1.02886", "--weight", "polynomial:1.41225,-0.394983,-0.241287",
+     "--nonlin", "power:15.518:5.95411", "--n", "400"],
+    ["--alpha", "1.06534", "--weight", "power_offset:1.18235:0.41194",
+     "--nonlin", "power:5.88681:6.74428", "--n", "200"],
+], ids=("polynomial", "power_offset"))
+def test_solve_super_accepts_a_seed_that_already_solves(tmp_path, problem):
+    # the Petviashvili seed solves these to a residual at rounding level, so
+    # no damping of Newton's first correction lowers it; the correction is
+    # below tol relative to u, and the solve ends settled
+    out = tmp_path / "sup"
+    assert main(["solve-super", *problem, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "newton_report.json").read_text())
+    assert report["converged"] and not report["degenerate"]
+    assert report["residual"] <= 1e-15 * report["sup_norm"]
+
+
 def test_henon_shoot_command(tmp_path):
     out = tmp_path / "shoot"
     rc = main(["henon-shoot", "--l", "4", "--p", "2", "--zeta", "1",

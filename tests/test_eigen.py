@@ -6,10 +6,11 @@ import pytest
 from fracbvp.eigen import (integrate_unit_interval, lambda1_bounds,
                            principal_eigenpair, sweep_alpha)
 from fracbvp.errors import ConvergenceError
-from fracbvp.grid import norms, production_mesh
+from fracbvp.grid import production_mesh
 from fracbvp.kernel import gamma
 from fracbvp.operator import WeightFamily, assemble
 
+from helpers import norms
 from oracles import LAMBDA1_UNIT_WEIGHT
 
 

@@ -3,8 +3,10 @@ import pytest
 
 from fracbvp.errors import HypothesisError
 from fracbvp.grid import (RTOL, GridFunction, Mesh, boundary_weight,
-                          default_grading_exponent, make_mesh, norms,
+                          default_grading_exponent, make_mesh,
                           production_mesh, settled)
+
+from helpers import norms
 
 
 def test_make_mesh_uniform():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from fracbvp.grid import make_mesh, production_mesh
-from fracbvp.kernel import (_ROW_BLOCK, gamma, green_eval, green_hat_integral,
-                            green_hat_matrix, green_integral,
+from fracbvp.kernel import (_ROW_BLOCK, gamma, green_hat_matrix,
                             separable_hat_integrals)
 
-from oracles import gauss_kernel_hat_integral
+from helpers import green_hat_integral
+from oracles import gauss_kernel_hat_integral, green_eval, green_integral
 
 ALPHAS = (1.1, 1.25, 1.5, 1.75, 2.0)
 

@@ -5,9 +5,11 @@ import pytest
 
 from fracbvp import operator
 from fracbvp.errors import HypothesisError
-from fracbvp.grid import GridFunction, make_mesh, norms, production_mesh
-from fracbvp.kernel import green_hat_integral, green_integral
+from fracbvp.grid import GridFunction, make_mesh, production_mesh
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
+
+from helpers import green_hat_integral, norms
+from oracles import green_integral
 
 
 def test_weight_families_evaluate():

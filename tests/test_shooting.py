@@ -11,10 +11,11 @@ from fracbvp.errors import HorizonError, HypothesisError, ScalingError
 from fracbvp.grid import make_mesh
 from fracbvp.kernel import classical_image
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
-from fracbvp.shooting import (HenonParams, crossing_record, find_crossings,
-                              first_zero, ivp_integrate, rescale_to_unit,
-                              unit_problem, weight_offset)
+from fracbvp.shooting import (HenonParams, find_crossings, rescale_to_unit,
+                              unit_problem)
 from fracbvp.superlinear import newton_solve
+
+from helpers import first_zero
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench/workloads.py"
 
@@ -55,6 +56,12 @@ def _serial_zero(beta, params, x_max=shooting.X_MAX):
     raise HorizonError(f"no zero before {x_max}")
 
 
+def _shot(beta, params, **tol):
+    """The dense shot of (u, u', w, w') from x = -1 to the first zero of u."""
+    return shooting._lanes([beta], params, shooting.X_MAX, variational=True,
+                           dense=True, **tol)[1][0]
+
+
 def test_params_validation():
     with pytest.raises(HypothesisError):
         HenonParams(l=0.5, p=2.0)
@@ -63,7 +70,7 @@ def test_params_validation():
 
 
 def test_trajectory_starts_upward(henon_params):
-    traj = ivp_integrate(2.0, henon_params, x_max=0.0)
+    traj = _shot(2.0, henon_params)
     x = np.linspace(-1.0, -0.9, 20)
     assert np.all(np.diff(traj.u(x)) > 0.0)
     assert traj.u(-1.0) == 0.0
@@ -72,7 +79,7 @@ def test_trajectory_starts_upward(henon_params):
 
 def test_trajectory_concave_where_positive(henon_params):
     z = first_zero(1.0, henon_params)
-    traj = ivp_integrate(1.0, henon_params, x_max=z)
+    traj = _shot(1.0, henon_params)
     x = np.linspace(-0.999, z - 1e-3, 200)
     pos = traj.u(x) > 0.0
     du = traj.du(x)
@@ -81,24 +88,26 @@ def test_trajectory_concave_where_positive(henon_params):
 
 def test_tolerance_self_convergence(henon_params):
     # halved tolerance changes the state at x = 0 by far less than 1e-8
-    t1 = ivp_integrate(1.0, henon_params, x_max=0.5, rtol=1e-10, atol=1e-12)
-    t2 = ivp_integrate(1.0, henon_params, x_max=0.5, rtol=5e-11, atol=5e-13)
+    t1 = _shot(1.0, henon_params, rtol=1e-10, atol=1e-12)
+    t2 = _shot(1.0, henon_params, rtol=5e-11, atol=5e-13)
     assert abs(t1.u(0.0) - t2.u(0.0)) < 1e-8
 
 
 def test_trajectory_matches_scipy_dense_output(henon_params):
     # the lane's quartics for (u, u', w) against scipy's serial RK45 shot
-    # with dense output, legs split at x = 0, through the first zero of u
+    # with dense output, legs split at x = 0, up to the first zero z of u,
+    # where the lane ends
     l, p = henon_params.l, henon_params.p
 
     def rhs(x, y):
         a, up = abs(x) ** l, abs(y[0]) ** (p - 1.0)
         return (y[1], -a * up * y[0], y[3], -a * p * up * y[2])
 
-    traj = ivp_integrate(30.0, henon_params, x_max=1.5)
-    assert traj.x_end == 1.5 and traj.u(1.5) < 0.0
+    traj = _shot(30.0, henon_params)
+    z = traj.x_end
+    assert 0.0 < z < 1.5
     y = [0.0, 30.0, 0.0, 1.0]
-    for x0, x1 in ((-1.0, 0.0), (0.0, 1.5)):
+    for x0, x1 in ((-1.0, 0.0), (0.0, z)):
         sol = solve_ivp(rhs, (x0, x1), y, method="RK45", dense_output=True,
                         rtol=shooting.RTOL_DEFAULT, atol=shooting.ATOL_DEFAULT)
         x = np.linspace(x0, x1, 201)
@@ -157,7 +166,7 @@ def test_z_continuity(henon_params):
 
 def test_z_prime_matches_finite_differences(henon_params):
     for beta in (0.5, 20.0):
-        zp = crossing_record(beta, henon_params).z_prime
+        zp = shooting._record(beta, _shot(beta, henon_params)).z_prime
         h = 1e-5
         fd = (first_zero(beta + h, henon_params)
               - first_zero(beta - h, henon_params)) / (2.0 * h)
@@ -242,8 +251,7 @@ def test_even_solution_morse_index_two(henon_params, henon_crossings):
     # variational solution positive at the right endpoint, z' > 0
     slopes = []
     for r in henon_crossings:
-        traj = ivp_integrate(r.beta, henon_params, x_max=0.0)
-        slopes.append(abs(traj.du(0.0)))
+        slopes.append(abs(r.trajectory.du(0.0)))
     even = henon_crossings[int(np.argmin(slopes))]
     assert even.morse_index == 2
     assert even.w_end_sign == "positive"
@@ -301,11 +309,12 @@ def test_morse_count_stable_under_tol_tightening(henon_params, henon_crossings):
     assert abs(z_loose - z_tight) < 1e-7
 
 
-def test_weight_offset_formula():
-    assert weight_offset(1.0) == 0.0
-    assert weight_offset(1.1) == pytest.approx(0.1 / (2.0 * 2.1), rel=1e-12)
+def test_weight_offset_formula(henon_params):
+    assert unit_problem(1.0, henon_params)[0] == 0.0
+    assert unit_problem(1.1, henon_params)[0] == pytest.approx(
+        0.1 / (2.0 * 2.1), rel=1e-12)
     with pytest.raises(ValueError):
-        weight_offset(-1.0)
+        unit_problem(-1.0, henon_params)
 
 
 def test_rescale_picks_substitution_exponent(henon_params, henon_crossings):
@@ -343,10 +352,11 @@ def test_rescale_rejects_residual_above_tolerance(henon_params,
 
 
 @pytest.mark.parametrize("zeta", (1.0, 1.1))
-def test_check_image_matches_dense_operator(zeta):
+def test_check_image_matches_dense_operator(henon_params, zeta):
     # the O(n) alpha = 2 image against the assembled operator on the
     # default check mesh; at zeta = 1.1 the weight kink is not a mesh node
-    weight = WeightFamily.power_offset(4.0, 0.5 - weight_offset(zeta))
+    delta = unit_problem(zeta, henon_params)[0]
+    weight = WeightFamily.power_offset(4.0, 0.5 - delta)
     f = NonlinearityFamily.power(1.0, 2.0)
     A = assemble(make_mesh(3072, "uniform"), 2.0, weight)
     t = A.mesh.nodes

@@ -5,12 +5,13 @@ import pytest
 
 from fracbvp.errors import ConvergenceError, HypothesisError
 from fracbvp.eigen import principal_eigenpair
-from fracbvp.grid import RTOL, norms, production_mesh
+from fracbvp.grid import RTOL, production_mesh
 from fracbvp.operator import NonlinearityFamily, assemble
 from fracbvp.sublinear import (PROBE_MAXIT, classify_regime,
                                find_bracket, monotone_solve,
                                nonexistence_probe)
 
+from helpers import norms
 from oracles import fd_newton_bvp
 
 SQRT = NonlinearityFamily.power(1.0, 0.5)

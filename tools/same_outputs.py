@@ -40,7 +40,9 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # config in reach where Newton fails near the fold and steps are halved, so
 # a change to Newton's guard or stop shows in its halted traces; last, a
 # sublinear solution of sup norm 5.5e-7 and a superlinear one of 9.3e19,
-# where an absolute stop ends early or never, so a change to any stop shows
+# where an absolute stop ends early or never, so a change to any stop shows;
+# then two whose Petviashvili seed already solves to rounding level, so that
+# no damping of Newton's first correction lowers the residual
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -58,6 +60,10 @@ FIXED = [
     "henon-continue --scan-points 200 --target-alpha 1.9",
     "solve-sub --alpha 1.1 --weight constant:1 --nonlin power:1:0.9 --n 200",
     "solve-super --alpha 2 --weight constant:1 --nonlin power:1:1.05 --n 200",
+    "solve-super --alpha 1.02886 --weight polynomial:1.41225,-0.394983,-0.241287 "
+    "--nonlin power:15.518:5.95411 --n 400",
+    "solve-super --alpha 1.06534 --weight power_offset:1.18235:0.41194 "
+    "--nonlin power:5.88681:6.74428 --n 200",
 ]
 
 
