@@ -3,16 +3,20 @@
 The initial value problem u'' + |x|^l |u|^(p-1) u = 0, u(-1) = 0,
 u'(-1) = beta runs on one integrator, ``_lanes``: the Dormand-Prince 5(4)
 pair with Shampine's quartic dense output and an adaptive step per lane,
-for many betas at once as lanes of one NumPy pass.  A lane can carry the
-variational solution w (the same equation linearized along u, with
-w(-1) = 0, w'(-1) = 1) and keep its steps' dense coefficients as a
-``Trajectory``.  The first zero z(beta) of u is found by bisecting the
-quartic of the step over which u turns nonpositive; every such shot has
-the horizon ``X_MAX``, and a slope whose u has no zero before it raises
-``HorizonError``.  The derivative of the shooting map is
-z'(beta) = -w(z)/u'(z), the Morse index of the boundary-value solution on
-(-1, z) equals the number of zeros of w inside the interval, and the
-solution is nondegenerate exactly when w(z) is nonzero.
+for many betas at once as lanes of one NumPy pass.  A variational lane also
+carries w (the same equation linearized along u, with w(-1) = 0,
+w'(-1) = 1) and keeps its steps' dense coefficients as a ``Trajectory``.
+The first zero z(beta) of u is found by bisecting the quartic of the step
+over which u turns nonpositive; every shot has the horizon ``X_MAX``, and a
+slope whose u has no zero before it raises ``HorizonError``.
+
+A shot's verdicts are read from its own states: z'(beta) = -w(z)/u'(z),
+the solution is nondegenerate exactly when w(z) is nonzero, and the Morse
+index of the boundary-value solution on (-1, z) is the number of zeros of
+w inside the interval.  w solves w'' + q w = 0 with q = p|x|^l|u|^(p-1) >= 0,
+so w = w' = 0 at one point forces w = 0: every zero is simple (no tangency
+occurs), and the Prufer angle theta = atan2(w, w') only grows, by pi from
+one zero to the next, so the index is floor(theta(z)/pi).
 
 ``find_crossings`` shoots every beta of its log-spaced scan as a lane of
 one pass of u alone.  ``polish_crossings`` then runs a safeguarded Newton
@@ -36,8 +40,8 @@ from .grid import GridFunction, make_mesh
 from .kernel import classical_image
 from .operator import NonlinearityFamily, WeightFamily
 
-RTOL_DEFAULT = 1e-10
-ATOL_DEFAULT = 1e-12
+LANE_RTOL = 1e-10           # every lane's tolerances
+LANE_ATOL = 1e-12
 # the horizon of every shot; a lane stops at its zero, so a far horizon
 # costs nothing (the farthest zero the benchmark's scans reach is 24.8)
 X_MAX = 25600.0
@@ -47,8 +51,6 @@ MAX_POLISH_SHOTS = 50      # shots per bracket of the Newton polish
 # the scan peaks at about 72 doubles per beta (tracemalloc, 1e4 betas; the
 # seven stages alone are 14), so 1e5 points, 50x the default, take 58 MB
 MAX_SCAN_POINTS = 100_000
-ZERO_SUBSAMPLES = 8         # samples of w per step when counting its zeros
-TANGENCY_REFINE = 64        # and around a near-tangency
 CHECK_MESH_N = 3072         # rescale check mesh: O(n^-2) residual, 2x margin
 
 # Dormand & Prince (1980), first same as last: stage s is f at x + C[s] h,
@@ -131,9 +133,9 @@ class UnitSolution:
 class Trajectory:
     """One lane's dense output, Shampine's quartic on each accepted step.
 
-    Step k starts at ``t[k]`` in state ``y[:, k]`` (u, u' and, on a
-    variational lane, w, w'), has length ``h[k]`` and dense coefficients
-    ``q[:, :, k]``.  The trajectory ends at the zero of u, ``x_end``.
+    Step k starts at ``t[k]`` in state ``y[:, k]`` (u, u', w, w'), has
+    length ``h[k]`` and dense coefficients ``q[:, :, k]``.  The trajectory
+    ends at the zero of u, ``x_end``.
     """
 
     def __init__(self, t, h, y, q, x_end):
@@ -149,9 +151,7 @@ class Trajectory:
     u = partialmethod(_eval, 0)
     du = partialmethod(_eval, 1)
     w = partialmethod(_eval, 2)
-
-    def step_points(self):
-        return np.append(self.t, self.x_end)
+    dw = partialmethod(_eval, 3)
 
 
 def _quartic(y0, h, q, x):
@@ -171,26 +171,27 @@ def _bisect(fn, lo, hi):
     return hi
 
 
-def _lanes(betas, params, x_max, variational=False, dense=False,
-           rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
+def _lanes(betas, params, variational=False):
     """``(z, trajectories)``: one shot of u, and of w if ``variational``, per
     beta, all run as lanes of one NumPy Dormand-Prince pass.
 
     Each lane has its own step: the initial-step rule of Hairer, Norsett &
-    Wanner (Sec. II.4), the RMS error norm of atol + rtol |y|, and a step
-    factor capped at 1 right after a rejection.  A step ends at x = 0, where
-    the weight |x|^l is continuous but not smooth, and the initial step is
-    chosen again there, so the scheme keeps its order.  |u|^(p-1) u keeps
-    negative excursions defined.  A lane ends at the first downward zero z
-    of u: the first step over which u goes from >= 0 to <= 0, bisected on
-    its quartic, and ``HorizonError`` names the first beta whose u has none
-    before ``x_max``.  ``trajectories`` holds a ``Trajectory`` per lane,
-    ending at its z, if ``dense``, else it is None.
+    Wanner (Sec. II.4), the RMS error norm of ``LANE_ATOL`` +
+    ``LANE_RTOL`` |y|, and a step factor capped at 1 right after a
+    rejection.  A step ends at x = 0, where the weight |x|^l is continuous
+    but not smooth, and the initial step is chosen again there, so the
+    scheme keeps its order.  |u|^(p-1) u keeps negative excursions defined.
+    A lane ends at the first downward zero z of u: the first step over
+    which u goes from >= 0 to <= 0, bisected on its quartic, and
+    ``HorizonError`` names the first beta whose u has none before
+    ``X_MAX``.  A variational lane keeps its steps as a ``Trajectory`` that
+    ends at its z; ``trajectories`` is None for lanes of u alone.
     """
     betas = np.asarray(betas, dtype=float)
-    if np.any(betas <= 0.0) or x_max <= -1.0:
-        raise ValueError("need slopes beta > 0 and x_max > -1")
+    if np.any(betas <= 0.0):
+        raise ValueError("need slopes beta > 0")
     l, p = params.l, params.p
+    x_max, rtol, atol = X_MAX, LANE_RTOL, LANE_ATOL
     d = 4 if variational else 2
 
     def rhs(na, y, out):
@@ -260,12 +261,12 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
         rejected = ~ok
 
         fired = ok & (y[0] >= 0.0) & (y_new[0] <= 0.0)
-        if dense or fired.any():
+        if variational or fired.any():
             Q = np.dot(_P.T, stages).reshape(4, d, m)
             if fired.any():
                 events.append((lane[fired], t[fired], t_new[fired],
                                y[0, fired], Q[:, 0, fired]))
-            if dense:
+            if variational:
                 steps.append((lane[ok], t[ok], h[ok], y[:, ok], Q[..., ok]))
         np.copyto(t, t_new, where=ok)
         np.copyto(y, y_new, where=ok)
@@ -289,7 +290,7 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
     if np.isnan(z).any():
         raise HorizonError(f"u(., beta={betas[np.isnan(z)][0]}) has no zero "
                            f"before x_max={x_max}")
-    if not dense:
+    if not variational:
         return z, None
     i, start, length, state, coef = (np.concatenate(s, axis=-1)
                                      for s in zip(*steps))
@@ -297,40 +298,20 @@ def _lanes(betas, params, x_max, variational=False, dense=False,
                           coef[..., i == k], z[k]) for k in range(n)]
 
 
-def _count_zeros(traj):
-    """Transversal zeros of w in the open interval (-1, z), z = x_end."""
-    z = traj.x_end
-    pts = traj.step_points()
-    pts = pts[(pts > -1.0) & (pts < z)]
-    xs = np.unique(np.linspace(np.append(-1.0, pts), np.append(pts, z),
-                               ZERO_SUBSAMPLES + 1, axis=1))
-    ws = traj.w(xs)
-    scale = float(np.max(np.abs(ws))) or 1.0
-    edge = 1e-9 * (1.0 + abs(z))
-
-    w0, w1 = ws[:-1], ws[1:]
-    cross = w0 * w1 < 0.0
-    roots = list(_bisect(traj.w, xs[:-1][cross], xs[1:][cross]))
-    # near-tangency: refine to catch a double crossing
-    near = ~cross & (w0 != 0.0) & (w1 != 0.0) & (np.abs(w1) < 1e-7 * scale)
-    for i in np.flatnonzero(near):
-        fine = np.linspace(xs[i], xs[min(i + 2, len(xs) - 1)], TANGENCY_REFINE)
-        wf = traj.w(fine)
-        k = np.flatnonzero(wf[:-1] * wf[1:] < 0.0)
-        for r in _bisect(traj.w, fine[k], fine[k + 1]):
-            if all(abs(r - q) > 1e-9 for q in roots):
-                roots.append(r)
-    return sum(bool(-1.0 + edge < r < z - edge) for r in roots)
-
-
 def _record(beta, traj):
     """The ``ShootingRecord`` of a variational shot ``traj`` that ends at
-    the zero z of u: the Morse index, the sign of w(z) and
-    z'(beta) = -w(z)/u'(z) (w is the beta derivative of u, so no finite
-    differencing is involved)."""
+    the zero z of u, read from its step states and its value at z.
+
+    z'(beta) = -w(z)/u'(z), as w is the beta derivative of u.  The Prufer
+    angle theta = atan2(w, w') is unwrapped over the states, so each step
+    must turn it by less than pi; a sum of turns mod 2 pi would add 2 pi
+    where one rounds slightly negative (w' about 0 at x = 0 or where u is).
+    """
     z = traj.x_end
-    w_end = float(traj.w(z))
-    wscale = float(np.max(np.abs(traj.w(traj.step_points())))) or 1.0
+    w = np.append(traj.y[2], traj.w(z))
+    theta = np.unwrap(np.arctan2(w, np.append(traj.y[3], traj.dw(z))))
+    w_end = float(w[-1])
+    wscale = float(np.max(np.abs(w))) or 1.0
     if abs(w_end) <= WSIGN_REL_THRESHOLD * wscale:
         sign = "zero-ish"
     elif w_end > 0.0:
@@ -342,7 +323,7 @@ def _record(beta, traj):
         raise TransversalityError(
             f"|u'(z)| = {abs(up):.3e} at beta = {beta}; zero is not transversal")
     return ShootingRecord(beta=float(beta), z=z,
-                          morse_index=_count_zeros(traj),
+                          morse_index=int(np.floor(theta[-1] / np.pi)),
                           w_end_sign=sign, z_prime=-w_end / up, trajectory=traj)
 
 
@@ -376,10 +357,12 @@ def polish_crossings(brackets, zeta, params):
                 iterations=shots, residual=abs(last[i]))
         shots += 1
         betas = np.exp(s[todo])
-        z, trajs = _lanes(betas, params, X_MAX, variational=True, dense=True)
-        for i, beta, g, traj in zip(todo, betas, z - zeta, trajs):
+        for i, beta, traj in zip(todo, betas,
+                                 _lanes(betas, params, variational=True)[1]):
+            rec = _record(beta, traj)
+            g = rec.z - zeta
             if abs(g) <= POLISH_TOL:
-                records[i] = _record(beta, traj)
+                records[i] = rec
                 continue
             last[i] = g
             if g * gc[i] > 0.0:
@@ -387,7 +370,7 @@ def polish_crossings(brackets, zeta, params):
             else:
                 a[i], ga[i] = s[i], g
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = s[i] + g * traj.du(traj.x_end) / (beta * traj.w(traj.x_end))
+                step = s[i] - g / (beta * rec.z_prime)
             s[i] = step if a[i] < step < c[i] else 0.5 * (a[i] + c[i])
         todo = [i for i in todo if records[i] is None]
     return records
@@ -403,7 +386,9 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
     does not polish raises ``ConvergenceError``.  Finding fewer crossings
     than expected is reported through the list length, not an exception.
     """
-    _check_zeta(zeta)
+    if not -1.0 < zeta < np.inf:
+        raise HypothesisError(
+            "shooting-range", f"zeta must be finite and exceed -1, got {zeta!r}")
     if not (0.0 < beta_range[0] < beta_range[1] < np.inf):
         raise HypothesisError(
             "shooting-range", "beta_range must be positive, finite and increasing")
@@ -414,7 +399,7 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
             "shooting-range", f"scan_points must lie in [2, {MAX_SCAN_POINTS}], "
             f"got {scan_points}")
     betas = np.geomspace(beta_range[0], beta_range[1], scan_points)
-    g = _lanes(betas, params, X_MAX)[0] - zeta
+    g = _lanes(betas, params)[0] - zeta
     i = np.flatnonzero((g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0))
     j = np.where(g[i] == 0.0, i, i + 1)     # a scan point on the root
     return polish_crossings(np.column_stack((betas[i], g[i], betas[j], g[j])),
@@ -465,14 +450,11 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
 
 def unit_problem(zeta, params):
     """(delta, weight, f) of v'' + |t - 1/2 + delta|^l v^p = 0 on (0, 1),
-    with the offset delta = (zeta-1)/(2(1+zeta)) of the rescaled weight."""
-    _check_zeta(zeta)
+    with the offset delta = (zeta-1)/(2(1+zeta)) of the rescaled weight,
+    whose center 1/(1+zeta) lies in (0, 1] only for zeta >= 0."""
+    if not 0.0 <= zeta < np.inf:
+        raise HypothesisError("shooting-range", "the rescaled weight needs "
+                              f"finite zeta >= 0, got {zeta!r}")
     delta = (zeta - 1.0) / (2.0 * (1.0 + zeta))
     return (delta, WeightFamily.power_offset(params.l, 0.5 - delta),
             NonlinearityFamily.power(1.0, params.p))
-
-
-def _check_zeta(zeta):
-    if not -1.0 < zeta < np.inf:
-        raise HypothesisError(
-            "shooting-range", f"zeta must be finite and exceed -1, got {zeta!r}")

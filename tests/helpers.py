@@ -71,6 +71,6 @@ def green_hat_integral(t, node_index, mesh, alpha):
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 
-def first_zero(beta, params, **tol):
+def first_zero(beta, params):
     """z(beta), the first zero of u(., beta), from one lane of u alone."""
-    return float(shooting._lanes([beta], params, shooting.X_MAX, **tol)[0][0])
+    return float(shooting._lanes([beta], params)[0][0])

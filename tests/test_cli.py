@@ -467,6 +467,19 @@ def test_scan_size_exits_2_before_allocating(tmp_path, monkeypatch):
     assert not (out / "crossings.csv").exists()
 
 
+def test_negative_zeta_exits_2_as_shooting_range_before_rescaling(tmp_path):
+    # henon-continue rescales onto a weight centred at 1/(1 + zeta), which
+    # leaves [0, 1] for zeta < 0; henon-shoot never rescales and takes it
+    out = tmp_path / "continue"
+    assert main(["henon-continue", "--zeta", "-0.5",
+                 "--out", str(out)]) == EXIT_HYPOTHESIS
+    error = json.loads((out / "error.json").read_text())
+    assert error["hypothesis"] == "shooting-range"
+    assert "zeta >= 0" in error["message"]
+    assert main(["henon-shoot", "--zeta", "-0.5", "--scan-points", "20",
+                 "--out", str(tmp_path / "shoot")]) == EXIT_OK
+
+
 def test_untraced_runs_leave_scipy_integrate_and_optimize_unloaded(tmp_path):
     # every shot runs on the lane integrator, so a fresh process that runs
     # eig and henon-continue never imports either module

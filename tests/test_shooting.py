@@ -48,7 +48,7 @@ def _serial_zero(beta, params, x_max=shooting.X_MAX):
     legs = [x for x in (-1.0, 0.0) if x < x_max] + [x_max]
     for x0, x1 in zip(legs[:-1], legs[1:]):
         sol = solve_ivp(rhs, (x0, x1), y, method="RK45",
-                        rtol=shooting.RTOL_DEFAULT, atol=shooting.ATOL_DEFAULT,
+                        rtol=shooting.LANE_RTOL, atol=shooting.LANE_ATOL,
                         events=zero)
         if sol.status == 1:
             return float(sol.t_events[0][0])
@@ -56,10 +56,9 @@ def _serial_zero(beta, params, x_max=shooting.X_MAX):
     raise HorizonError(f"no zero before {x_max}")
 
 
-def _shot(beta, params, **tol):
+def _shot(beta, params):
     """The dense shot of (u, u', w, w') from x = -1 to the first zero of u."""
-    return shooting._lanes([beta], params, shooting.X_MAX, variational=True,
-                           dense=True, **tol)[1][0]
+    return shooting._lanes([beta], params, variational=True)[1][0]
 
 
 def test_params_validation():
@@ -86,10 +85,12 @@ def test_trajectory_concave_where_positive(henon_params):
     assert np.all(np.diff(du[pos]) <= 1e-12)
 
 
-def test_tolerance_self_convergence(henon_params):
+def test_tolerance_self_convergence(henon_params, monkeypatch):
     # halved tolerance changes the state at x = 0 by far less than 1e-8
-    t1 = _shot(1.0, henon_params, rtol=1e-10, atol=1e-12)
-    t2 = _shot(1.0, henon_params, rtol=5e-11, atol=5e-13)
+    t1 = _shot(1.0, henon_params)
+    monkeypatch.setattr(shooting, "LANE_RTOL", shooting.LANE_RTOL / 2.0)
+    monkeypatch.setattr(shooting, "LANE_ATOL", shooting.LANE_ATOL / 2.0)
+    t2 = _shot(1.0, henon_params)
     assert abs(t1.u(0.0) - t2.u(0.0)) < 1e-8
 
 
@@ -109,7 +110,7 @@ def test_trajectory_matches_scipy_dense_output(henon_params):
     y = [0.0, 30.0, 0.0, 1.0]
     for x0, x1 in ((-1.0, 0.0), (0.0, z)):
         sol = solve_ivp(rhs, (x0, x1), y, method="RK45", dense_output=True,
-                        rtol=shooting.RTOL_DEFAULT, atol=shooting.ATOL_DEFAULT)
+                        rtol=shooting.LANE_RTOL, atol=shooting.LANE_ATOL)
         x = np.linspace(x0, x1, 201)
         for want, got in zip(sol.sol(x), (traj.u, traj.du, traj.w)):
             assert np.max(np.abs(got(x) - want)) <= 1e-10 * np.max(np.abs(want))
@@ -121,23 +122,21 @@ def test_first_zero_transversal(henon_params):
         z = first_zero(beta, henon_params)
         assert z > -1.0
         # the variational shot, on its own steps, ends at nearly the same zero
-        _, (traj,) = shooting._lanes([beta], henon_params, shooting.X_MAX,
-                                     variational=True, dense=True)
+        traj = _shot(beta, henon_params)
         assert abs(traj.x_end - z) < 1e-9
         assert traj.du(traj.x_end) < 0.0
         assert abs(traj.u(traj.x_end)) < 1e-11
 
 
 def test_first_zero_is_the_dense_shot_zero(henon_params):
-    # first_zero keeps only the zero; the dense shot of u ends at the same
-    # float.  Where u is negative there, bisecting the dense output for its
-    # root gives that float back, so no polish after the step's bisection
-    # is needed.
+    # the variational shot's trajectory ends at its lane's zero.  Where u is
+    # negative there, bisecting the dense output for its root gives that
+    # float back, so no polish after the step's bisection is needed.
     below = 0
     for beta in np.geomspace(1e-3, 1e3, 25):
-        (z,), (traj,) = shooting._lanes([beta], henon_params, shooting.X_MAX,
-                                        dense=True)
-        assert first_zero(beta, henon_params) == z == traj.x_end
+        (z,), (traj,) = shooting._lanes([beta], henon_params,
+                                        variational=True)
+        assert z == traj.x_end
         lo = z - 1e-6 * (1.0 + abs(z))
         if traj.u(lo) > 0.0 > traj.u(z):
             below += 1
@@ -182,7 +181,7 @@ def test_scan_lanes_match_first_zero(l, p, seed):
     # serial shots agree with each other only to a few ulps of 1
     params = HenonParams(l=l, p=p)
     betas = _henon_continue_betas(seed)
-    z = shooting._lanes(betas, params, shooting.X_MAX)[0]
+    z = shooting._lanes(betas, params)[0]
     ref = np.array([_serial_zero(b, params) for b in betas])
     assert np.all(np.abs(z - ref) <= 1e-12 * (1.0 + np.abs(ref)))
     assert np.array_equal(np.sign(z - 1.0), np.sign(ref - 1.0))
@@ -194,7 +193,7 @@ def test_scan_finds_far_zeros_in_one_pass():
     # the serial shot at the same horizon
     params = HenonParams(l=2.0, p=3.0)
     betas = np.geomspace(1e-7, 50.0, 40)
-    z = shooting._lanes(betas, params, shooting.X_MAX)[0]
+    z = shooting._lanes(betas, params)[0]
     ref = np.array([_serial_zero(b, params) for b in betas])
     assert np.count_nonzero(ref > 100.0) >= 8 and np.any(ref < 1.0)
     assert np.all(np.abs(z - ref) <= 1e-12 * (1.0 + np.abs(ref)))
@@ -284,28 +283,38 @@ def test_degeneracy_is_the_relative_test_on_w_end():
     assert not record("negative", -1e-7).degenerate
 
 
-def test_variational_verdicts_consistent(henon_params, henon_crossings):
-    # |w(z)| and |z'| give the same (non)degeneracy verdict, and the sign
-    # changes of w sampled on a fine grid give the recorded Morse index
-    for r in henon_crossings:
-        z, traj = r.z, r.trajectory
-        wscale = np.max(np.abs(traj.w(traj.step_points())))
-        assert (abs(traj.w(z)) > 1e-6 * wscale) == (abs(r.z_prime) > 1e-6)
-        w = traj.w(np.linspace(-1.0, z, 20001)[1:-1])
-        assert np.count_nonzero(w[:-1] * w[1:] < 0.0) == r.morse_index
+def test_variational_verdicts_consistent():
+    # over sweeps of shots, |w(z)| and |z'| give the same (non)degeneracy
+    # verdict, and the sign changes of w sampled on a fine grid give the
+    # Morse index the record reads from the Prufer angle; each sweep has a
+    # shot of index 2, and p = 7 is the steepest turn of the angle per step
+    betas = np.geomspace(1e-3, 1e3, 30)
+    for l, p in ((4.0, 2.0), (2.0, 3.0), (6.0, 3.0), (4.0, 7.0)):
+        trajs = shooting._lanes(betas, HenonParams(l=l, p=p),
+                                variational=True)[1]
+        indices = []
+        for beta, traj in zip(betas, trajs):
+            r = shooting._record(beta, traj)
+            w_end = abs(traj.w(r.z))
+            wscale = max(np.max(np.abs(traj.y[2])), w_end)
+            assert (w_end > 1e-6 * wscale) == (abs(r.z_prime) > 1e-6)
+            w = traj.w(np.linspace(-1.0, r.z, 20001)[1:-1])
+            assert np.count_nonzero(w[:-1] * w[1:] < 0.0) == r.morse_index
+            indices.append(r.morse_index)
+        assert 2 in indices
 
 
-def test_morse_count_stable_under_tol_tightening(henon_params, henon_crossings):
+def test_morse_count_stable_under_tol_tightening(henon_params, henon_crossings,
+                                                 monkeypatch):
     r = henon_crossings[1]
-    counts = []
-    for rtol, atol in ((1e-10, 1e-12), (1e-12, 1e-14)):
-        _, (traj,) = shooting._lanes([r.beta], henon_params, shooting.X_MAX,
-                                     variational=True, dense=True, rtol=rtol,
-                                     atol=atol)
-        counts.append(shooting._count_zeros(traj))
+    counts = [shooting._record(r.beta, _shot(r.beta, henon_params)).morse_index]
+    z_loose = first_zero(r.beta, henon_params)
+    monkeypatch.setattr(shooting, "LANE_RTOL", 1e-12)
+    monkeypatch.setattr(shooting, "LANE_ATOL", 1e-14)
+    counts.append(
+        shooting._record(r.beta, _shot(r.beta, henon_params)).morse_index)
+    z_tight = first_zero(r.beta, henon_params)
     assert counts[0] == counts[1] == r.morse_index
-    z_loose = first_zero(r.beta, henon_params, rtol=1e-10, atol=1e-12)
-    z_tight = first_zero(r.beta, henon_params, rtol=1e-12, atol=1e-14)
     assert abs(z_loose - z_tight) < 1e-7
 
 

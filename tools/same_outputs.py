@@ -42,7 +42,10 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # sublinear solution of sup norm 5.5e-7 and a superlinear one of 9.3e19,
 # where an absolute stop ends early or never, so a change to any stop shows;
 # then two whose Petviashvili seed already solves to rounding level, so that
-# no damping of Newton's first correction lowers the residual
+# no damping of Newton's first correction lowers the residual; last, Henon
+# crossings of Morse index 1, 2, 1 at p = 7, the steepest p in reach, where
+# the Prufer angle that counts the index turns fastest per step, so a change
+# to the count shows
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -64,6 +67,7 @@ FIXED = [
     "--nonlin power:15.518:5.95411 --n 400",
     "solve-super --alpha 1.06534 --weight power_offset:1.18235:0.41194 "
     "--nonlin power:5.88681:6.74428 --n 200",
+    "henon-shoot --l 4 --p 7 --zeta 1 --scan-points 200",
 ]
 
 
