@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import (EXIT_HYPOTHESIS, EXIT_NONCONVERGENCE, FracBVPError,
@@ -469,13 +468,10 @@ def _fail(outdir, exc):
 
 
 def _blas():
-    """The BLAS builds of numpy and scipy (the Newton triangular solves run
-    on scipy's) and the thread settings in the environment."""
-    builds = {}
-    for module in (np, scipy):
-        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        builds[module.__name__] = f"{blas.get('name')} {blas.get('version')}"
-    return {**builds,
+    """numpy's BLAS build, the only one the outputs run on, and the thread
+    settings in the environment."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": f"{blas.get('name')} {blas.get('version')}",
             "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
@@ -495,7 +491,6 @@ def run(config):
         "command": config["command"],
         "config": {k: v for k, v in config.items() if k != "command"},
         "versions": {"fracbvp": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
         "blas": _blas(),
         "timings_s": timings,
@@ -579,7 +574,3 @@ def main(argv=None):
         outdir = _make_outdir(args.out or "out")
         return EXIT_IO if outdir is None else _fail(outdir, exc)
     return run(config)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

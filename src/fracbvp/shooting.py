@@ -171,6 +171,10 @@ def _bisect(fn, lo, hi):
     return hi
 
 
+# no floating-point exception here needs a warning: a trial step that
+# overflows has a non-finite err, so it is rejected with the smallest factor
+# (fmax: NaN as well), and a division by zero gives an inf clipped or unused
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _lanes(betas, params, variational=False):
     """``(z, trajectories)``: one shot of u, and of w if ``variational``, per
     beta, all run as lanes of one NumPy Dormand-Prince pass.
@@ -211,15 +215,13 @@ def _lanes(betas, params, variational=False):
         span = t_bound - t
         scale = atol + np.abs(y) * rtol
         d0, d1 = rms(y / scale), rms(f / scale)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, span)
         f1 = rhs(-np.abs(t + h0) ** l, y + h0 * f, np.empty_like(y))
         d2 = rms((f1 - f) / scale) / h0
         flat = (d1 <= 1e-15) & (d2 <= 1e-15)
-        with np.errstate(divide="ignore"):
-            h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                          (0.01 / np.maximum(d1, d2)) ** _ERR_EXP)
+        h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** _ERR_EXP)
         return np.minimum(np.minimum(100.0 * h0, h1), span)
 
     n = len(betas)
@@ -254,9 +256,8 @@ def _lanes(betas, params, variational=False):
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err = rms(np.dot(_E, stages).reshape(d, m) * h / scale)
         ok = err < 1.0
-        with np.errstate(divide="ignore"):
-            factor = _SAFETY * err ** -_ERR_EXP
-        factor = np.minimum(np.maximum(factor, _MIN_FACTOR), _MAX_FACTOR)
+        factor = np.fmin(np.fmax(_SAFETY * err ** -_ERR_EXP, _MIN_FACTOR),
+                         _MAX_FACTOR)
         h_abs = h * np.where(ok & rejected, np.minimum(1.0, factor), factor)
         rejected = ~ok
 

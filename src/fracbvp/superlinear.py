@@ -7,11 +7,11 @@ lower triangular plus rank one: above the diagonal the Green function is its
 separable branch t^(alpha-1)(1-s)^(alpha-1)/Gamma(alpha) alone, so A there
 is the outer product of u = t^(alpha-1) and v = c h (c from
 ``kernel.separable_hat_integrals``).  Hence J = T - u w^T with w = v f'(u)
-and T lower triangular, and a solve with J or J^T is one triangular solve
-plus a Sherman-Morrison correction, O(m^2) with no factorization and no
-re-assembly.  The Sherman-Morrison denominator 1 - w^T T^-1 u is
-det J / det T, and T's diagonal is positive, so its sign is the sign of
-det J.
+and T lower triangular, and a solve with J or J^T is one triangular solve,
+by blocks over T's inverted diagonal blocks, plus a Sherman-Morrison
+correction: O(m^2), no factorization, no re-assembly.  The denominator
+1 - w^T T^-1 u is det J / det T, and T's diagonal is positive, so its sign
+is the sign of det J.
 
 Newton starts from one seed, Petviashvili's iteration from phi1 (of several
 positive solutions, it returns the one it reaches); both stop by ``settled``.
@@ -33,9 +33,6 @@ operator A and reads mesh, order and weight from it.
 from dataclasses import dataclass
 
 import numpy as np
-# lu_factor is not called here; perfbench/spans.py wraps
-# ``superlinear.lu_factor`` by name in its traced runs, so the name stays bound
-from scipy.linalg import lu_factor, solve_triangular  # noqa: F401
 
 from .errors import ConvergenceError, DegeneratePointError, HypothesisError
 from .grid import RTOL, GridFunction, settled
@@ -56,8 +53,17 @@ MARGIN_RTOL = 1e-10
 EASY_NEWTON = 3
 # step cap of the Petviashvili seed of find_positive_solution
 PETVIASHVILI_MAXIT = 500
-# rows of T built per block, so the block's three passes stay in cache
+# rows of T built per block, so the block's three passes stay in cache, and
+# the size of the diagonal blocks of T that are inverted for its solves
 _ROW_BLOCK = 64
+
+
+def __getattr__(name):
+    # only perfbench/spans.py looks this up, so only it imports scipy.linalg
+    if name == "lu_factor":
+        from scipy.linalg import lu_factor
+        return lu_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -124,33 +130,65 @@ def _separable_factors(A):
     return u, v
 
 
+def _invert_diagonal_blocks(tri):
+    """Overwrite the ``_ROW_BLOCK``-square diagonal blocks of the lower
+    triangular ``tri`` by their inverses, reading only lower triangles: all
+    at once, by halving from 1 / diag (Higham 2002, ch. 14), the inverse of
+    [[P, 0], [C, Q]] being [[P^-1, 0], [-Q^-1 C P^-1, Q^-1]]."""
+    k = len(tri) // _ROW_BLOCK
+    blocks = np.einsum("kikj->kij", tri.reshape(k, _ROW_BLOCK, k, _ROW_BLOCK))
+    np.copyto(blocks, 0.0, where=~np.tri(_ROW_BLOCK, dtype=bool))
+    diag = np.einsum("ii->i", tri)
+    np.divide(1.0, diag, out=diag)
+    s = 1
+    while s < _ROW_BLOCK:
+        n = len(tri) // (2 * s)
+        pairs = np.einsum("aiaj->aij", tri.reshape(n, 2 * s, n, 2 * s))
+        P, C, Q = pairs[:, :s, :s], pairs[:, s:, :s], pairs[:, s:, s:]
+        np.negative(np.matmul(np.matmul(Q, C), P), out=C)
+        s *= 2
+
+
 class _SplitJacobian:
     """J = I - A diag(fp) as T - u w^T, with solves by J and J^T in O(m^2).
 
-    T = I + tril(u w^T - A diag fp) lives in one m x m buffer, of which only
-    the lower triangle is written or read.  ``failure`` names why the split
-    cannot be solved with (a diagonal entry of T not positive and finite, or
-    a Sherman-Morrison denominator zero or not finite), else it is None.
+    T = I + tril(u w^T - A diag fp), padded with the identity to whole
+    diagonal blocks of ``_ROW_BLOCK`` rows, lives in one buffer whose upper
+    triangle no solve reads; its diagonal blocks come to hold their inverses.
+    ``failure`` names why the split cannot be solved with (a diagonal entry
+    of T not positive and finite, or a Sherman-Morrison denominator zero or
+    not finite), else it is None.
     """
 
     def __init__(self, A, fp, factors):
         u, v = factors
-        m = len(u)
-        tri = np.empty((m, m))
-        for r0 in range(0, m, _ROW_BLOCK):
-            r1 = min(r0 + _ROW_BLOCK, m)
+        m, b = len(u), _ROW_BLOCK
+        tri = np.empty((-(-m // b) * b,) * 2)
+        tri[m:] = 0.0
+        for r0 in range(0, m, b):
+            r1 = min(r0 + b, m)
             block = tri[r0:r1, :r1]
             np.multiply(u[r0:r1, np.newaxis], v[:r1], out=block)
             np.subtract(block, A.matrix[r0:r1, :r1], out=block)
             block *= fp[:r1]
         diag = np.einsum("ii->i", tri)
         diag += 1.0
-        self.tri, self.u, self.w = tri, u, v * fp
+        self.u, self.w = u, v * fp
         self.denominator = np.nan
         self.failure = None
         if not np.all(np.isfinite(diag) & (diag > 0.0)):
             self.failure = "has a triangular part with a diagonal entry <= 0"
             return
+        _invert_diagonal_blocks(tri)
+        tri = tri[:m, :m]
+        # per block, for the sweeps by T and T^T over the solves' buffer x:
+        # its part of x, D_k^-1, and the panel and part of x already solved
+        self.x = x = np.empty(m)
+        self.sweeps = ([(x[i:i + b], tri[i:i + b, i:i + b], tri[i:i + b, :i],
+                         x[:i]) for i in range(0, m, b)],
+                       [(x[i:i + b], tri[i:i + b, i:i + b].T,
+                         tri[i + b:, i:i + b].T, x[i + b:])
+                        for i in reversed(range(0, m, b))])
         self.y = self._tri_solve(u, 0)
         self.z = self._tri_solve(self.w, 1)
         self.denominator = float(1.0 - self.w @ self.y)
@@ -159,8 +197,14 @@ class _SplitJacobian:
                             f"{self.denominator}")
 
     def _tri_solve(self, b, trans):
-        return solve_triangular(self.tri, b, trans=trans, lower=True,
-                                check_finite=False)
+        """T^-1 b, or T^-T b if ``trans``, by blocked substitution
+        x_k = D_k^-1 (b_k - L_k x_<k), for T^T on the column panels."""
+        x = self.x
+        x[:] = b
+        for xk, inv, panel, solved in self.sweeps[trans]:
+            xk -= panel @ solved
+            xk[:] = inv @ xk
+        return x.copy()
 
     def solve(self, b):
         x = self._tri_solve(b, 0)
@@ -230,7 +274,8 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     whose condition estimate ||J||_1 / sigma_min exceeds ``COND_LIMIT``, or
     whose split cannot be solved with, ends it with ``DegeneratePointError``.
     sigma_min comes from ``COND_STEPS`` Lanczos steps on J^-1 J^-T, as in
-    ``nondegeneracy``; stopped early, the estimate is a lower bound.
+    ``nondegeneracy``; stopped early, the estimate is a lower bound.  A
+    zero Sherman-Morrison denominator is det J = 0, an infinite estimate.
     """
     if not A.mesh.same_as(u0.mesh):
         raise ValueError("initial guess lives on a different mesh than the operator")
@@ -247,8 +292,8 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
         jac = None          # free the last split before building the next
         jac = _SplitJacobian(A, fp, factors)
         failure = jac.failure
-        if failure is None:
-            theta, _, _ = _top_eigenvalue(jac, COND_STEPS)
+        if failure is None or jac.denominator == 0.0:
+            theta = np.inf if failure else _top_eigenvalue(jac, COND_STEPS)[0]
             cond = norm1(fp) * np.sqrt(theta)
             if not cond <= COND_LIMIT:
                 failure = (f"condition estimate {cond:.3e} exceeds "

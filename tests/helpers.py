@@ -3,7 +3,8 @@
 Unlike ``oracles``, these are not independent checks: ``green_hat_integral``
 runs ``kernel.green_hat_matrix``'s closed forms one hat at a time, and
 ``first_zero`` is one lane of the shooting integrator.  ``norms`` gives the
-weighted norms the envelope tests compare against.
+weighted norms the envelope tests compare against; ``sample`` and ``zeros``
+build grid functions.
 """
 
 from dataclasses import dataclass
@@ -11,8 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracbvp import shooting
+from fracbvp.grid import GridFunction
 from fracbvp.kernel import (_hat_scale, _segment_hats, check_order,
                             separable_hat_integrals)
+
+
+def sample(mesh, fn):
+    """The grid function of ``fn`` at the nodes of ``mesh``."""
+    return GridFunction(mesh, fn(mesh.nodes))
+
+
+def zeros(mesh):
+    return GridFunction(mesh, np.zeros(len(mesh.nodes)))
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,8 @@ def test_eig_command_writes_artifacts(tmp_path, monkeypatch):
     assert "timestamp" in manifest and "versions" in manifest
     # the BLAS builds and thread settings the CSV bytes depend on
     blas = manifest["blas"]
-    assert set(blas) == {"numpy", "scipy", "threads"}
-    assert blas["numpy"] and blas["scipy"]
+    assert set(blas) == {"numpy", "threads"}
+    assert blas["numpy"]
     assert blas["threads"] == {"OPENBLAS_NUM_THREADS": "1",
                                "OMP_NUM_THREADS": None,
                                "MKL_NUM_THREADS": "2"}
@@ -270,9 +270,9 @@ def test_nonconvergence_exit_code(tmp_path):
 
 def test_tabulated_weight_from_csv(tmp_path):
     import numpy as np
-    from fracbvp.grid import GridFunction, make_mesh
-    table = GridFunction.sample(make_mesh(16, "uniform"),
-                                lambda t: 1.0 + t * (1.0 - t))
+    from fracbvp.grid import make_mesh
+    from helpers import sample
+    table = sample(make_mesh(16, "uniform"), lambda t: 1.0 + t * (1.0 - t))
     wpath = tmp_path / "weight.csv"
     table.to_csv(wpath)
     out = tmp_path / "tab"
@@ -480,10 +480,13 @@ def test_negative_zeta_exits_2_as_shooting_range_before_rescaling(tmp_path):
                  "--out", str(tmp_path / "shoot")]) == EXIT_OK
 
 
-def test_untraced_runs_leave_scipy_integrate_and_optimize_unloaded(tmp_path):
-    # every shot runs on the lane integrator, so a fresh process that runs
-    # eig and henon-continue never imports either module
+def test_untraced_runs_leave_scipy_unloaded(tmp_path):
+    # every shot runs on the lane integrator and every Newton solve on the
+    # NumPy triangular solves, so a fresh process that runs eig, solve-super
+    # and henon-continue never imports scipy
     runs = [["eig", "--alpha", "1.5", "--weight", "constant:1", "--n", "50"],
+            ["solve-super", "--alpha", "1.8", "--weight", "constant:1",
+             "--nonlin", "power:1:2", "--n", "100"],
             ["henon-continue", "--beta-min", "50", "--beta-max", "300",
              "--scan-points", "60", "--target-alpha", "1.99", "--n", "100"]]
     script = "\n".join([
@@ -491,8 +494,7 @@ def test_untraced_runs_leave_scipy_integrate_and_optimize_unloaded(tmp_path):
         "from fracbvp.cli import main",
         *[f"assert main({argv + ['--out', str(tmp_path / str(k))]!r}) == 0"
           for k, argv in enumerate(runs)],
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

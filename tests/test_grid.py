@@ -6,7 +6,7 @@ from fracbvp.grid import (RTOL, GridFunction, Mesh, boundary_weight,
                           default_grading_exponent, make_mesh,
                           production_mesh, settled)
 
-from helpers import norms
+from helpers import norms, sample, zeros
 
 
 def test_make_mesh_uniform():
@@ -63,7 +63,7 @@ def test_default_grading_exponent():
 
 def test_norms_zero_function():
     mesh = make_mesh(16, "uniform")
-    w = norms(GridFunction.zeros(mesh), 1.5)
+    w = norms(zeros(mesh), 1.5)
     assert (w.sup, w.c2ma, w.enorm) == (0.0, 0.0, 0.0)
 
 
@@ -79,7 +79,7 @@ def test_norms_of_gauge_function(alpha):
 
 def test_norms_positive_homogeneity():
     mesh = make_mesh(32, "uniform")
-    u = GridFunction.sample(mesh, lambda t: np.sin(np.pi * t) * (1.0 + t))
+    u = sample(mesh, lambda t: np.sin(np.pi * t) * (1.0 + t))
     base = norms(u, 1.5)
     for c in (2.0, -3.5, 0.25):
         scaled = norms(GridFunction(mesh, c * u.values), 1.5)
@@ -95,7 +95,7 @@ def test_sup_below_enorm_for_vanishing_functions(alpha):
     for fn in (lambda t: np.sin(np.pi * t),
                lambda t: t ** (alpha - 1.0) * (1.0 - t) ** 2,
                lambda t: np.sin(3 * np.pi * t) * t * (1.0 - t)):
-        u = GridFunction.sample(mesh, fn)
+        u = sample(mesh, fn)
         w = norms(u, alpha)
         assert w.sup <= w.enorm * (1.0 + 1e-12)
 
@@ -105,15 +105,15 @@ def test_norms_refinement_monotonicity():
     mesh = make_mesh(16, "uniform")
     fine = make_mesh(32, "uniform")
     for alpha in (1.5, 2.0):
-        coarse = norms(GridFunction.sample(mesh, fn), alpha)
-        refined = norms(GridFunction.sample(fine, fn), alpha)
+        coarse = norms(sample(mesh, fn), alpha)
+        refined = norms(sample(fine, fn), alpha)
         assert refined.sup >= coarse.sup - 1e-15
         assert refined.c2ma >= coarse.c2ma - 1e-15
 
 
 def test_gridfunction_csv_roundtrip(tmp_path):
     mesh = make_mesh(12, "graded", 1.5)
-    u = GridFunction.sample(mesh, lambda t: np.cos(t) * t * (1.0 - t))
+    u = sample(mesh, lambda t: np.cos(t) * t * (1.0 - t))
     path = tmp_path / "u.csv"
     u.to_csv(path)
     back = GridFunction.from_csv(path)

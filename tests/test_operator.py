@@ -8,7 +8,7 @@ from fracbvp.errors import HypothesisError
 from fracbvp.grid import GridFunction, make_mesh, production_mesh
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
 
-from helpers import green_hat_integral, norms
+from helpers import green_hat_integral, norms, sample, zeros
 from oracles import green_integral
 
 
@@ -29,7 +29,7 @@ def test_weight_rejects_negative_or_zero():
         WeightFamily.polynomial([1.0, -4.0])   # negative on part of [0,1]
     mesh = make_mesh(8, "uniform")
     with pytest.raises(HypothesisError):
-        WeightFamily.tabulated(GridFunction.zeros(mesh))
+        WeightFamily.tabulated(zeros(mesh))
 
 
 def test_nonlinearity_families():
@@ -86,7 +86,7 @@ def test_assemble_rejects_zero_weight():
     mesh = make_mesh(16, "uniform")
     with pytest.raises(HypothesisError):
         WeightFamily.constant(-1.0)
-    table = GridFunction.sample(mesh, lambda t: np.ones_like(t))
+    table = sample(mesh, lambda t: np.ones_like(t))
     table.values[3] = -0.5
     with pytest.raises(HypothesisError):
         assemble(mesh, 1.5, WeightFamily.tabulated(table))
@@ -127,7 +127,7 @@ def test_classical_sine_image():
     # alpha = 2, h = 1: the map sends sin(pi t) to sin(pi t)/pi^2 + O(n^-2)
     mesh = make_mesh(200, "uniform")
     A = assemble(mesh, 2.0, WeightFamily.constant(1.0))
-    x = GridFunction.sample(mesh, lambda t: np.sin(np.pi * t))
+    x = sample(mesh, lambda t: np.sin(np.pi * t))
     y = A.matrix @ x.values
     err = np.max(np.abs(y - x.values / math.pi ** 2))
     assert err < 5.0 / 200 ** 2
@@ -136,27 +136,27 @@ def test_classical_sine_image():
 def test_apply_linear_is_linear_and_positive():
     mesh = production_mesh(1.5, 50)
     A = assemble(mesh, 1.5, WeightFamily.constant(1.0))
-    x = GridFunction.sample(mesh, lambda t: np.sin(np.pi * t))
-    y = GridFunction.sample(mesh, lambda t: t * (1.0 - t) ** 2)
+    x = sample(mesh, lambda t: np.sin(np.pi * t))
+    y = sample(mesh, lambda t: t * (1.0 - t) ** 2)
     lhs = A.matrix @ (2.0 * x.values - 3.0 * y.values)
     rhs = 2.0 * (A.matrix @ x.values) - 3.0 * (A.matrix @ y.values)
     assert np.max(np.abs(lhs - rhs)) < 1e-14
     assert np.all(A.matrix @ x.values >= 0.0)
-    assert np.all(A.matrix @ GridFunction.zeros(mesh).values == 0.0)
+    assert np.all(A.matrix @ zeros(mesh).values == 0.0)
 
 
 def test_apply_nonlinear_trivial_and_guarded():
     mesh = make_mesh(64, "uniform")
     h = WeightFamily.constant(1.0)
     A = assemble(mesh, 2.0, h)
-    zero = GridFunction.zeros(mesh)
+    zero = zeros(mesh)
     for f in (NonlinearityFamily.power(1.0, 2.0),
               NonlinearityFamily.affine_power(1.0, 0.5)):
         out = A.nonlinear_image(f, zero.values)
         assert np.all(out == 0.0)
     # negative excursions go through |u|
     f = NonlinearityFamily.power(1.0, 0.5)
-    u = GridFunction.sample(mesh, lambda t: -np.sin(np.pi * t))
+    u = sample(mesh, lambda t: -np.sin(np.pi * t))
     out = A.nonlinear_image(f, u.values)
     assert np.all(np.isfinite(out))
     assert np.all(out >= 0.0)
@@ -166,7 +166,7 @@ def test_apply_nonlinear_linear_f_matches_linear_path():
     mesh = make_mesh(100, "uniform")
     h = WeightFamily.constant(1.0)
     A = assemble(mesh, 2.0, h)
-    u = GridFunction.sample(mesh, lambda t: np.sin(np.pi * t))
+    u = sample(mesh, lambda t: np.sin(np.pi * t))
     out = A.nonlinear_image(NonlinearityFamily.power(1.0, 1.0), u.values)
     assert np.max(np.abs(out - A.matrix @ u.values)) < 1e-15
 

@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,22 @@ def test_scan_finds_far_zeros_in_one_pass():
     ref = np.array([_serial_zero(b, params) for b in betas])
     assert np.count_nonzero(ref > 100.0) >= 8 and np.any(ref < 1.0)
     assert np.all(np.abs(z - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("beta_range, points",
+                         [((1e-3, 1e3), 200), ((1e-4, 1e4), 2000)])
+def test_overflowing_trial_steps_warn_nothing(beta_range, points):
+    # at l = 8, p = 20 the trial stages of steep lanes overflow; those steps
+    # are rejected through their non-finite error norm, and their dense
+    # coefficients are never read, without a warning
+    params = HenonParams(l=8.0, p=20.0)
+    plain = find_crossings(1.0, params, beta_range, points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = find_crossings(1.0, params, beta_range, points)
+    assert len(plain) == 3
+    assert [(r.beta, r.morse_index) for r in strict] == [
+        (r.beta, r.morse_index) for r in plain]
 
 
 def test_scan_horizon_cap(henon_params, monkeypatch):

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracbvp.cli import main as cli_main
 from fracbvp.errors import ConvergenceError, HypothesisError
@@ -14,7 +16,7 @@ from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
 from fracbvp.superlinear import (continue_alpha, find_positive_solution,
                                  newton_solve, nondegeneracy)
 
-from helpers import norms
+from helpers import norms, zeros
 from oracles import fd_newton_bvp
 
 SQUARE = NonlinearityFamily.power(1.0, 2.0)
@@ -105,7 +107,7 @@ def test_jacobian_bytes_match_identity_minus_scaled(classical):
 
 def test_nondegeneracy_identity_at_zero(classical, unit_weight):
     mesh, A, _ = classical
-    report = nondegeneracy(A, SQUARE, GridFunction.zeros(mesh))
+    report = nondegeneracy(A, SQUARE, zeros(mesh))
     assert report.margin == pytest.approx(1.0, abs=1e-12)
     assert not report.degenerate
 
@@ -353,6 +355,34 @@ def test_split_solves_match_dense_lu(problem):
             ref = lu_solve(lu, b, trans=trans)
             rel = np.max(np.abs(solve(b) - ref)) / np.max(np.abs(ref))
             assert rel < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 17, 63, 64, 65, 128, 129, 401])
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_tri_solve_matches_solve_triangular(m, seed):
+    # the blocked solves with T and T^T against scipy's, on every block
+    # shape: one block, a partial one, whole ones, whole ones and a partial
+    # one.  With u = w = 0 and fp = 1 the split's T is I - tril(A), and the
+    # NaN above A's diagonal reaches the upper triangles of T's diagonal
+    # blocks, so a solve that read them would not be finite
+    from scipy.linalg import solve_triangular
+    from fracbvp.superlinear import _SplitJacobian
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.uniform(-1.0, 1.0, (m, m)), -1) / m
+    lower += np.diag(rng.uniform(0.5, 2.0, m))
+    matrix = np.eye(m) - lower
+    matrix[np.triu_indices(m, 1)] = np.nan
+    zeros = np.zeros(m)
+    jac = _SplitJacobian(SimpleNamespace(matrix=matrix), np.ones(m),
+                         (zeros, zeros))
+    assert jac.failure is None
+    b = rng.standard_normal(m)
+    for trans in (0, 1):
+        ref = solve_triangular(lower, b, trans=trans, lower=True)
+        rel = np.max(np.abs(jac._tri_solve(b, trans) - ref)) / np.max(
+            np.abs(ref))
+        assert rel < 1e-13
 
 
 @pytest.mark.parametrize("problem", CRITERION_11 + [
