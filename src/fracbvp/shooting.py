@@ -52,6 +52,7 @@ MAX_POLISH_SHOTS = 50      # shots per bracket of the Newton polish
 # seven stages alone are 14), so 1e5 points, 50x the default, take 58 MB
 MAX_SCAN_POINTS = 100_000
 CHECK_MESH_N = 3072         # rescale check mesh: O(n^-2) residual, 2x margin
+RESCALE_RTOL = 1e-6         # its accepted relative residual
 
 # Dormand & Prince (1980), first same as last: stage s is f at x + C[s] h,
 # y + h A[s] K, and the last row of A is the fifth-order solution, so the
@@ -307,10 +308,15 @@ def _record(beta, traj):
     angle theta = atan2(w, w') is unwrapped over the states, so each step
     must turn it by less than pi; a sum of turns mod 2 pi would add 2 pi
     where one rounds slightly negative (w' about 0 at x = 0 or where u is).
+    theta only grows, so an unwrapped turn below -1e-6 is a step that turned
+    it by more than pi, and ``IntegrationError`` is raised.
     """
     z = traj.x_end
     w = np.append(traj.y[2], traj.w(z))
     theta = np.unwrap(np.arctan2(w, np.append(traj.y[3], traj.dw(z))))
+    if (np.diff(theta) < -1e-6).any():
+        raise IntegrationError(f"a step turned the Prufer angle by more than "
+                               f"pi at beta = {beta}")
     w_end = float(w[-1])
     wscale = float(np.max(np.abs(w))) or 1.0
     if abs(w_end) <= WSIGN_REL_THRESHOLD * wscale:
@@ -407,7 +413,7 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
                             zeta, params)
 
 
-def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
+def rescale_to_unit(record, zeta, params, mesh):
     """Map a crossing solution on (-1, zeta) to the unit interval.
 
     The profile is v(t) = (1+zeta)^E u((1+zeta) t - 1) with
@@ -415,10 +421,10 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
     variables forces, and solves the problem ``unit_problem(zeta, params)``
     builds.  It is sampled from the record's trajectory, which ends at its
     zero z.  The profile lives on ``mesh``, the operator's (``A.mesh``, where
-    ``assemble`` inserted the weight kink).  It is accepted when the relative residual of the discrete integral
-    equation on the uniform check mesh (kink inserted) is below
-    ``residual_tol``; ``ScalingError`` surfaces the discrepancy otherwise.
-    The check is at order 2, where the product-integration image is an O(n)
+    ``assemble`` inserted the weight kink).  ``ScalingError`` rejects it
+    unless the relative residual of the discrete integral equation on the
+    uniform check mesh (kink inserted) is at most ``RESCALE_RTOL``.  The
+    check is at order 2, where the product-integration image is an O(n)
     prefix sum (``kernel.classical_image``), so no dense operator is built.
     """
     if abs(record.z - zeta) > 1e-6 * (1.0 + abs(zeta)):
@@ -440,10 +446,10 @@ def rescale_to_unit(record, zeta, params, mesh, residual_tol=1e-6):
     image = classical_image(check_mesh.nodes,
                             weight(check_mesh.nodes) * f.f(np.abs(v)))
     rel = float(np.max(np.abs(v - image)) / max(1.0, np.max(np.abs(v))))
-    if rel > residual_tol:
+    if rel > RESCALE_RTOL:
         raise ScalingError(
             f"scale exponent {exponent:g} does not reproduce the unit-interval "
-            f"equation within {residual_tol:g}: residual {rel:g}",
+            f"equation within {RESCALE_RTOL:g}: residual {rel:g}",
             exponent=exponent, residual=rel)
     return UnitSolution(profile=GridFunction(mesh, sample(mesh)),
                         scale_exponent_used=exponent)

@@ -1,8 +1,9 @@
 """Existence and uniqueness in the sublinear regime by monotone iteration.
 
 When f(s)/s descends through the principal eigenvalue (large near 0, small
-near infinity), scaled copies of the principal eigenfunction bracket a fixed
-point: delta*phi1 from below and M*phi1 from above.  Picard iteration
+near infinity, by ``f.ratio_limits``), delta*phi1 and M*phi1 bracket a fixed
+point from below and above, delta halved and M doubled until its nodal
+inequality holds on the assembled operator.  Picard iteration
 u <- T f(u) started at either end is monotone because f is nondecreasing on
 the bracket range, and the two one-sided limits coincide exactly when the
 positive solution is unique; their agreement is reported as the uniqueness
@@ -74,11 +75,13 @@ class ProbeReport:
 def find_bracket(eig, f, A):
     """Sub/super-solution pair (delta*phi1, M*phi1) for the sublinear regime.
 
-    delta is located by bisection on the analytic condition f(s) >= lambda1*s
-    on (0, delta], checked on a log grid; M by doubling until the discrete
-    super-solution inequality holds nodewise.  Both inequalities are then
-    verified against the assembled operator so the monotone iteration starts
-    from certified data.
+    The ratio condition comes from ``f.ratio_limits()``: f(s)/s must fall
+    from above lambda1 near 0 to below it at infinity.  Both amplitudes are
+    then found on the assembled operator alone: delta halves from 0.99 until
+    A f(delta*phi1) >= delta*phi1 holds at every node, and M doubles from 2
+    until A f(M*phi1) <= M*phi1 does, so the monotone iteration starts from
+    certified data.  Falling below ``DELTA_FLOOR`` or rising past ``M_CAP``
+    raises ``HypothesisError``.
     """
     lim0, liminf = f.ratio_limits()
     lam = eig.lambda1
@@ -88,47 +91,21 @@ def find_bracket(eig, f, A):
             f"need f(s)/s -> ({lim0}, {liminf}) to straddle lambda1 = {lam} "
             "from above then below")
     phi = eig.phi1.values
-
-    def sub_ok(d):
-        s = np.geomspace(max(d * 1e-14, 1e-300), d, 257)
-        return bool(np.all(f.f(s) >= lam * s * (1.0 - 1e-12)))
+    slack = 1e-12
 
     delta = 0.99
-    while not sub_ok(delta):
+    while not np.all(A.nonlinear_image(f, delta * phi)
+                     >= delta * phi - slack):
         delta *= 0.5
         if delta < DELTA_FLOOR:
             raise HypothesisError(
                 "sublinear-ratio-condition",
                 "no sub-solution amplitude above the floor; the ratio "
                 "condition fails near s = 0")
-    if delta < 0.99:
-        lo, hi = delta, 2.0 * delta
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if sub_ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        delta = lo
-
-    # certify the discrete sub-solution inequality, shrinking if the eigen
-    # residual eats the analytic margin
-    slack = 1e-12
-    for _ in range(60):
-        lower_vals = delta * phi
-        if np.all(A.nonlinear_image(f, lower_vals) >= lower_vals - slack):
-            break
-        delta *= 0.5
-        if delta < DELTA_FLOOR:
-            raise HypothesisError(
-                "sublinear-ratio-condition",
-                "discrete sub-solution inequality unattainable")
 
     m_upper = 2.0
-    while True:
-        upper_vals = m_upper * phi
-        if np.all(A.nonlinear_image(f, upper_vals) <= upper_vals + slack):
-            break
+    while not np.all(A.nonlinear_image(f, m_upper * phi)
+                     <= m_upper * phi + slack):
         m_upper *= 2.0
         if m_upper > M_CAP:
             raise HypothesisError(

@@ -425,7 +425,7 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
         try:
             A = assemble(mesh, next_alpha, A0.weight)
             rep = newton_solve(A, f, guess, tol=tol)
-        except (ConvergenceError, DegeneratePointError):
+        except ConvergenceError:
             pass
         if rep is not None and rep.converged:
             nd = nondegeneracy(A, f, rep.solution)

@@ -8,7 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from fracbvp import shooting
-from fracbvp.errors import HorizonError, HypothesisError, ScalingError
+from fracbvp.errors import (HorizonError, HypothesisError, IntegrationError,
+                            ScalingError)
 from fracbvp.grid import make_mesh
 from fracbvp.kernel import classical_image
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
@@ -335,6 +336,19 @@ def test_morse_count_stable_under_tol_tightening(henon_params, henon_crossings,
     assert abs(z_loose - z_tight) < 1e-7
 
 
+def test_record_rejects_step_turning_prufer_angle_past_pi():
+    # theta = atan2(w, w') turns by 0.45 pi, then by 1.3 pi in one step:
+    # unwrapping reads the second turn as -0.7 pi, which would count the
+    # Morse index as -1; the record refuses the shot instead
+    theta = np.array([0.0, 0.45, 1.75, 1.75]) * np.pi
+    y = np.vstack((np.ones(4), -np.ones(4), np.sin(theta), np.cos(theta)))
+    traj = shooting.Trajectory(t=np.array([-1.0, -0.5, 0.0, 0.5]),
+                               h=np.full(4, 0.5), y=y, q=np.zeros((4, 4, 4)),
+                               x_end=0.75)
+    with pytest.raises(IntegrationError, match="beta = 2.0"):
+        shooting._record(2.0, traj)
+
+
 def test_weight_offset_formula(henon_params):
     assert unit_problem(1.0, henon_params)[0] == 0.0
     assert unit_problem(1.1, henon_params)[0] == pytest.approx(
@@ -366,13 +380,14 @@ def test_rescale_residual_below_tolerance(henon_params, henon_crossings):
 
 
 def test_rescale_rejects_residual_above_tolerance(henon_params,
-                                                  henon_crossings):
+                                                  henon_crossings,
+                                                  monkeypatch):
     # the verdict's failure path on a real crossing: the discretization
     # residual of the true profile (O(n^-2), under 1e-6) exceeds 1e-12
+    monkeypatch.setattr(shooting, "RESCALE_RTOL", 1e-12)
     mesh = make_mesh(200, "uniform")
     with pytest.raises(ScalingError) as info:
-        rescale_to_unit(henon_crossings[0], 1.0, henon_params, mesh,
-                        residual_tol=1e-12)
+        rescale_to_unit(henon_crossings[0], 1.0, henon_params, mesh)
     assert info.value.exponent == 6.0
     assert 1e-12 < info.value.residual <= 1e-6
 

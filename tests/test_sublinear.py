@@ -24,15 +24,50 @@ def classical(unit_weight):
     return mesh, A, principal_eigenpair(A)
 
 
+def _sub_holds(A, f, phi, delta):
+    # the nodal sub-solution inequality A f(delta*phi1) >= delta*phi1
+    return np.all(A.nonlinear_image(f, delta * phi) >= delta * phi - 1e-12)
+
+
+def _super_holds(A, f, phi, m):
+    # the nodal super-solution inequality A f(M*phi1) <= M*phi1
+    return np.all(A.nonlinear_image(f, m * phi) <= m * phi + 1e-12)
+
+
 def test_bracket_delta_matches_analytic_threshold(classical, unit_weight):
-    # f = sqrt(s): f(s) >= lambda1*s iff s <= 1/lambda1^2 (= 1/pi^4 here)
+    # delta is the first halving from 0.99 where the nodal inequality holds;
+    # for f = sqrt(s) the continuous threshold is 1/lambda1^2 (= 1/pi^4)
     mesh, A, eig = classical
     bracket = find_bracket(eig, SQRT, A)
+    phi = eig.phi1.values
+    assert _sub_holds(A, SQRT, phi, bracket.delta)
+    assert bracket.delta == 0.99 or not _sub_holds(A, SQRT, phi,
+                                                   2.0 * bracket.delta)
     threshold = 1.0 / eig.lambda1 ** 2
-    assert bracket.delta <= threshold * (1.0 + 1e-6)
-    assert bracket.delta >= threshold * 0.5
     assert threshold == pytest.approx(1.0 / math.pi ** 4, rel=1e-4)
     assert bracket.m_upper > 1.0
+
+
+@pytest.mark.parametrize("kind, c, q", (
+    ("power", 1.0, 0.5), ("power", 20.0, 0.5), ("affine_power", 2.0, 0.9),
+    ("saturating", 1.5, None), ("saturating", 8.0, None)))
+def test_bracket_amplitudes_are_maximal(classical, kind, c, q):
+    # delta holds its inequality and 2*delta does not unless delta = 0.99;
+    # M holds its inequality and M/2 does not unless M = 2.  The first
+    # power and saturating cases halve delta, the second ones double M
+    mesh, A, eig = classical
+    if kind == "saturating":
+        f = NonlinearityFamily.saturating(c * eig.lambda1)
+    else:
+        f = getattr(NonlinearityFamily, kind)(c, q)
+    bracket = find_bracket(eig, f, A)
+    phi = eig.phi1.values
+    assert _sub_holds(A, f, phi, bracket.delta)
+    assert bracket.delta == 0.99 or not _sub_holds(A, f, phi,
+                                                   2.0 * bracket.delta)
+    assert _super_holds(A, f, phi, bracket.m_upper)
+    assert bracket.m_upper == 2.0 or not _super_holds(A, f, phi,
+                                                      bracket.m_upper / 2.0)
 
 
 def test_bracket_certifies_discrete_inequalities(classical, unit_weight):
@@ -133,12 +168,13 @@ def test_solution_envelope(alpha, unit_weight):
 
 
 def test_sublinear_bracket_golden_alpha_15(unit_weight):
-    # regression goldens from the doubling/bisection search at alpha = 1.5
+    # regression goldens from the halving/doubling search at alpha = 1.5:
+    # the nodal inequality first holds at delta = 0.99/32
     mesh = production_mesh(1.5, 400)
     A = assemble(mesh, 1.5, unit_weight)
     eig = principal_eigenpair(A)
     bracket = find_bracket(eig, SQRT, A)
-    assert bracket.delta == pytest.approx(1.0 / eig.lambda1 ** 2, rel=1e-4)
+    assert bracket.delta == pytest.approx(0.0309375, rel=1e-4)
     assert bracket.m_upper == 2.0
 
 

@@ -45,7 +45,8 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # no damping of Newton's first correction lowers the residual; last, Henon
 # crossings of Morse index 1, 2, 1 at p = 7, the steepest p in reach, where
 # the Prufer angle that counts the index turns fastest per step, so a change
-# to the count shows
+# to the count shows; and an affine_power sublinear solve, whose certified
+# delta lies above the continuous threshold f(s) >= lambda1 s
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -68,6 +69,7 @@ FIXED = [
     "solve-super --alpha 1.06534 --weight power_offset:1.18235:0.41194 "
     "--nonlin power:5.88681:6.74428 --n 200",
     "henon-shoot --l 4 --p 7 --zeta 1 --scan-points 200",
+    "solve-sub --alpha 1.5 --weight constant:1 --nonlin affine_power:2:0.9 --n 200",
 ]
 
 
