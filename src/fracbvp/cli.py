@@ -320,7 +320,6 @@ def _cmd_solve_super(config, outdir, timings):
         "sup_norm": float(np.max(np.abs(report.solution.values))),
         "nondegeneracy_margin": margin.margin,
         "degenerate": margin.degenerate,
-        "margin_method": margin.method,
         "margin_iterations": margin.iterations,
     })
     return ["solution.csv", "newton_report.json"]

@@ -14,7 +14,9 @@ product-integration image takes O(n) operations and no matrix
 (``classical_image``).  At every order the kernel above the diagonal is its
 separable branch alone, whose hat integrals ``separable_hat_integrals``
 gives in O(n); ``green_hat_matrix`` subtracts the (t-s)^(alpha-1) branch
-from that rank-one product below the diagonal, in row blocks.
+from the rank-one product of t^(alpha-1) and those integrals below the
+diagonal, in row blocks.  ``operator.assemble`` computes both factors once
+and keeps them, weighted, on the ``OperatorMatrix``.
 ``_segment_hats`` gives both branches' hat integrals with one log1p, expm1
 and power per segment and row.
 
@@ -94,21 +96,22 @@ def _hat_scale(nodes, alpha):
     return 1.0 / (math.gamma(alpha + 2.0) * np.diff(nodes))
 
 
-def green_hat_matrix(mesh, alpha):
+def green_hat_matrix(mesh, alpha, power, c):
     """All hat integrals at the nodes: [i, j] is the integral of
     G(t_i, ., alpha) against hat_j, the piecewise-linear nodal basis
     function of node j.
 
-    The outer product of t^(alpha-1) with ``separable_hat_integrals`` fills
-    the one m x m buffer; the (t-s)^(alpha-1) branch is then subtracted a
-    block of ``_ROW_BLOCK`` rows at a time, from max(t - s_k, 0) formed once
-    for the nodes left of the block's last row.  Right of them the matrix
-    keeps the rank-one product exactly.  The matrix is C-ordered: a BLAS
-    matrix-vector product sums in memory order.
+    The outer product of ``power`` = t^(alpha-1) at the nodes with ``c`` =
+    ``separable_hat_integrals`` fills the one m x m buffer; the
+    (t-s)^(alpha-1) branch is then subtracted a block of ``_ROW_BLOCK`` rows
+    at a time, from max(t - s_k, 0) formed once for the nodes left of the
+    block's last row.  Right of them the matrix keeps the rank-one product
+    exactly.  The matrix is C-ordered: a BLAS matrix-vector product sums in
+    memory order.
     """
     alpha = check_order(alpha)
     nodes = mesh.nodes
-    a = np.outer(nodes ** (alpha - 1.0), separable_hat_integrals(nodes, alpha))
+    a = np.outer(power, c)
     scale = _hat_scale(nodes, alpha)
     for r0 in range(0, len(nodes), _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, len(nodes))

@@ -10,7 +10,9 @@ second-order accurate for smooth h*x.  Callers use it as the solvers do:
 x = f(|u|).  The unweighted matrix comes from ``kernel.green_hat_matrix``:
 the outer product of t^(alpha-1) with the separable-branch hat integrals,
 minus the (t-s)^(alpha-1) branch, which it evaluates below the diagonal
-only, in blocks of rows.
+only, in blocks of rows.  ``assemble`` keeps the two factors of that
+rank-one product, weighted, as ``OperatorMatrix.factors`` for Newton's
+split Jacobian.
 
 Assembly is a pure function of its arguments; matrices are immutable after
 construction and safe to share across threads.
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import HypothesisError
 from .grid import MAX_MATRIX_BYTES, Mesh
-from .kernel import check_order, green_hat_matrix
+from .kernel import check_order, green_hat_matrix, separable_hat_integrals
 
 _VALIDATION_SAMPLES = 2049
 
@@ -208,13 +210,15 @@ class OperatorMatrix:
     """Product-integration matrix of x -> integral G(., s, alpha) h(s) x(s) ds.
 
     ``mesh`` is the assembly mesh (weight kinks inserted); boundary rows are
-    identically zero and all entries are nonnegative.
+    identically zero and all entries are nonnegative.  ``factors`` is
+    (u, v) with ``matrix[i, j]`` = u_i v_j for j > i, u zero at both ends.
     """
 
     mesh: Mesh
     alpha: float
     weight: WeightFamily
     matrix: np.ndarray
+    factors: tuple
 
     def nonlinear_image(self, f, values):
         """Nodal values of the operator applied to f(|u|), u given by ``values``.
@@ -247,7 +251,9 @@ def assemble(mesh, alpha, h):
         raise HypothesisError(
             "mesh-size", f"a dense operator on {m} nodes takes {8 * m * m} "
             f"bytes, above the bound of {MAX_MATRIX_BYTES}")
-    a = green_hat_matrix(mesh, alpha)
+    u = mesh.nodes ** (alpha - 1.0)
+    c = separable_hat_integrals(mesh.nodes, alpha)
+    a = green_hat_matrix(mesh, alpha, u, c)
     a *= hvals[np.newaxis, :]
     a[0, :] = 0.0
     a[-1, :] = 0.0
@@ -257,5 +263,9 @@ def assemble(mesh, alpha, h):
     if np.min(a) < floor:
         raise AssertionError("assembled matrix has a significantly negative entry")
     np.maximum(a, 0.0, out=a)
-    a.setflags(write=False)
-    return OperatorMatrix(mesh=mesh, alpha=alpha, weight=h, matrix=a)
+    u[0] = u[-1] = 0.0
+    v = c * hvals
+    for array in (a, u, v):
+        array.setflags(write=False)
+    return OperatorMatrix(mesh=mesh, alpha=alpha, weight=h, matrix=a,
+                          factors=(u, v))

@@ -5,11 +5,11 @@ nontrivial solution, so Picard iteration is useless; instead Newton's method
 is applied to F(u) = u - T[h f(|u|)].  Its Jacobian J = I - A diag f'(u) is
 lower triangular plus rank one: above the diagonal the Green function is its
 separable branch t^(alpha-1)(1-s)^(alpha-1)/Gamma(alpha) alone, so A there
-is the outer product of u = t^(alpha-1) and v = c h (c from
-``kernel.separable_hat_integrals``).  Hence J = T - u w^T with w = v f'(u)
-and T lower triangular, and a solve with J or J^T is one triangular solve,
-by blocks over T's inverted diagonal blocks, plus a Sherman-Morrison
-correction: O(m^2), no factorization, no re-assembly.  The denominator
+is the outer product u v^T of the factors ``A.factors`` that ``assemble``
+keeps.  Hence J = T - u w^T with w = v f'(u) and T lower triangular, and a
+solve with J or J^T is one triangular solve, by blocks over T's inverted
+diagonal blocks, plus a Sherman-Morrison correction: O(m^2), no
+factorization, no re-assembly.  The denominator
 1 - w^T T^-1 u is det J / det T, and T's diagonal is positive, so its sign
 is the sign of det J.
 
@@ -21,13 +21,14 @@ solution; numerically that is a positive smallest singular value of
 I - L_u, where L_u is the operator assembled with weight h*f'(u).  How near
 J is to singular is measured one way throughout: sigma_min(J), by Lanczos
 on J^-1 J^-T through the same solves, relative to ||J||_1, O(m) from A's
-column sums.  Newton's guard takes a few Lanczos steps; the margin runs
-them to convergence, else a dense SVD.  The margin gates predictor-corrector
-continuation in alpha: nondegenerate solutions persist for nearby orders,
-and the sign of det J, which a branch keeps up to a fold, keeps each trace
-on its branch.  The trace records each accepted step until the target
-order, a degeneracy, or a failed step floor.  Every solver takes the assembled
-operator A and reads mesh, order and weight from it.
+column sums, and J itself is never formed.  Newton's guard takes a few
+Lanczos steps; the margin runs them to convergence, by the rules of
+``_sigma_min``.  The margin gates predictor-corrector continuation in
+alpha: nondegenerate solutions persist for nearby orders, and the sign of
+det J, which a branch keeps up to a fold, keeps each trace on its branch.
+The trace records each accepted step until the target order, a degeneracy,
+or a failed step floor.  Every solver takes the assembled operator A and
+reads mesh, order and weight from it.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegeneratePointError, HypothesisError
 from .grid import RTOL, GridFunction, settled
-from .kernel import check_order, separable_hat_integrals
+from .kernel import check_order
 from .operator import assemble
 
 COND_LIMIT = 1e14
@@ -44,8 +45,9 @@ COND_LIMIT = 1e14
 COND_STEPS = 3
 DAMPING_HALVINGS = 30
 MARGIN_REL_THRESHOLD = 1e-6
-# Lanczos steps of the margin before it falls back to a dense SVD, and their
-# stop: a Ritz residual at most this share of the Ritz value
+# Lanczos steps of the margin before it gives up unless its bound already
+# says degenerate, and their stop: a Ritz residual at most this share of the
+# Ritz value
 MARGIN_MAXIT = 50
 MARGIN_RTOL = 1e-10
 # a continuation corrector that converges in at most this many Newton
@@ -77,11 +79,10 @@ class NewtonReport:
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    margin: float
-    degenerate: bool
-    threshold: float
-    method: str             # "inverse_iteration" | "svd"
-    iterations: int         # inverse-iteration steps taken
+    margin: float           # sigma_min(J), or an upper bound below threshold
+    degenerate: bool        # margin < threshold
+    threshold: float        # MARGIN_REL_THRESHOLD * ||J||_1
+    iterations: int         # Lanczos steps taken, 0 where det J = 0
     det_sign: int           # sign of det J: -1, 0 or 1
 
 
@@ -109,27 +110,6 @@ def _fprime(f, u):
     return np.nan_to_num(fp, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _jacobian(A, f, u):
-    """Dense I - A*f'(u): the reference for the split, and the SVD fallback."""
-    fp = _fprime(f, u)
-    # I - A*fp in one m x m buffer; 0.0 - P, not -P, keeps the sign of zero
-    # that the subtraction from the identity gives
-    jac = A.matrix * fp[np.newaxis, :]
-    diag = 1.0 - np.diagonal(jac)
-    np.subtract(0.0, jac, out=jac)
-    np.fill_diagonal(jac, diag)
-    return jac
-
-
-def _separable_factors(A):
-    """(u, v) with A[i, j] = u_i v_j above the diagonal, zero boundary rows."""
-    nodes = A.mesh.nodes
-    u = nodes ** (A.alpha - 1.0)
-    u[0] = u[-1] = 0.0
-    v = separable_hat_integrals(nodes, A.alpha) * A.weight(nodes)
-    return u, v
-
-
 def _invert_diagonal_blocks(tri):
     """Overwrite the ``_ROW_BLOCK``-square diagonal blocks of the lower
     triangular ``tri`` by their inverses, reading only lower triangles: all
@@ -152,16 +132,17 @@ def _invert_diagonal_blocks(tri):
 class _SplitJacobian:
     """J = I - A diag(fp) as T - u w^T, with solves by J and J^T in O(m^2).
 
-    T = I + tril(u w^T - A diag fp), padded with the identity to whole
-    diagonal blocks of ``_ROW_BLOCK`` rows, lives in one buffer whose upper
-    triangle no solve reads; its diagonal blocks come to hold their inverses.
+    (u, v) = ``A.factors``, w = v fp and T = I + tril(u w^T - A diag fp),
+    padded with the identity to whole diagonal blocks of ``_ROW_BLOCK``
+    rows, in one buffer whose upper triangle no solve reads; its diagonal
+    blocks come to hold their inverses.
     ``failure`` names why the split cannot be solved with (a diagonal entry
     of T not positive and finite, or a Sherman-Morrison denominator zero or
     not finite), else it is None.
     """
 
-    def __init__(self, A, fp, factors):
-        u, v = factors
+    def __init__(self, A, fp):
+        u, v = A.factors
         m, b = len(u), _ROW_BLOCK
         tri = np.empty((-(-m // b) * b,) * 2)
         tri[m:] = 0.0
@@ -227,21 +208,32 @@ def _norm1(A):
                                    + np.abs(fp) * off_diag))
 
 
-def _top_eigenvalue(jac, maxit):
-    """Top eigenvalue of B = J^-1 J^-T, 1 / sigma_min(J)^2, by Lanczos.
+def _sigma_min(jac, maxit, floor, exact, **context):
+    """(sigma, steps, degenerate): sigma_min(J) through the split ``jac`` by
+    at most ``maxit`` Lanczos steps, and whether it is below ``floor``.
 
-    From the ones vector, each step solves with J^T and J once, as a sweep
-    of inverse iteration on J^T J does, and keeps the Krylov basis fully
-    orthogonal.  The top Ritz value theta is a lower bound that only grows;
-    it has converged once its residual ||B y - theta y|| = beta_k |s_k| is
-    at most MARGIN_RTOL * theta, which puts theta within that share of an
-    eigenvalue.  Returns (theta, steps, converged) on convergence or after
-    ``maxit`` steps, theta NaN if a solve gave a value that is not finite.
+    Lanczos runs on B = J^-1 J^-T from the ones vector; each step solves
+    with J^T and J once, as a sweep of inverse iteration on J^T J does, and
+    keeps the Krylov basis fully orthogonal.  The top Ritz value theta only
+    grows and bounds the top eigenvalue 1 / sigma_min^2 from below (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 12); it has converged once its
+    residual ||B y - theta y|| = beta_k |s_k| is at most MARGIN_RTOL * theta.
+    So sigma = theta^-1/2 bounds sigma_min from above, and below ``floor``
+    it is degenerate, converged or not; unconverged and not below, it
+    stands as an estimate, or if ``exact`` raises ``ConvergenceError``.  A
+    Sherman-Morrison denominator of exactly 0.0 is det J = 0: sigma 0,
+    degenerate.  Any other failure of the split, or a solve that is not
+    finite, raises ``DegeneratePointError``.  The errors carry ``context``.
     """
+    if jac.failure is not None:
+        if jac.denominator != 0.0:
+            raise DegeneratePointError(f"Jacobian {jac.failure}", **context)
+        return 0.0, 0, True
     m = len(jac.u)
     basis = np.empty((maxit + 1, m))
     basis[0] = 1.0 / np.sqrt(m)
     diag, off = np.zeros(maxit), np.zeros(maxit)
+    steps, converged = maxit, False
     for k in range(maxit):
         y = jac.solve(jac.solve_t(basis[k]))
         diag[k] = basis[k] @ y
@@ -249,14 +241,23 @@ def _top_eigenvalue(jac, maxit):
             y -= basis[:k + 1].T @ (basis[:k + 1] @ y)
         off[k] = np.linalg.norm(y)
         if not np.isfinite(off[k]):
-            return np.nan, k + 1, False
+            raise DegeneratePointError("Jacobian solve is not finite",
+                                       **context)
         tridiag = (np.diag(diag[:k + 1]) + np.diag(off[:k], 1)
                    + np.diag(off[:k], -1))
         theta, vecs = np.linalg.eigh(tridiag)
         if off[k] * abs(vecs[-1, -1]) <= MARGIN_RTOL * theta[-1]:
-            return float(theta[-1]), k + 1, True
+            steps, converged = k + 1, True
+            break
         basis[k + 1] = y / off[k]
-    return float(theta[-1]), maxit, False
+    sigma = float(1.0 / np.sqrt(theta[-1]))
+    degenerate = sigma < floor
+    if exact and not (converged or degenerate):
+        raise ConvergenceError(
+            f"Lanczos bounds sigma_min(J) by {sigma:.3e}, not below "
+            f"{floor:.3e}, but misses relative tolerance {MARGIN_RTOL} in "
+            f"{steps} steps", **{"iterations": steps, **context})
+    return sigma, steps, degenerate
 
 
 def newton_solve(A, f, u0, tol=RTOL, maxit=50):
@@ -273,9 +274,9 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     not finite ends the iteration with ``ConvergenceError``; a Jacobian
     whose condition estimate ||J||_1 / sigma_min exceeds ``COND_LIMIT``, or
     whose split cannot be solved with, ends it with ``DegeneratePointError``.
-    sigma_min comes from ``COND_STEPS`` Lanczos steps on J^-1 J^-T, as in
-    ``nondegeneracy``; stopped early, the estimate is a lower bound.  A
-    zero Sherman-Morrison denominator is det J = 0, an infinite estimate.
+    sigma_min comes from ``COND_STEPS`` Lanczos steps by ``_sigma_min``;
+    stopped early, the estimate is a lower bound.  A zero Sherman-Morrison
+    denominator is det J = 0, an infinite estimate.
     """
     if not A.mesh.same_as(u0.mesh):
         raise ValueError("initial guess lives on a different mesh than the operator")
@@ -284,24 +285,22 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     res = float(np.max(np.abs(res_vec)))
     norm = float(np.max(np.abs(u)))
     it, done = 0, res == 0.0        # a zero residual gives a zero step
-    factors = _separable_factors(A)
     norm1 = _norm1(A)
     while np.isfinite(res) and not done and it < maxit:
         it += 1
         fp = _fprime(f, u)
         jac = None          # free the last split before building the next
-        jac = _SplitJacobian(A, fp, factors)
-        failure = jac.failure
-        if failure is None or jac.denominator == 0.0:
-            theta = np.inf if failure else _top_eigenvalue(jac, COND_STEPS)[0]
-            cond = norm1(fp) * np.sqrt(theta)
-            if not cond <= COND_LIMIT:
-                failure = (f"condition estimate {cond:.3e} exceeds "
-                           f"{COND_LIMIT:.0e}")
-        if failure is not None:
+        jac = _SplitJacobian(A, fp)
+        context = dict(last=GridFunction(A.mesh, u), iterations=it,
+                       residual=res)
+        anorm = norm1(fp)
+        sigma, _, degenerate = _sigma_min(jac, COND_STEPS, anorm / COND_LIMIT,
+                                          False, **context)
+        if degenerate:
+            cond = anorm / sigma if sigma else np.inf
             raise DegeneratePointError(
-                f"Jacobian {failure}", last=GridFunction(A.mesh, u),
-                iterations=it, residual=res)
+                f"Jacobian condition estimate {cond:.3e} exceeds "
+                f"{COND_LIMIT:.0e}", **context)
         step = jac.solve(res_vec)
         lam = 1.0
         for _ in range(DAMPING_HALVINGS + 1):
@@ -337,34 +336,21 @@ def nondegeneracy(A, f, u):
 
     ``L_u`` is the kernel operator with weight h*f'(u).  The solution is
     flagged degenerate when the margin falls below ``MARGIN_REL_THRESHOLD``
-    times ||I - L_u||_1.  sigma_min comes from inverse iteration on J^T J
-    through the split solves, in its Lanczos form.  If the split cannot be
-    solved with, or the iteration misses ``MARGIN_RTOL`` in
-    ``MARGIN_MAXIT`` steps, it comes from a dense SVD of J instead, and
-    ``method`` says which; ``iterations`` counts the inverse-iteration steps.
-    ``det_sign`` is the sign of the split's Sherman-Morrison denominator,
-    or of the dense determinant where the split cannot be solved with.
+    times ||I - L_u||_1.  sigma_min comes from Lanczos on J^-1 J^-T through
+    the split solves, run to ``MARGIN_RTOL`` in at most ``MARGIN_MAXIT``
+    steps, by the rules of ``_sigma_min``: where Lanczos stops short, its
+    upper bound on sigma_min is reported if it is below the threshold, and
+    ``ConvergenceError`` is raised if not.  ``det_sign`` is the sign of the
+    split's Sherman-Morrison denominator.
     """
     fp = _fprime(f, u.values)
-    jac = _SplitJacobian(A, fp, _separable_factors(A))
-    converged, steps, sign = False, 0, None
-    if jac.failure is None:
-        inv_top, steps, converged = _top_eigenvalue(jac, MARGIN_MAXIT)
-        sign = np.sign(jac.denominator)
-    del jac                 # free T before the dense fallback
-    if converged:
-        method, margin = "inverse_iteration", 1.0 / np.sqrt(inv_top)
-    else:
-        dense = _jacobian(A, f, u.values)
-        svals = np.linalg.svd(dense, compute_uv=False)
-        method, margin = "svd", svals[-1]
-        if sign is None:
-            sign = np.linalg.slogdet(dense)[0]
-    margin = float(margin)
+    jac = _SplitJacobian(A, fp)
     thr = MARGIN_REL_THRESHOLD * _norm1(A)(fp)
-    return NondegeneracyReport(margin=margin, degenerate=margin < thr,
-                               threshold=thr, method=method, iterations=steps,
-                               det_sign=int(sign))
+    margin, steps, degenerate = _sigma_min(jac, MARGIN_MAXIT, thr, True,
+                                           last=u)
+    return NondegeneracyReport(margin=margin, degenerate=degenerate,
+                               threshold=thr, iterations=steps,
+                               det_sign=int(np.sign(jac.denominator)))
 
 
 def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,

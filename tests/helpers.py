@@ -2,9 +2,10 @@
 
 Unlike ``oracles``, these are not independent checks: ``green_hat_integral``
 runs ``kernel.green_hat_matrix``'s closed forms one hat at a time, and
-``first_zero`` is one lane of the shooting integrator.  ``norms`` gives the
-weighted norms the envelope tests compare against; ``sample`` and ``zeros``
-build grid functions.
+``first_zero`` is one lane of the shooting integrator.  ``jacobian`` is the
+dense Jacobian that the solvers only ever hold as its split.  ``norms``
+gives the weighted norms the envelope tests compare against; ``sample`` and
+``zeros`` build grid functions.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from fracbvp import shooting
 from fracbvp.grid import GridFunction
 from fracbvp.kernel import (_hat_scale, _segment_hats, check_order,
                             separable_hat_integrals)
+from fracbvp.superlinear import _fprime
 
 
 def sample(mesh, fn):
@@ -85,3 +87,15 @@ def green_hat_integral(t, node_index, mesh, alpha):
 def first_zero(beta, params):
     """z(beta), the first zero of u(., beta), from one lane of u alone."""
     return float(shooting._lanes([beta], params)[0][0])
+
+
+def jacobian(A, f, u):
+    """Dense I - A*f'(u), the reference for the split Jacobian."""
+    fp = _fprime(f, u)
+    # I - A*fp in one m x m buffer; 0.0 - P, not -P, keeps the sign of zero
+    # that the subtraction from the identity gives
+    jac = A.matrix * fp[np.newaxis, :]
+    diag = 1.0 - np.diagonal(jac)
+    np.subtract(0.0, jac, out=jac)
+    np.fill_diagonal(jac, diag)
+    return jac

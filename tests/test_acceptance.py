@@ -23,7 +23,7 @@ from fracbvp.shooting import rescale_to_unit
 from fracbvp.sublinear import find_bracket, monotone_solve, nonexistence_probe
 from fracbvp.superlinear import continue_alpha, newton_solve
 
-from helpers import first_zero, norms
+from helpers import first_zero, jacobian, norms
 from oracles import fd_newton_bvp, green_eval, green_integral
 
 UNIT = WeightFamily.constant(1.0)
@@ -286,15 +286,14 @@ def test_determinant_sign_matches_morse_parity(henon_crossings,
     # the Sherman-Morrison denominator of J = T - u w^T is det J / det T and
     # T's diagonal is positive, so at the three order-2 starts its sign must
     # be (-1)^(Morse index) of the shooting record: two layers, no shared code
-    from fracbvp.superlinear import (_SplitJacobian, _fprime,
-                                     _separable_factors)
+    from fracbvp.superlinear import _SplitJacobian, _fprime
     f = NonlinearityFamily.power(1.0, 2.0)
     mesh = multiplicity_traces["mesh"]
     A2 = assemble(mesh, 2.0, HENON_WEIGHT)
     signs = []
     for record, trace in zip(henon_crossings[:3], multiplicity_traces["traces"]):
         u = trace.steps[0].solution.values
-        jac = _SplitJacobian(A2, _fprime(f, u), _separable_factors(A2))
+        jac = _SplitJacobian(A2, _fprime(f, u))
         assert jac.failure is None
         signs.append(float(np.sign(jac.denominator)))
         assert signs[-1] == (-1.0) ** record.morse_index
@@ -310,7 +309,6 @@ def test_determinant_sign_matches_morse_parity(henon_crossings,
 
 
 def test_criterion_11_jacobian_consistency():
-    from fracbvp.superlinear import _jacobian
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     problems = [
@@ -327,7 +325,7 @@ def test_criterion_11_jacobian_consistency():
         A = assemble(mesh, alpha, h)
         u = seed(A.mesh.nodes)
         u[0] = u[-1] = 0.0
-        J = _jacobian(A, f, u)
+        J = jacobian(A, f, u)
         for _ in range(20):
             v = rng.standard_normal(len(u))
             v /= np.max(np.abs(v))

@@ -135,7 +135,8 @@ def test_hat_matrix_against_mpmath_oracle(alpha, n):
     # row, each in the first column and the columns around the diagonal
     mesh = production_mesh(alpha, n)
     nodes = mesh.nodes
-    a = green_hat_matrix(mesh, alpha)
+    a = green_hat_matrix(mesh, alpha, nodes ** (alpha - 1.0),
+                         separable_hat_integrals(nodes, alpha))
     rows = (1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, len(nodes) // 2)
     cases = sorted({(i, j) for i in rows for j in (0, i - 1, i, i + 1)})
     with mpmath.workdps(40):
@@ -156,9 +157,10 @@ def test_hat_matrix_above_the_band_is_rank_one(alpha, grading, kink):
     if kink is not None:
         mesh = mesh.with_node(kink)
     nodes = mesh.nodes
-    a = green_hat_matrix(mesh, alpha)
-    product = np.outer(nodes ** (alpha - 1.0),
-                       separable_hat_integrals(nodes, alpha))
+    power = nodes ** (alpha - 1.0)
+    c = separable_hat_integrals(nodes, alpha)
+    a = green_hat_matrix(mesh, alpha, power, c)
+    product = np.outer(power, c)
     above = np.triu(np.ones(a.shape, dtype=bool), k=1)
     assert np.array_equal(a[above], product[above])
 

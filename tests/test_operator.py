@@ -82,6 +82,22 @@ def test_assemble_bytes_match_hat_integral_columns(alpha, grading, weight):
     assert A.matrix.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("alpha", (1.3, 2.0))
+@pytest.mark.parametrize("weight", [
+    WeightFamily.constant(2.5), WeightFamily.power_offset(4.0, 0.37)],
+    ids=("constant", "kinked"))
+def test_factors_give_the_matrix_above_the_diagonal(alpha, weight):
+    # A[i, j] = u_i v_j for j > i, to the rounding of the weight's product,
+    # with u zero on the zero boundary rows; the factors are read-only
+    A = assemble(production_mesh(alpha, 120), alpha, weight)
+    u, v = A.factors
+    above = np.triu(np.ones(A.matrix.shape, dtype=bool), k=1)
+    assert np.allclose(A.matrix[above], np.outer(u, v)[above], rtol=1e-15,
+                       atol=0.0)
+    assert u[0] == u[-1] == 0.0
+    assert not (u.flags.writeable or v.flags.writeable)
+
+
 def test_assemble_rejects_zero_weight():
     mesh = make_mesh(16, "uniform")
     with pytest.raises(HypothesisError):
@@ -99,7 +115,7 @@ def test_assemble_bounds_matrix_memory_before_allocating(monkeypatch):
     h = WeightFamily.constant(1.0)
     assert assemble(make_mesh(50), 2.0, h).matrix.shape == (51, 51)
 
-    def unreachable(mesh, alpha):
+    def unreachable(mesh, alpha, power, c):
         raise AssertionError("green_hat_matrix called above the bound")
     monkeypatch.setattr(operator, "green_hat_matrix", unreachable)
     with pytest.raises(HypothesisError) as info:

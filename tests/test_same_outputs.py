@@ -1,6 +1,6 @@
 """``tools/same_outputs.py`` flags changed words in JSON outputs whose count
 of numbers changed too, where its token-by-token comparison cannot align
-them."""
+them, and names the keys that only one tree wrote."""
 
 import importlib.util
 import json
@@ -51,3 +51,28 @@ def test_changed_row_word_is_flagged_in_a_shorter_trace(same_outputs):
                                 0, {"trace_0.jsonl": new})
     assert [line for line in lines if "status:" in line] == [
         "  FLAG trace_0.jsonl: [1].status: 'ok' -> 'rejected'"]
+    # the row only the parent wrote is one finding, the count, not a key each
+    assert not any("only in" in line for line in lines)
+
+
+def test_keys_one_tree_wrote_are_named(same_outputs):
+    # a dropped word key leaves the number count alone and shifts the text
+    # between numbers; a key added with a number changes the count.  Each
+    # key is named once, and the floats both hold are still compared
+    parent = {"iterations": 5, "margin": 0.25, "margin_method": "lanczos",
+              "traces": [{"beta": 10.0, "status": "completed"}]}
+    change = {key: value for key, value in parent.items()
+              if key != "margin_method"}
+    change["margin"] = 0.5
+    old, new = json.dumps(parent), json.dumps(change)
+    lines = same_outputs.report(0, {"newton_report.json": old},
+                                0, {"newton_report.json": new})
+    assert lines == ["  newton_report.json: largest relative difference 0.5",
+                     "  FLAG newton_report.json: margin_method: only in "
+                     "parent"]
+    change["traces"][0]["rejected_steps"] = 2
+    lines = same_outputs.report(0, {"summary.json": old},
+                                0, {"summary.json": json.dumps(change)})
+    assert [line for line in lines if "only in" in line] == [
+        "  FLAG summary.json: margin_method: only in parent",
+        "  FLAG summary.json: traces[0].rejected_steps: only in change"]

@@ -16,7 +16,7 @@ from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
 from fracbvp.superlinear import (continue_alpha, find_positive_solution,
                                  newton_solve, nondegeneracy)
 
-from helpers import norms, zeros
+from helpers import jacobian, norms, zeros
 from oracles import fd_newton_bvp
 
 SQUARE = NonlinearityFamily.power(1.0, 2.0)
@@ -70,7 +70,6 @@ def test_find_positive_solution_requires_superlinear(classical, unit_weight):
 
 def test_jacobian_consistency(classical, unit_weight):
     # directional finite differences of F against the analytic Jacobian
-    from fracbvp.superlinear import _jacobian
     mesh, A, _ = classical
 
     def residual(x):
@@ -79,7 +78,7 @@ def test_jacobian_consistency(classical, unit_weight):
     rng = np.random.default_rng(7)
     u = 5.0 * np.sin(np.pi * mesh.nodes) + 0.5
     u[0] = u[-1] = 0.0
-    J = _jacobian(A, SQUARE, u)
+    J = jacobian(A, SQUARE, u)
     eps = 1e-6
     for _ in range(20):
         v = rng.standard_normal(len(u))
@@ -93,7 +92,6 @@ def test_jacobian_consistency(classical, unit_weight):
 def test_jacobian_bytes_match_identity_minus_scaled(classical):
     # the one-buffer Jacobian is exactly I - A*f'(u), signed zeros included:
     # the zero boundary rows of A meet both signs of f'(u) here
-    from fracbvp.superlinear import _jacobian
     mesh, A, _ = classical
     u = 5.0 * np.sin(3.0 * np.pi * mesh.nodes)
     u[0] = u[-1] = 0.0
@@ -102,7 +100,7 @@ def test_jacobian_bytes_match_identity_minus_scaled(classical):
             fp = np.nan_to_num(f.fprime(np.abs(u)) * np.sign(u),
                                nan=0.0, posinf=0.0, neginf=0.0)
         ref = np.eye(len(u)) - A.matrix * fp[np.newaxis, :]
-        assert _jacobian(A, f, u).tobytes() == ref.tobytes()
+        assert jacobian(A, f, u).tobytes() == ref.tobytes()
 
 
 def test_nondegeneracy_identity_at_zero(classical, unit_weight):
@@ -274,22 +272,29 @@ def test_newton_nonconvergence_budget(classical, unit_weight):
         newton_solve(A, SQUARE, u0, tol=1e-10, maxit=1)
 
 
-def test_newton_holds_one_matrix_buffer(unit_weight):
+def test_newton_holds_one_matrix_buffer(unit_weight, monkeypatch):
     # each iteration's split Jacobian replaces the last one: two alive at
-    # once while the next is built would double the peak
+    # once while the next is built would double the peak.  The margin holds
+    # the split alone too, also where Lanczos stops short of its tolerance
+    from fracbvp import superlinear
     mesh = production_mesh(2.0, 800)
     A = assemble(mesh, 2.0, unit_weight)
     eig = principal_eigenpair(A)
     u0 = GridFunction(mesh, 2.0 * eig.lambda1 * eig.phi1.values)
+    m = len(A.mesh.nodes)
     tracemalloc.start()
     try:
         report = newton_solve(A, SQUARE, u0)
         peak = tracemalloc.get_traced_memory()[1]
+        assert report.iterations >= 2
+        assert peak <= 1.25 * 8 * m * m
+        monkeypatch.setattr(superlinear, "MARGIN_MAXIT", 1)
+        tracemalloc.reset_peak()
+        with pytest.raises(ConvergenceError):
+            nondegeneracy(A, SQUARE, report.solution)
+        assert tracemalloc.get_traced_memory()[1] <= 1.25 * 8 * m * m
     finally:
         tracemalloc.stop()
-    m = len(A.mesh.nodes)
-    assert report.iterations >= 2
-    assert peak <= 1.25 * 8 * m * m
 
 
 def test_newton_nan_guess_is_not_converged(classical):
@@ -342,12 +347,11 @@ def test_split_solves_match_dense_lu(problem):
     # J = T - u w^T solved by triangular solves and Sherman-Morrison agrees
     # with an LU of the dense Jacobian, for J and J^T
     from scipy.linalg import lu_factor, lu_solve
-    from fracbvp.superlinear import (_SplitJacobian, _fprime, _jacobian,
-                                     _separable_factors)
+    from fracbvp.superlinear import _SplitJacobian, _fprime
     A, f, u = _problem(*problem)
-    jac = _SplitJacobian(A, _fprime(f, u), _separable_factors(A))
+    jac = _SplitJacobian(A, _fprime(f, u))
     assert jac.failure is None
-    lu = lu_factor(_jacobian(A, f, u))
+    lu = lu_factor(jacobian(A, f, u))
     rng = np.random.default_rng(3)
     for _ in range(3):
         b = rng.standard_normal(len(u))
@@ -374,8 +378,8 @@ def test_tri_solve_matches_solve_triangular(m, seed):
     matrix = np.eye(m) - lower
     matrix[np.triu_indices(m, 1)] = np.nan
     zeros = np.zeros(m)
-    jac = _SplitJacobian(SimpleNamespace(matrix=matrix), np.ones(m),
-                         (zeros, zeros))
+    jac = _SplitJacobian(SimpleNamespace(matrix=matrix,
+                                         factors=(zeros, zeros)), np.ones(m))
     assert jac.failure is None
     b = rng.standard_normal(m)
     for trans in (0, 1):
@@ -391,45 +395,73 @@ def test_tri_solve_matches_solve_triangular(m, seed):
 def test_margin_matches_svd(problem):
     A, f, u = _problem(*problem)
     report = nondegeneracy(A, f, GridFunction(A.mesh, u))
-    from fracbvp.superlinear import _jacobian
-    svals = np.linalg.svd(_jacobian(A, f, u), compute_uv=False)
-    assert report.method == "inverse_iteration"
+    svals = np.linalg.svd(jacobian(A, f, u), compute_uv=False)
     assert 1 <= report.iterations
     assert abs(report.margin - svals[-1]) / svals[-1] < 1e-8
-    assert report.det_sign == np.linalg.slogdet(_jacobian(A, f, u))[0]
+    assert report.det_sign == np.linalg.slogdet(jacobian(A, f, u))[0]
     assert report.threshold == pytest.approx(
-        1e-6 * np.linalg.norm(_jacobian(A, f, u), 1), rel=1e-8)
+        1e-6 * np.linalg.norm(jacobian(A, f, u), 1), rel=1e-8)
 
 
-def test_margin_iteration_cap_falls_back_to_svd(monkeypatch):
+def test_unconverged_margin_below_the_threshold_is_degenerate(classical,
+                                                             monkeypatch):
+    # one Lanczos step leaves an upper bound on sigma_min; at the eigenpair
+    # it is already below the threshold, so the report is degenerate
     from fracbvp import superlinear
-    from fracbvp.superlinear import _jacobian
-    A, f, u = _problem(*CRITERION_11[0])
+    mesh, A, eig = classical
+    f = NonlinearityFamily.power(eig.lambda1, 1.0)
+    converged = nondegeneracy(A, f, eig.phi1)
     monkeypatch.setattr(superlinear, "MARGIN_MAXIT", 1)
-    report = nondegeneracy(A, f, GridFunction(A.mesh, u))
-    svals = np.linalg.svd(_jacobian(A, f, u), compute_uv=False)
-    assert report.method == "svd"
-    assert report.iterations == 1
-    assert report.margin == float(svals[-1])
+    report = nondegeneracy(A, f, eig.phi1)
+    assert report.degenerate and report.iterations == 1
+    assert report.margin >= converged.margin
 
 
-def test_margin_without_a_split_takes_the_dense_determinant(monkeypatch):
-    # where the split cannot be solved with, its Sherman-Morrison
-    # denominator says nothing, so the sign of det J comes from the dense J
+def test_unconverged_margin_above_the_threshold_raises(classical,
+                                                       classical_solution,
+                                                       monkeypatch):
+    # at a solution one step's bound is far above the threshold and says
+    # nothing, so the margin is not reported
     from fracbvp import superlinear
-    from fracbvp.superlinear import _jacobian
+    _, A, _ = classical
+    _, start = classical_solution
+    monkeypatch.setattr(superlinear, "MARGIN_MAXIT", 1)
+    with pytest.raises(ConvergenceError) as info:
+        nondegeneracy(A, SQUARE, start.solution)
+    assert info.value.iterations == 1
 
-    class Unsolvable(superlinear._SplitJacobian):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.denominator, self.failure = np.nan, "cannot be solved with"
 
-    monkeypatch.setattr(superlinear, "_SplitJacobian", Unsolvable)
-    for problem in CRITERION_11:
-        A, f, u = _problem(*problem)
-        report = nondegeneracy(A, f, GridFunction(A.mesh, u))
-        assert (report.method, report.iterations) == ("svd", 0)
-        assert report.det_sign == np.linalg.slogdet(_jacobian(A, f, u))[0]
+def test_solve_super_exits_3_on_an_unconverged_margin(tmp_path, monkeypatch):
+    from fracbvp import superlinear
+    from fracbvp.errors import EXIT_NONCONVERGENCE
+    monkeypatch.setattr(superlinear, "MARGIN_MAXIT", 1)
+    out = tmp_path / "sup"
+    assert cli_main(["solve-super", "--alpha", "2", "--weight", "constant:1",
+                     "--nonlin", "power:1:2", "--n", "200",
+                     "--out", str(out)]) == EXIT_NONCONVERGENCE
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "non_convergence"
+    assert error["iterations"] == 1
+    assert not (out / "newton_report.json").exists()
+
+
+def test_split_failures_decide_the_margin():
+    # on hand-built operators: J = I - u v^T with v.u = 1 has T = I and a
+    # Sherman-Morrison denominator of exactly 0.0, det J = 0; J = -I has a
+    # triangular part with diagonal -1, which the split cannot solve with
+    from fracbvp.errors import DegeneratePointError
+    m = 4
+    u, v, zeros = np.full(m, 0.25), np.ones(m), np.zeros(m)
+    point = SimpleNamespace(values=np.ones(m))
+    f = NonlinearityFamily.power(1.0, 1.0)
+    singular = SimpleNamespace(matrix=np.outer(u, v), factors=(u, v))
+    report = nondegeneracy(singular, f, point)
+    assert (report.margin, report.degenerate) == (0.0, True)
+    assert (report.iterations, report.det_sign) == (0, 0)
+    unsplit = SimpleNamespace(matrix=2.0 * np.eye(m), factors=(zeros, zeros))
+    with pytest.raises(DegeneratePointError) as info:
+        nondegeneracy(unsplit, f, point)
+    assert "diagonal entry" in str(info.value)
 
 
 @pytest.mark.parametrize("problem", CRITERION_11)
@@ -438,16 +470,15 @@ def test_condition_estimate_matches_svd(problem):
     # capped Lanczos estimate ||J||_1 / sigma_min is a lower bound within 10%
     # of the one with sigma_min from a dense SVD
     from fracbvp.superlinear import (COND_STEPS, _SplitJacobian, _fprime,
-                                     _jacobian, _norm1, _separable_factors,
-                                     _top_eigenvalue)
+                                     _norm1, _sigma_min)
     A, f, u = _problem(*problem)
     fp = _fprime(f, u)
-    jac = _SplitJacobian(A, fp, _separable_factors(A))
+    jac = _SplitJacobian(A, fp)
     anorm = _norm1(A)(fp)
-    J = _jacobian(A, f, u)
+    J = jacobian(A, f, u)
     assert anorm == pytest.approx(np.linalg.norm(J, 1), rel=1e-13)
-    theta, _, _ = _top_eigenvalue(jac, COND_STEPS)
-    cond = anorm * np.sqrt(theta)
+    sigma, _, _ = _sigma_min(jac, COND_STEPS, 0.0, False)
+    cond = anorm / sigma
     exact = anorm / np.linalg.svd(J, compute_uv=False)[-1]
     assert 0.9 * exact <= cond <= exact * (1.0 + 1e-10)
 

@@ -14,10 +14,12 @@ that is not a float: a changed exit code, word (a status, a verdict) or
 integer (a count), or a file only one tree wrote.  A file whose count of
 numbers changed is flagged with both line counts and the largest relative
 difference of its last lines (per key on the keys both hold, for JSON rows),
-which for a trace is its endpoint; in a JSON or JSONL file, every string,
+which for a trace is its endpoint.  In a JSON or JSONL file, every string,
 integer and boolean that changed at a key path both trees wrote is flagged
-too.  A float printed without a fraction (``2``) counts as an integer only
-if its new value prints so too.
+too, and so is, by name, every key that only one tree wrote in an object
+both hold (a trace row only one tree wrote is left to the count).  A float
+printed without a fraction (``2``) counts as an integer only if its new
+value prints so too.
 """
 
 import importlib.util
@@ -140,20 +142,38 @@ def leaves(value, path=""):
         yield path, value
 
 
-def changed_words(old, new):
-    """The strings, integers and booleans that changed at a key path both
-    JSON texts hold; a JSONL text is the list of its rows."""
+def one_sided_keys(x, y, path=""):
+    """The key paths only one of ``x`` and ``y`` holds, in the objects at
+    key paths both hold, each with the tree that holds it."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for key in [*x, *(key for key in y if key not in x)]:
+            sub = f"{path}.{key}" if path else key
+            if key not in x or key not in y:
+                yield f"{sub}: only in {'parent' if key in x else 'change'}"
+            else:
+                yield from one_sided_keys(x[key], y[key], sub)
+    elif isinstance(x, list) and isinstance(y, list):
+        for k, (a, b) in enumerate(zip(x, y)):
+            yield from one_sided_keys(a, b, f"{path}[{k}]")
+
+
+def json_changes(old, new):
+    """(the keys that only one JSON text holds, the strings, integers and
+    booleans that changed at a key path both hold); a JSONL text is the
+    list of its rows."""
     def parse(text):
         try:
             return json.loads(text)
         except ValueError:
             return [json.loads(line) for line in text.splitlines()]
     try:
-        x, y = (dict(leaves(parse(text))) for text in (old, new))
+        x, y = parse(old), parse(new)
     except ValueError:
-        return []
-    return [f"{path}: {x[path]!r} -> {y[path]!r}"
-            for path in x if path in y and x[path] != y[path]]
+        return [], []
+    a, b = dict(leaves(x)), dict(leaves(y))
+    return list(one_sided_keys(x, y)), [
+        f"{path}: {a[path]!r} -> {b[path]!r}"
+        for path in a if path in b and a[path] != b[path]]
 
 
 def compare(old, new):
@@ -161,14 +181,16 @@ def compare(old, new):
 
     Texts with different number counts (a trace with fewer rows, a row with
     more keys) compare only their last lines, a trace's endpoint, and, for
-    JSON, the words and integers at the key paths both hold.
+    JSON, the words and integers at the key paths both hold.  JSON texts
+    whose keys differ name those keys instead of their shifted tokens.
     """
     a, b = NUMBER.split(old), NUMBER.split(new)
+    keys, words = json_changes(old, new)
     if len(a) != len(b):
         return 0.0, [f"{len(a) // 2} numbers -> {len(b) // 2}, "
                      f"{old.count(chr(10))} lines -> {new.count(chr(10))}, "
                      f"last lines differ by {last_line_drift(old, new)}",
-                     *changed_words(old, new)]
+                     *keys, *words]
     worst, flagged = 0.0, []
     for k, (x, y) in enumerate(zip(a, b)):
         if x == y:
@@ -181,7 +203,7 @@ def compare(old, new):
             worst = max(worst, rel)
         else:
             flagged.append(f"{x.strip()!r} -> {y.strip()!r}")
-    return worst, flagged
+    return worst, [*keys, *words] if keys else flagged
 
 
 def report(code0, files0, code1, files1):
