@@ -3,9 +3,11 @@
 The initial value problem u'' + |x|^l |u|^(p-1) u = 0, u(-1) = 0,
 u'(-1) = beta runs on one integrator, ``_lanes``: the Dormand-Prince 5(4)
 pair with Shampine's quartic dense output and an adaptive step per lane,
-for many betas at once as lanes of one NumPy pass.  A variational lane also
-carries w (the same equation linearized along u, with w(-1) = 0,
-w'(-1) = 1) and keeps its steps' dense coefficients as a ``Trajectory``.
+for many betas at once as lanes of one NumPy pass.  A pass costs about the
+same for a few lanes as for hundreds, so shooting cost follows the number
+of passes.  A variational lane also carries w (the same equation linearized
+along u, with w(-1) = 0, w'(-1) = 1) and keeps its steps' dense
+coefficients as a ``Trajectory``, or, without trajectories, only z'(beta).
 The first zero z(beta) of u is found by bisecting the quartic of the step
 over which u turns nonpositive; every shot has the horizon ``X_MAX``, and a
 slope whose u has no zero before it raises ``HorizonError``.
@@ -19,18 +21,19 @@ occurs), and the Prufer angle theta = atan2(w, w') only grows, by pi from
 one zero to the next, so the index is floor(theta(z)/pi).
 
 ``find_crossings`` shoots every beta of its log-spaced scan as a lane of
-one pass of u alone.  ``polish_crossings`` then runs a safeguarded Newton
-iteration in log beta inside every sign change of z(beta) - zeta the scan
-brackets, one pass of variational lanes per round for all brackets; a
-bracket's last shot is its ``ShootingRecord``.  Crossings of z(beta) = zeta
-enumerate the positive solutions of the Dirichlet problem on (-1, zeta);
-each one is rescaled from its record's trajectory to the unit interval,
-where it solves v'' + |t - 1/2 + delta|^l v^p = 0 with
-delta = (zeta-1)/(2(1+zeta)).
+one pass of u alone.  ``polish_crossings`` then zooms into every sign
+change of z(beta) - zeta the scan brackets with one pass of many
+variational lanes without trajectories, and closes each from the cubic
+Hermite root of the sub-bracket it finds, in record rounds of one pass of
+variational lanes for all brackets; a bracket's last shot is its
+``ShootingRecord``.  Crossings of z(beta) = zeta enumerate the positive
+solutions of the Dirichlet problem on (-1, zeta); each one is rescaled from
+its record's trajectory to the unit interval, where it solves
+v'' + |t - 1/2 + delta|^l v^p = 0 with delta = (zeta-1)/(2(1+zeta)).
 """
 
 from dataclasses import dataclass, field
-from functools import partialmethod
+from functools import partial, partialmethod
 
 import numpy as np
 
@@ -47,7 +50,8 @@ LANE_ATOL = 1e-12
 X_MAX = 25600.0
 WSIGN_REL_THRESHOLD = 1e-6
 POLISH_TOL = 1e-9           # |z(beta) - zeta| of a polished crossing
-MAX_POLISH_SHOTS = 50      # shots per bracket of the Newton polish
+MAX_POLISH_SHOTS = 50      # passes of the polish, its zoom pass the first
+ZOOM_LANES = 24             # lanes per bracket of the zoom pass, ends included
 # the scan peaks at about 72 doubles per beta (tracemalloc, 1e4 betas; the
 # seven stages alone are 14), so 1e5 points, 50x the default, take 58 MB
 MAX_SCAN_POINTS = 100_000
@@ -176,7 +180,7 @@ def _bisect(fn, lo, hi):
 # overflows has a non-finite err, so it is rejected with the smallest factor
 # (fmax: NaN as well), and a division by zero gives an inf clipped or unused
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _lanes(betas, params, variational=False):
+def _lanes(betas, params, variational=False, trajectories=True):
     """``(z, trajectories)``: one shot of u, and of w if ``variational``, per
     beta, all run as lanes of one NumPy Dormand-Prince pass.
 
@@ -190,7 +194,10 @@ def _lanes(betas, params, variational=False):
     which u goes from >= 0 to <= 0, bisected on its quartic, and
     ``HorizonError`` names the first beta whose u has none before
     ``X_MAX``.  A variational lane keeps its steps as a ``Trajectory`` that
-    ends at its z; ``trajectories`` is None for lanes of u alone.
+    ends at its z; ``trajectories`` is None for lanes of u alone.  Without
+    ``trajectories``, variational lanes keep no step and return
+    z'(beta) = -w(z)/u'(z) in its place, read from the quartic that
+    bisected z.
     """
     betas = np.asarray(betas, dtype=float)
     if np.any(betas <= 0.0):
@@ -198,6 +205,7 @@ def _lanes(betas, params, variational=False):
     l, p = params.l, params.p
     x_max, rtol, atol = X_MAX, LANE_RTOL, LANE_ATOL
     d = 4 if variational else 2
+    dense_steps = variational and trajectories
 
     def rhs(na, y, out):
         # na = -|x|^l: (u', na |u|^(p-1) u) and (w', p na |u|^(p-1) w)
@@ -263,12 +271,12 @@ def _lanes(betas, params, variational=False):
         rejected = ~ok
 
         fired = ok & (y[0] >= 0.0) & (y_new[0] <= 0.0)
-        if variational or fired.any():
+        if dense_steps or fired.any():
             Q = np.dot(_P.T, stages).reshape(4, d, m)
             if fired.any():
                 events.append((lane[fired], t[fired], t_new[fired],
-                               y[0, fired], Q[:, 0, fired]))
-            if variational:
+                               y[:, fired], Q[..., fired]))
+            if dense_steps:
                 steps.append((lane[ok], t[ok], h[ok], y[:, ok], Q[..., ok]))
         np.copyto(t, t_new, where=ok)
         np.copyto(y, y_new, where=ok)
@@ -284,16 +292,21 @@ def _lanes(betas, params, variational=False):
             K = np.empty((len(_C), d, lane.size))
             K[0] = f
 
-    z = np.full(n, np.nan)
+    z, zp = np.full(n, np.nan), np.full(n, np.nan)
     if events:
-        i, lo, hi, u0, q = (np.concatenate(e, axis=-1) for e in zip(*events))
-        z[i] = _bisect(lambda x: _quartic(u0, hi - lo, q, (x - lo) / (hi - lo)),
-                       lo, hi)
+        i, lo, hi, y0, q = (np.concatenate(e, axis=-1) for e in zip(*events))
+
+        def dense(k, x):
+            return _quartic(y0[k], hi - lo, q[:, k], (x - lo) / (hi - lo))
+
+        z[i] = _bisect(partial(dense, 0), lo, hi)
+        if variational and not trajectories:
+            zp[i] = -dense(2, z[i]) / dense(1, z[i])
     if np.isnan(z).any():
         raise HorizonError(f"u(., beta={betas[np.isnan(z)][0]}) has no zero "
                            f"before x_max={x_max}")
-    if not variational:
-        return z, None
+    if not dense_steps:
+        return z, (zp if variational else None)
     i, start, length, state, coef = (np.concatenate(s, axis=-1)
                                      for s in zip(*steps))
     return z, [Trajectory(start[i == k], length[i == k], state[:, i == k],
@@ -334,51 +347,76 @@ def _record(beta, traj):
                           w_end_sign=sign, z_prime=-w_end / up, trajectory=traj)
 
 
+@np.errstate(invalid="ignore", over="ignore")
+def _hermite_root(a, c, ga, gc, da, dc):
+    """The root in each (a, c) of the cubic Hermite interpolant of the values
+    ``ga``, ``gc`` and slopes ``da``, ``dc`` at its ends, bisected to
+    adjacent floats on the unit step fraction; the midpoint where a slope is
+    not finite or the root does not lie strictly inside."""
+    h = c - a
+    ha, hc = h * da, h * dc
+    c2, c3 = 3.0 * (gc - ga) - 2.0 * ha - hc, 2.0 * (ga - gc) + ha + hc
+    r = a + h * _bisect(lambda x: ga + x * (ha + x * (c2 + x * c3)),
+                        np.zeros_like(h), np.ones_like(h))
+    inside = np.isfinite(da) & np.isfinite(dc) & (a < r) & (r < c)
+    return np.where(inside, r, 0.5 * (a + c))
+
+
 def polish_crossings(brackets, zeta, params):
     """The ``ShootingRecord`` of a root of g = z - zeta in each bracket
-    (lo, g(lo), hi, g(hi)) of the scan, polished to |g| <= ``POLISH_TOL``.
+    (lo, hi) of the scan, polished to |g| <= ``POLISH_TOL``.
 
-    g changes sign over a bracket, or lo = hi where the scan hit g = 0.
-    Newton's method in log beta, on dg/dlog(beta) = beta z'(beta) from the
-    variational shot, kept in the bracket: each shot shrinks it, and a step
-    that would leave it bisects it instead.  It starts at the secant root
-    of the scan's end values, so no shot repeats the end of a bracket with
-    lo < hi.  Each round shoots every open bracket as a lane of one pass,
-    and a bracket's last shot is its record.  ``ConvergenceError`` after
-    ``MAX_POLISH_SHOTS`` rounds.
+    g changes sign over a bracket, or lo = hi where the scan hit g = 0.  A
+    shot's cost is per pass, not per lane, so the polish runs many lanes in
+    few passes.  The zoom pass shoots ``ZOOM_LANES`` variational lanes
+    without trajectories per bracket, log-uniform over [lo, hi] with the
+    ends, for g and dg/dlog(beta) = beta z'(beta); the first pair of lanes
+    over which g changes sign (else the lane of least |g|) becomes the
+    bracket.  Each record round then shoots every open bracket at the root
+    of the cubic Hermite interpolant of (g, dg/dlog(beta)) over it, or at
+    its midpoint where that root fails (``_hermite_root``), as a lane of one
+    pass with trajectories.  A shot within ``POLISH_TOL`` is the bracket's
+    record, and one outside it replaces the bracket's end of its sign.
+    ``ConvergenceError`` after ``MAX_POLISH_SHOTS`` passes, the zoom pass
+    the first.
     """
-    lo, ga, hi, gc = np.array(brackets, dtype=float).reshape(-1, 4).T
-    a, c = np.log(lo), np.log(hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = c - gc * (c - a) / (gc - ga)
-    s = np.where((a < s) & (s < c), s, 0.5 * (a + c))
-    records, last = [None] * len(s), np.zeros(len(s))
-    todo, shots = list(range(len(s))), 0
+    lo, hi = np.array(brackets, dtype=float).reshape(-1, 2).T
+    n, lanes = len(lo), ZOOM_LANES
+    zoom = np.geomspace(lo, hi, lanes, axis=-1)
+    z, zp = _lanes(zoom.ravel(), params, variational=True, trajectories=False)
+    g, d = z.reshape(n, lanes) - zeta, zoom * zp.reshape(n, lanes)
+    change = g[:, :-1] * g[:, 1:] <= 0.0
+    has = change.any(axis=1)
+    k = np.where(has, change.argmax(axis=1), np.argmin(np.abs(g), axis=1))
+    (a, c), (ga, gc), (da, dc) = (
+        np.take_along_axis(v, np.column_stack((k, k + has)), axis=1).T
+        for v in (np.log(zoom), g, d))
+    last = np.minimum(np.abs(ga), np.abs(gc))
+    records, todo, shots = [None] * n, list(range(n)), 1
     while todo:
         if shots == MAX_POLISH_SHOTS:
             i = todo[0]
             raise ConvergenceError(
                 f"crossing bracket beta in [{lo[i]:.17g}, {hi[i]:.17g}] not "
                 f"polished in {shots} shots: last |z(beta) - zeta| = "
-                f"{abs(last[i]):.3e}, tolerance {POLISH_TOL:g}",
-                iterations=shots, residual=abs(last[i]))
+                f"{last[i]:.3e}, tolerance {POLISH_TOL:g}",
+                iterations=shots, residual=last[i])
         shots += 1
-        betas = np.exp(s[todo])
-        for i, beta, traj in zip(todo, betas,
-                                 _lanes(betas, params, variational=True)[1]):
+        s = _hermite_root(a[todo], c[todo], ga[todo], gc[todo], da[todo],
+                          dc[todo])
+        betas = np.exp(s)
+        for i, si, beta, traj in zip(todo, s, betas, _lanes(
+                betas, params, variational=True)[1]):
             rec = _record(beta, traj)
-            g = rec.z - zeta
-            if abs(g) <= POLISH_TOL:
+            gi = rec.z - zeta
+            if abs(gi) <= POLISH_TOL:
                 records[i] = rec
                 continue
-            last[i] = g
-            if g * gc[i] > 0.0:
-                c[i], gc[i] = s[i], g
+            last[i] = abs(gi)
+            if gi * gc[i] > 0.0:
+                c[i], gc[i], dc[i] = si, gi, beta * rec.z_prime
             else:
-                a[i], ga[i] = s[i], g
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = s[i] - g / (beta * rec.z_prime)
-            s[i] = step if a[i] < step < c[i] else 0.5 * (a[i] + c[i])
+                a[i], ga[i], da[i] = si, gi, beta * rec.z_prime
         todo = [i for i in todo if records[i] is None]
     return records
 
@@ -409,8 +447,8 @@ def find_crossings(zeta, params, beta_range=(1e-3, 1e3), scan_points=2000):
     g = _lanes(betas, params)[0] - zeta
     i = np.flatnonzero((g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0))
     j = np.where(g[i] == 0.0, i, i + 1)     # a scan point on the root
-    return polish_crossings(np.column_stack((betas[i], g[i], betas[j], g[j])),
-                            zeta, params)
+    return polish_crossings(np.column_stack((betas[i], betas[j])), zeta,
+                            params)
 
 
 def rescale_to_unit(record, zeta, params, mesh):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -226,26 +227,118 @@ def test_scan_horizon_cap(henon_params, monkeypatch):
                        scan_points=5)
 
 
-def test_polish_takes_few_shots_inside_the_bracket(henon_params, monkeypatch):
-    # the polish shoots variational lanes, the scan lanes of u alone; it
-    # starts from the scan's values at the bracket ends, so it never shoots
-    # at one
-    shots = []
+def _logged_passes(monkeypatch):
+    """(variational, betas) of every pass of ``shooting._lanes`` from now."""
+    passes = []
     lanes = shooting._lanes
 
-    def counted(betas, *args, **kwargs):
-        if kwargs.get("variational"):
-            shots.extend(betas)
+    def logged(betas, *args, **kwargs):
+        passes.append((kwargs.get("variational", False), np.array(betas)))
         return lanes(betas, *args, **kwargs)
 
-    monkeypatch.setattr(shooting, "_lanes", counted)
-    records = find_crossings(1.0, henon_params, scan_points=2000)
-    betas = np.geomspace(1e-3, 1e3, 2000)
-    bracket = np.searchsorted(betas, shots)
-    counts = np.unique(bracket, return_counts=True)[1]
-    assert len(records) == len(counts) == 3
-    assert np.all(counts <= 10)
-    assert not np.isin(shots, betas).any()
+    monkeypatch.setattr(shooting, "_lanes", logged)
+    return passes
+
+
+def test_polish_takes_few_shots_inside_the_bracket(henon_params, monkeypatch):
+    # a pass of lanes costs about the same for 3 lanes as for 200, so the
+    # polish shoots many lanes in few passes: on the default 200-point scan,
+    # one pass of u alone, then one zoom pass over each bracket with its ends
+    # and one record round, strictly inside the brackets
+    passes = _logged_passes(monkeypatch)
+    records = find_crossings(1.0, henon_params, scan_points=200)
+    scan = np.geomspace(1e-3, 1e3, 200)
+    assert len(records) == 3
+    assert [v for v, _ in passes].count(False) == 1 and not passes[0][0]
+    variational = [b for v, b in passes if v]
+    assert len(variational) <= 2
+    k = np.searchsorted(scan, [r.beta for r in records])
+    zoom = variational[0].reshape(len(records), -1)
+    assert np.array_equal(zoom[:, 0], scan[k - 1])
+    assert np.array_equal(zoom[:, -1], scan[k])
+    assert np.all(np.diff(zoom, axis=1) > 0.0)
+    for betas in variational[1:]:
+        assert set(np.searchsorted(scan, betas)) <= set(k)
+        assert not np.isin(betas, scan).any()
+
+
+def test_polish_falls_back_to_its_record_rounds(henon_params, monkeypatch):
+    # a zoom pass of the bracket ends alone leaves the work to the record
+    # rounds: the same crossings, in more passes
+    ref = find_crossings(1.0, henon_params, scan_points=200)
+    monkeypatch.setattr(shooting, "ZOOM_LANES", 2)
+    passes = _logged_passes(monkeypatch)
+    records = find_crossings(1.0, henon_params, scan_points=200)
+    assert [v for v, _ in passes].count(True) >= 3
+    assert [(r.morse_index, r.w_end_sign) for r in records] == [
+        (r.morse_index, r.w_end_sign) for r in ref]
+    for r, q in zip(records, ref):
+        assert r.beta == pytest.approx(q.beta, rel=1e-7)
+        assert abs(r.z - 1.0) <= shooting.POLISH_TOL
+
+
+def test_zoom_lanes_read_the_records_z_prime(henon_params):
+    # without trajectories a variational lane reads z and z' from the
+    # quartic that bisected z: the record's floats
+    for beta in (0.5, 20.0, 237.2):
+        z, zp = shooting._lanes([beta], henon_params, variational=True,
+                                trajectories=False)
+        r = shooting._record(beta, _shot(beta, henon_params))
+        assert (z[0], zp[0]) == (r.z, r.z_prime)
+
+
+HERMITE = settings(derandomize=True, database=None, max_examples=200,
+                   deadline=None)
+ends = st.floats(min_value=-50.0, max_value=50.0)
+widths = st.floats(min_value=1e-6, max_value=10.0)
+
+
+@HERMITE
+@given(a=ends, h=widths, frac=st.floats(0.01, 0.99),
+       k=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+       b=st.floats(0.0, 5.0), e=st.floats(-1.0, 1.0))
+def test_hermite_root_is_exact_on_a_cubic(a, h, frac, k, b, e):
+    # g = k h (x + e x^2 + b x^3), x = (s - r)/h, is its own Hermite
+    # interpolant: a cubic with one root r, kept monotone on the bracket by
+    # e^2 <= 1.5 b, so the root is found to rounding
+    c = a + h
+    r = a + frac * h
+    e *= np.sqrt(1.5 * b)
+
+    def g(s):
+        x = (s - r) / h
+        return k * h * (x + e * x * x + b * x ** 3)
+
+    def dg(s):
+        x = (s - r) / h
+        return k * (1.0 + 2.0 * e * x + 3.0 * b * x * x)
+
+    root = shooting._hermite_root(*(np.array([v]) for v in (
+        a, c, g(a), g(c), dg(a), dg(c))))[0]
+    assert abs(root - r) <= 1e-12 * h + 4.0 * np.spacing(max(abs(a), abs(c)))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
+                   max_value=1e300)
+
+
+@HERMITE
+@given(a=ends, h=widths, ga=finite, gc=finite, da=finite, dc=finite)
+def test_hermite_root_lies_strictly_inside(a, h, ga, gc, da, dc):
+    root = shooting._hermite_root(*(np.array([v]) for v in (
+        a, a + h, ga, gc, da, dc)))[0]
+    assert a < root < a + h
+
+
+@HERMITE
+@given(a=ends, h=widths, ga=finite, gc=finite, slope=finite,
+       bad=st.sampled_from((np.nan, np.inf, -np.inf)), which=st.booleans())
+def test_hermite_root_bisects_without_a_finite_slope(a, h, ga, gc, slope,
+                                                    bad, which):
+    da, dc = (bad, slope) if which else (slope, bad)
+    root = shooting._hermite_root(*(np.array([v]) for v in (
+        a, a + h, ga, gc, da, dc)))[0]
+    assert root == 0.5 * (a + (a + h))
 
 
 def test_three_crossings_found(henon_crossings):

@@ -297,6 +297,32 @@ def test_newton_holds_one_matrix_buffer(unit_weight, monkeypatch):
         tracemalloc.stop()
 
 
+def test_newton_and_margin_call_no_native_linalg(classical_solution,
+                                                 unit_weight, monkeypatch):
+    # tracemalloc does not see the workspaces numpy.linalg allocates
+    # natively, so the gate above holds only while Newton, the margin and
+    # continuation call no numpy.linalg routine but eigh (of the Lanczos
+    # tridiagonal) and norm (of a vector)
+    import numpy.linalg._linalg as impl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg routine was called")
+
+    for name in np.linalg.__all__:
+        if name not in ("eigh", "norm") and not isinstance(
+                getattr(np.linalg, name), type):
+            for module in (np.linalg, impl):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+    mesh, start = classical_solution
+    A = assemble(mesh, 2.0, unit_weight)
+    u0 = GridFunction(mesh, 1.01 * start.solution.values)
+    report = newton_solve(A, SQUARE, u0)
+    assert report.converged and report.iterations >= 2
+    assert not nondegeneracy(A, SQUARE, report.solution).degenerate
+    trace = continue_alpha(start, A, 1.99, SQUARE, initial_step=0.005)
+    assert trace.status == "completed" and len(trace.steps) == 3
+
+
 def test_newton_nan_guess_is_not_converged(classical):
     mesh, A, _ = classical
     u0 = GridFunction(mesh, np.full(len(mesh.nodes), np.nan))
@@ -345,20 +371,26 @@ def _problem(alpha, h, f, point, n=400):
 @pytest.mark.parametrize("problem", CRITERION_11)
 def test_split_solves_match_dense_lu(problem):
     # J = T - u w^T solved by triangular solves and Sherman-Morrison agrees
-    # with an LU of the dense Jacobian, for J and J^T
+    # with an LU of the dense Jacobian, for J and J^T; rebuilt in a used
+    # buffer (NaN-filled, as Newton reuses one per solve) it solves to the
+    # same floats
     from scipy.linalg import lu_factor, lu_solve
     from fracbvp.superlinear import _SplitJacobian, _fprime
     A, f, u = _problem(*problem)
     jac = _SplitJacobian(A, _fprime(f, u))
     assert jac.failure is None
+    reused = _SplitJacobian(A, _fprime(f, u),
+                            np.full_like(jac.buffer, np.nan))
     lu = lu_factor(jacobian(A, f, u))
     rng = np.random.default_rng(3)
     for _ in range(3):
         b = rng.standard_normal(len(u))
-        for trans, solve in ((0, jac.solve), (1, jac.solve_t)):
+        for trans, solve, again in ((0, jac.solve, reused.solve),
+                                    (1, jac.solve_t, reused.solve_t)):
             ref = lu_solve(lu, b, trans=trans)
             rel = np.max(np.abs(solve(b) - ref)) / np.max(np.abs(ref))
             assert rel < 1e-12
+            assert np.array_equal(again(b), solve(b))
 
 
 @pytest.mark.parametrize("m", [1, 17, 63, 64, 65, 128, 129, 401])

@@ -48,7 +48,10 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # crossings of Morse index 1, 2, 1 at p = 7, the steepest p in reach, where
 # the Prufer angle that counts the index turns fastest per step, so a change
 # to the count shows; and an affine_power sublinear solve, whose certified
-# delta lies above the continuous threshold f(s) >= lambda1 s
+# delta lies above the continuous threshold f(s) >= lambda1 s; then two
+# Henon scans the polish finds hard or lone: p = 15 at zeta = 1.5, steep
+# and off the symmetric interval, whose brackets take more than one record
+# round, and p = 3 at zeta = 0.5, which has a single crossing
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -72,6 +75,8 @@ FIXED = [
     "--nonlin power:5.88681:6.74428 --n 200",
     "henon-shoot --l 4 --p 7 --zeta 1 --scan-points 200",
     "solve-sub --alpha 1.5 --weight constant:1 --nonlin affine_power:2:0.9 --n 200",
+    "henon-shoot --l 8 --p 15 --zeta 1.5 --scan-points 200",
+    "henon-shoot --l 8 --p 3 --zeta 0.5 --scan-points 200",
 ]
 
 
