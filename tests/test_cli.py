@@ -451,7 +451,7 @@ def test_mesh_size_exits_2_before_allocating(tmp_path):
 
 
 def test_scan_size_exits_2_before_allocating(tmp_path, monkeypatch):
-    # the scan peaks at about 72 doubles per beta; the bound applies
+    # the scan peaks below 90 doubles per beta; the bound applies
     # before np.geomspace
     def geomspace(*args, **kwargs):
         raise AssertionError("the scan grid was allocated")

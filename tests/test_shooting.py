@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -37,9 +38,9 @@ def _henon_continue_betas(seed, points=200):
 
 
 def _serial_zero(beta, params, x_max=shooting.X_MAX):
-    """z(beta) from scipy's serial RK45 shot of u alone, an oracle for the
-    lanes: the same tableau, controller and tolerances, legs split at
-    x = 0, and scipy's event locator on the downward zero of u."""
+    """z(beta) from scipy's serial DOP853 shot of u alone, an oracle for the
+    lanes: the same tableau, error norm, controller and tolerances, legs
+    split at x = 0, and scipy's event locator on the downward zero of u."""
     def rhs(x, y):
         return (y[1], -abs(x) ** params.l * abs(y[0]) ** (params.p - 1.0) * y[0])
 
@@ -50,7 +51,7 @@ def _serial_zero(beta, params, x_max=shooting.X_MAX):
     y = [0.0, float(beta)]
     legs = [x for x in (-1.0, 0.0) if x < x_max] + [x_max]
     for x0, x1 in zip(legs[:-1], legs[1:]):
-        sol = solve_ivp(rhs, (x0, x1), y, method="RK45",
+        sol = solve_ivp(rhs, (x0, x1), y, method="DOP853",
                         rtol=shooting.LANE_RTOL, atol=shooting.LANE_ATOL,
                         events=zero)
         if sol.status == 1:
@@ -98,9 +99,9 @@ def test_tolerance_self_convergence(henon_params, monkeypatch):
 
 
 def test_trajectory_matches_scipy_dense_output(henon_params):
-    # the lane's quartics for (u, u', w) against scipy's serial RK45 shot
-    # with dense output, legs split at x = 0, up to the first zero z of u,
-    # where the lane ends
+    # the lane's dense output for (u, u', w) against scipy's serial DOP853
+    # shot with dense output, legs split at x = 0, up to the first zero z of
+    # u, where the lane ends
     l, p = henon_params.l, henon_params.p
 
     def rhs(x, y):
@@ -112,7 +113,7 @@ def test_trajectory_matches_scipy_dense_output(henon_params):
     assert 0.0 < z < 1.5
     y = [0.0, 30.0, 0.0, 1.0]
     for x0, x1 in ((-1.0, 0.0), (0.0, z)):
-        sol = solve_ivp(rhs, (x0, x1), y, method="RK45", dense_output=True,
+        sol = solve_ivp(rhs, (x0, x1), y, method="DOP853", dense_output=True,
                         rtol=shooting.LANE_RTOL, atol=shooting.LANE_ATOL)
         x = np.linspace(x0, x1, 201)
         for want, got in zip(sol.sol(x), (traj.u, traj.du, traj.w)):
@@ -218,6 +219,19 @@ def test_overflowing_trial_steps_warn_nothing(beta_range, points):
         (r.beta, r.morse_index) for r in plain]
 
 
+def test_scan_memory_per_beta_stays_under_its_bound():
+    # the MAX_SCAN_POINTS comment bounds the scan's peak by 90 doubles per
+    # beta, so its 1e5-point cap holds 72 MB; measured on 1e4 lanes
+    betas = np.geomspace(1e-3, 1e3, 10_000)
+    tracemalloc.start()
+    try:
+        shooting._lanes(betas, HenonParams(l=4.0, p=2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * 8 * betas.size
+
+
 def test_scan_horizon_cap(henon_params, monkeypatch):
     # below the horizon no slope of the scan has its zero: the error names
     # the first one
@@ -279,7 +293,7 @@ def test_polish_falls_back_to_its_record_rounds(henon_params, monkeypatch):
 
 def test_zoom_lanes_read_the_records_z_prime(henon_params):
     # without trajectories a variational lane reads z and z' from the
-    # quartic that bisected z: the record's floats
+    # dense output that bisected z: the record's floats
     for beta in (0.5, 20.0, 237.2):
         z, zp = shooting._lanes([beta], henon_params, variational=True,
                                 trajectories=False)
@@ -398,9 +412,12 @@ def test_variational_verdicts_consistent():
     # over sweeps of shots, |w(z)| and |z'| give the same (non)degeneracy
     # verdict, and the sign changes of w sampled on a fine grid give the
     # Morse index the record reads from the Prufer angle; each sweep has a
-    # shot of index 2, and p = 7 is the steepest turn of the angle per step
-    betas = np.geomspace(1e-3, 1e3, 30)
-    for l, p in ((4.0, 2.0), (2.0, 3.0), (6.0, 3.0), (4.0, 7.0)):
+    # shot of index 2 (at p = 20 only for beta near 1.4 and near 3, hence
+    # the finer sweep of [1, 4]).  p = 7 and p = 20 turn the angle fastest
+    # per step, by up to about pi
+    betas = np.union1d(np.geomspace(1e-3, 1e3, 30), np.geomspace(1.0, 4.0, 20))
+    for l, p in ((4.0, 2.0), (2.0, 3.0), (6.0, 3.0), (4.0, 7.0), (1.1, 20.0),
+                 (8.0, 20.0)):
         trajs = shooting._lanes(betas, HenonParams(l=l, p=p),
                                 variational=True)[1]
         indices = []
@@ -430,14 +447,23 @@ def test_morse_count_stable_under_tol_tightening(henon_params, henon_crossings,
 
 
 def test_record_rejects_step_turning_prufer_angle_past_pi():
-    # theta = atan2(w, w') turns by 0.45 pi, then by 1.3 pi in one step:
-    # unwrapping reads the second turn as -0.7 pi, which would count the
-    # Morse index as -1; the record refuses the shot instead
-    theta = np.array([0.0, 0.45, 1.75, 1.75]) * np.pi
-    y = np.vstack((np.ones(4), -np.ones(4), np.sin(theta), np.cos(theta)))
-    traj = shooting.Trajectory(t=np.array([-1.0, -0.5, 0.0, 0.5]),
-                               h=np.full(4, 0.5), y=y, q=np.zeros((4, 4, 4)),
-                               x_end=0.75)
+    # over one step the dense output turns theta = atan2(w, w') by 2.05 pi,
+    # so its ends alone read a turn of 0.05 pi.  Its samples at 1/4 and 1/2
+    # are 1.3 pi apart, a turn that unwrapping reads as -0.7 pi: the record
+    # refuses the shot instead of reading the Morse index from it
+    x = np.array([0.25, 0.5, 0.75, 1.0])
+    theta = np.array([0.2, 1.5, 1.6, 2.05]) * np.pi
+    # the dense output is linear in F: fit F[:4] of (w, w') to the angles
+    basis = np.column_stack([shooting._dense(0.0, np.eye(7)[k], x)
+                             for k in range(4)])
+    F = np.zeros((7, 4, 1))
+    F[:4, 2, 0] = np.linalg.solve(basis, np.sin(theta))
+    F[:4, 3, 0] = np.linalg.solve(basis, np.cos(theta) - 1.0)
+    traj = shooting.Trajectory(t=np.array([-1.0]), h=np.array([2.0]),
+                               y=np.array([[0.0], [1.0], [0.0], [1.0]]), F=F,
+                               x_end=1.0)
+    ends = np.arctan2(traj.w([-1.0, 1.0]), traj.dw([-1.0, 1.0]))
+    assert np.diff(ends)[0] == pytest.approx(0.05 * np.pi)
     with pytest.raises(IntegrationError, match="beta = 2.0"):
         shooting._record(2.0, traj)
 

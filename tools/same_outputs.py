@@ -45,13 +45,15 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # where an absolute stop ends early or never, so a change to any stop shows;
 # then two whose Petviashvili seed already solves to rounding level, so that
 # no damping of Newton's first correction lowers the residual; last, Henon
-# crossings of Morse index 1, 2, 1 at p = 7, the steepest p in reach, where
-# the Prufer angle that counts the index turns fastest per step, so a change
-# to the count shows; and an affine_power sublinear solve, whose certified
-# delta lies above the continuous threshold f(s) >= lambda1 s; then two
-# Henon scans the polish finds hard or lone: p = 15 at zeta = 1.5, steep
-# and off the symmetric interval, whose brackets take more than one record
-# round, and p = 3 at zeta = 0.5, which has a single crossing
+# crossings of Morse index 1, 2, 1 at p = 7, where the Prufer angle that
+# counts the index turns fast per step, so a change to the count shows; and
+# an affine_power sublinear solve, whose certified delta lies above the
+# continuous threshold f(s) >= lambda1 s; then two Henon scans the polish
+# finds hard or lone: p = 15 at zeta = 1.5, steep and off the symmetric
+# interval, whose brackets take more than one record round, and p = 3 at
+# zeta = 0.5, which has a single crossing; last, l = 8 and p = 20, where a
+# DOP853 step turns the Prufer angle by up to 0.991 pi, the steepest turn
+# per step measured
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -77,6 +79,7 @@ FIXED = [
     "solve-sub --alpha 1.5 --weight constant:1 --nonlin affine_power:2:0.9 --n 200",
     "henon-shoot --l 8 --p 15 --zeta 1.5 --scan-points 200",
     "henon-shoot --l 8 --p 3 --zeta 0.5 --scan-points 200",
+    "henon-shoot --l 8 --p 20 --scan-points 200",
 ]
 
 
