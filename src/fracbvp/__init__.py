@@ -13,7 +13,6 @@ from .errors import (ConvergenceError, DegeneratePointError, FracBVPError,
                      MonotonicityError, ScalingError, TransversalityError)
 from .grid import (GridFunction, Mesh, boundary_weight,
                    default_grading_exponent, make_mesh, production_mesh)
-from .kernel import gamma
 from .operator import (NonlinearityFamily, OperatorMatrix, WeightFamily,
                        assemble)
 from .eigen import (EigenResult, Lambda1Bounds, SweepRow, lambda1_bounds,
@@ -34,7 +33,7 @@ __all__ = [
     "DegeneratePointError", "MonotonicityError", "IntegrationError",
     "HorizonError", "TransversalityError", "ScalingError",
     "Mesh", "GridFunction", "make_mesh", "production_mesh",
-    "default_grading_exponent", "boundary_weight", "gamma",
+    "default_grading_exponent", "boundary_weight",
     "WeightFamily", "NonlinearityFamily", "OperatorMatrix", "assemble",
     "EigenResult", "Lambda1Bounds", "SweepRow", "principal_eigenpair",
     "lambda1_bounds", "sweep_alpha",

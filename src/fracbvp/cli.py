@@ -39,37 +39,51 @@ from .superlinear import continue_alpha, find_positive_solution, newton_solve, n
 EXIT_OK = 0
 EXIT_IO = 4
 
-NUMERIC_DEFAULTS = {
-    "n": 400,
-    "grading": "auto",
-    "exponent": None,
-    "tol": 1e-10,
-    "maxit": 10000,
-    "trials": 10,
-    "l": 4.0,
-    "p": 2.0,
-    "zeta": 1.0,
-    "beta_min": 1e-3,
-    "beta_max": 1e3,
-    "scan_points": 2000,
-    "target_alpha": 1.95,
-    "alpha_step": 0.005,
-    "min_step": 1e-5,
-    "alphas": "1.5:2.0:0.05",
+# every setting once, as key: (section, default, flag, help).  A value, from
+# a flag or a file, is read as its default's type, or by its _READERS entry
+# where the default gives none (the problem fields have no default)
+SETTINGS = {
+    "alpha": ("problem", None, "--alpha", "differentiation order in (1,2]"),
+    "weight": ("problem", None, "--weight", "weight spec, e.g. constant:1"),
+    "nonlinearity": ("problem", None, "--nonlin", "f spec, e.g. power:1:0.5"),
+    "n": ("numerics", 400, "--n", "mesh intervals"),
+    "grading": ("numerics", "auto", "--grading", "auto, uniform or graded"),
+    "exponent": ("numerics", None, "--exponent", "grading exponent"),
+    "tol": ("numerics", 1e-10, "--tol", "relative solver tolerance"),
+    "maxit": ("numerics", 10000, "--maxit", "iteration budget"),
+    "trials": ("numerics", 10, "--trials", "nonexistence probe starts"),
+    "l": ("numerics", 4.0, "--l", "weight exponent l"),
+    "p": ("numerics", 2.0, "--p", "nonlinearity power p"),
+    "zeta": ("numerics", 1.0, "--zeta", "right endpoint level"),
+    "beta_min": ("numerics", 1e-3, "--beta-min", "lowest beta scanned"),
+    "beta_max": ("numerics", 1e3, "--beta-max", "highest beta scanned"),
+    "scan_points": ("numerics", 2000, "--scan-points", "betas scanned"),
+    "target_alpha": ("numerics", 1.95, "--target-alpha", "last order"),
+    "alpha_step": ("numerics", 0.005, "--step", "initial step in alpha"),
+    "min_step": ("numerics", 1e-5, "--min-step", "smallest step"),
+    "alphas": ("numerics", "1.5:2.0:0.05", "--alphas", "start:stop:step"),
 }
+
+
+def _grading(value):
+    if value not in ("auto", "uniform", "graded"):
+        raise ValueError("grading is auto, uniform or graded")
+    return value
+
+
+_READERS = {"alpha": float, "weight": str, "nonlinearity": str,
+            "grading": _grading,
+            "exponent": lambda value: None if value is None else float(value)}
+NUMERIC_DEFAULTS = {key: default for key, (section, default, *_)
+                    in SETTINGS.items() if section == "numerics"}
+CONFIG_TYPES = {section: {key: _READERS.get(key, type(row[1]))
+                          for key, row in SETTINGS.items() if row[0] == section}
+                for section in ("problem", "numerics")}
 
 # orders lie in (1, 2] and each one in a sweep costs an assembly and an
 # eigensolve, so a schedule of more steps than this is a mistyped step: one
 # of 1e-7 would build 9e6 orders before the first is solved
 MAX_SCHEDULE_STEPS = 1000
-
-# the type a config value, from a flag or a file, is converted to: a numerics
-# value takes its default's type, and exponent (default None) is a float
-CONFIG_TYPES = {
-    "problem": {"alpha": float, "weight": str, "nonlinearity": str},
-    "numerics": {key: type(default) for key, default in NUMERIC_DEFAULTS.items()}
-    | {"exponent": lambda value: None if value is None else float(value)},
-}
 
 # thread settings the BLAS builds read: the summation order of a product,
 # so the last bits of a result, depends on the thread count
@@ -97,7 +111,7 @@ def parse_weight(spec):
             return WeightFamily.tabulated(GridFunction.from_csv(rest))
     except HypothesisError:
         raise
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:       # an OSError of a table is exit 4
         raise HypothesisError("weight-positivity",
                               f"cannot parse weight spec {spec!r}: {exc}")
     raise HypothesisError("weight-positivity", f"unknown weight kind {kind!r}")
@@ -191,8 +205,6 @@ def _build_mesh(numerics, alpha):
             "mesh-grading", "--exponent applies only to --grading graded")
     if grading == "auto":
         return production_mesh(alpha, n=numerics["n"])
-    if grading not in ("uniform", "graded"):
-        raise HypothesisError("mesh-size", f"unknown grading {grading!r}")
     if grading == "graded" and exponent is None:
         raise HypothesisError("mesh-size",
                               "graded meshes need an explicit exponent")
@@ -517,11 +529,9 @@ def build_config(args):
         config["command"] = args.command
     if args.out is not None:
         config["output"] = args.out
-    for section, types in CONFIG_TYPES.items():
-        for key in types:
-            value = getattr(args, key)
-            if value is not None:
-                config[section][key] = value
+    for key, (section, *_) in SETTINGS.items():
+        if getattr(args, key) is not None:
+            config[section][key] = getattr(args, key)
     return config
 
 
@@ -534,29 +544,8 @@ def _make_parser():
                         help="pipeline to run (may come from the config file)")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--alpha", help="differentiation order in (1,2]")
-    parser.add_argument("--weight", help="weight spec, e.g. constant:1 or "
-                                         "power_offset:4:0.5")
-    parser.add_argument("--nonlin", dest="nonlinearity",
-                        help="nonlinearity spec, e.g. power:1:0.5")
-    parser.add_argument("--n", help="mesh intervals")
-    parser.add_argument("--grading", choices=("auto", "uniform", "graded"))
-    parser.add_argument("--exponent", help="grading exponent")
-    parser.add_argument("--tol", help="relative solver tolerance")
-    parser.add_argument("--maxit", help="iteration budget")
-    parser.add_argument("--alphas", help="sweep schedule start:stop:step")
-    parser.add_argument("--trials", help="nonexistence probe starts")
-    parser.add_argument("--l", help="weight exponent l")
-    parser.add_argument("--p", help="nonlinearity power p")
-    parser.add_argument("--zeta", help="right endpoint level")
-    parser.add_argument("--beta-min", dest="beta_min")
-    parser.add_argument("--beta-max", dest="beta_max")
-    parser.add_argument("--scan-points", dest="scan_points")
-    parser.add_argument("--target-alpha", dest="target_alpha")
-    parser.add_argument("--step", dest="alpha_step",
-                        help="initial continuation step in alpha; it doubles "
-                        "after a corrector of at most 3 Newton iterations")
-    parser.add_argument("--min-step", dest="min_step")
+    for key, (_, _, flag, help_text) in SETTINGS.items():
+        parser.add_argument(flag, dest=key, help=help_text)
     return parser
 
 

@@ -9,13 +9,14 @@ needed.  Closed-form two-sided bounds and an alpha sweep complete the
 module.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError
 from .grid import GridFunction, boundary_weight, production_mesh
-from .kernel import check_order, gamma
+from .kernel import check_order
 from .operator import assemble
 
 GAUSS_ORDER = 20            # Gauss-Legendre points per quadrature panel
@@ -118,15 +119,15 @@ def lambda1_bounds(alpha, h):
     makes either bound overflow, raises ``HypothesisError``.
     """
     alpha = check_order(alpha)
-    sup = h.sup_norm()
+    sup = h.extremes()[1]
     moment = integrate_unit_interval(
         lambda s: s ** alpha * (1.0 - s) ** alpha * h(s),
         kinks=h.kink_points())
     lower = upper = np.inf
     if sup > 0.0 and moment > 0.0:
-        lower = (alpha ** alpha * gamma(alpha + 1.0)
+        lower = (alpha ** alpha * math.gamma(alpha + 1.0)
                  / ((alpha - 1.0) ** (alpha - 1.0) * sup))
-        upper = 4.0 * gamma(alpha) / ((alpha - 1.0) ** 2 * moment)
+        upper = 4.0 * math.gamma(alpha) / ((alpha - 1.0) ** 2 * moment)
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise HypothesisError(
             "weight-positivity", f"weight sup norm {sup!r} and moment "

@@ -45,18 +45,6 @@ def check_order(alpha):
     return alpha
 
 
-def gamma(x):
-    """Gamma function for positive real arguments.
-
-    Standard double-precision evaluation (relative error well below 1e-12).
-    Raises ``ValueError`` for non-positive arguments.
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"gamma requires a positive argument, got {x!r}")
-    return math.gamma(x)
-
-
 def _segment_hats(x, y, scale, alpha):
     """Integrals of u^(alpha-1) against the two hat pieces of one segment.
 

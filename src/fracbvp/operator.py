@@ -27,8 +27,6 @@ from .errors import HypothesisError
 from .grid import MAX_MATRIX_BYTES, Mesh
 from .kernel import check_order, green_hat_matrix, separable_hat_integrals
 
-_VALIDATION_SAMPLES = 2049
-
 
 class WeightFamily:
     """Nonnegative weight h on [0,1], not identically zero.
@@ -77,43 +75,46 @@ class WeightFamily:
         if not np.all(np.isfinite(numbers)):
             raise HypothesisError(
                 "weight-positivity", f"{self.kind} weight parameters must be finite")
-        if self.kind == "constant":
-            if self.params["c"] <= 0.0:
-                raise HypothesisError(
-                    "weight-positivity", "constant weight must be positive")
-            return
-        if self.kind == "power_offset":
-            if self.params["l"] <= 0.0:
-                raise HypothesisError(
-                    "weight-positivity", "power-offset exponent must be > 0")
-            if not 0.0 <= self.params["t0"] <= 1.0:
-                raise HypothesisError(
-                    "weight-positivity", "power-offset center must lie in [0, 1]")
-            return
-        t = np.linspace(0.0, 1.0, _VALIDATION_SAMPLES)
-        v = self(t)
-        if np.any(v < 0.0):
+        if self.kind == "power_offset" and not (
+                self.params["l"] > 0.0 and 0.0 <= self.params["t0"] <= 1.0):
             raise HypothesisError(
-                "weight-positivity", "weight is negative on [0, 1]")
-        if np.max(v) <= 0.0:
+                "weight-positivity", "power-offset weight needs l > 0 and its "
+                "center in [0, 1]")
+        low, high = self.extremes()
+        if low < 0.0:
+            raise HypothesisError(
+                "weight-positivity", f"weight is negative on [0, 1]: {low!r}")
+        if high <= 0.0:
             raise HypothesisError(
                 "weight-positivity", "weight is identically zero")
 
-    def sup_norm(self):
-        """Exact sup of h on [0,1] (closed form per kind)."""
+    def extremes(self):
+        """Exact (min, max) of h on [0, 1], read per kind: |t - t0|^l at t0
+        and at the far end, a polynomial at 0, 1 and the real parts of its
+        critical points (a multiple one may come out complex), a table at
+        its values.  A polynomial minimum within Horner's rounding bound
+        2 deg eps sum|c_k| of zero (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2002, 5.1) is zero, so a weight that touches
+        zero at a double root holds."""
         if self.kind == "constant":
-            return self.params["c"]
+            return self.params["c"], self.params["c"]
         if self.kind == "power_offset":
             t0 = self.params["t0"]
-            return max(t0, 1.0 - t0) ** self.params["l"]
-        if self.kind == "polynomial":
-            poly = np.polynomial.Polynomial(self.params["coeffs"])
-            crit = [0.0, 1.0]
-            for r in poly.deriv().roots():
-                if abs(r.imag) < 1e-12 and 0.0 <= r.real <= 1.0:
-                    crit.append(float(r.real))
-            return max(float(poly(c)) for c in crit)
-        return float(np.max(self.params["table"].values))
+            return 0.0, max(t0, 1.0 - t0) ** self.params["l"]
+        if self.kind == "tabulated":
+            values = self.params["table"].values
+            return float(np.min(values)), float(np.max(values))
+        poly = np.polynomial.Polynomial(self.params["coeffs"])
+        eps = np.finfo(float).eps
+        # leading terms of rounding size would overflow the companion matrix
+        slope = poly.deriv()
+        slope = slope.trim(eps * np.sum(np.abs(slope.coef)))
+        crit = [0.0, 1.0] + [r.real for r in slope.roots()
+                             if 0.0 <= r.real <= 1.0]
+        values = [float(poly(t)) for t in crit]
+        low, high = min(values), max(values)
+        rounding = 2.0 * poly.degree() * eps * np.sum(np.abs(poly.coef))
+        return (0.0 if -rounding <= low < 0.0 else low), high
 
     def kink_points(self):
         """Interior points where h is continuous but not smooth."""

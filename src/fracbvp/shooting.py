@@ -54,7 +54,7 @@ WSIGN_REL_THRESHOLD = 1e-6
 POLISH_TOL = 1e-9           # |z(beta) - zeta| of a polished crossing
 MAX_POLISH_SHOTS = 50      # passes of the polish, its zoom pass the first
 ZOOM_LANES = 24             # lanes per bracket of the zoom pass, ends included
-# the scan peaks below 90 doubles per beta (tracemalloc: 85 at 1e4 betas;
+# the scan peaks below 90 doubles per beta (tracemalloc: 81.2 at 1e4 betas;
 # the thirteen stages alone are 26), so 1e5 points, 50x the default, take
 # at most 72 MB
 MAX_SCAN_POINTS = 100_000
@@ -387,6 +387,7 @@ def _lanes(betas, params, variational=False, trajectories=True):
             keep = leg | ~(ended | fired)
             lane, t, y, f = lane[keep], t[keep], y[:, keep], K[0][:, keep]
             t_bound, h_abs, rejected = t_bound[keep], h_abs[keep], rejected[keep]
+            del K, na                   # before the next stage array
             K = np.empty((13, d, lane.size))
             K[0] = f
 

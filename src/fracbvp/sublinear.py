@@ -30,11 +30,12 @@ from .grid import RTOL, GridFunction, boundary_weight, settled
 
 DELTA_FLOOR = 1e-12
 M_CAP = 2.0 ** 40
-REGIME_S = (1e-8, 1e8)      # classify_regime's range of s, log-spaced
-REGIME_SAMPLES = 2001
 DIVERGENCE_CAP = 1e6        # sup norm above which a probe trial diverged
 DECAY_FLOOR = 1e-10         # and below which it decayed
 PROBE_MAXIT = 100000        # Picard steps before it is inconclusive
+# each trial may take PROBE_MAXIT steps, so more starts than this are a
+# mistyped count, refused before their amplitudes are allocated
+MAX_PROBE_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,18 @@ def monotone_solve(bracket, f, A, tol=RTOL, maxit=20000):
 
 
 def classify_regime(f, lambda1):
-    """Which side of lambda1 the ratio f(s)/s stays on over a wide grid."""
-    s = np.geomspace(*REGIME_S, REGIME_SAMPLES)
-    r = f.f(s) / s
-    if np.min(r) > lambda1 * (1.0 + 1e-12):
+    """Which side of lambda1 the ratio f(s)/s lies on for every s > 0.
+
+    Each family's f(s)/s is monotone between its two ``f.ratio_limits()``
+    and reaches them only where it is constant.  A constant ratio must clear
+    lambda1 by a relative 1e-12; otherwise a limit equal to lambda1 is never
+    reached, so it still keeps the ratio on its side.
+    """
+    low, high = sorted(f.ratio_limits())
+    margin = 1e-12 if low == high else 0.0
+    if low >= lambda1 * (1.0 + margin):
         return "super"
-    if np.max(r) < lambda1 * (1.0 - 1e-12):
+    if high <= lambda1 * (1.0 - margin):
         return "sub"
     return "borderline"
 
@@ -193,10 +200,11 @@ def nonexistence_probe(f, A, eig, trials=10):
     as evidence for a solution.
     ``eig`` is the principal eigenpair of ``A``.
     """
-    if trials < 1:
+    if not 1 <= trials <= MAX_PROBE_TRIALS:
         # every verdict is an "all trials" statement: zero trials prove nothing
         raise HypothesisError(
-            "probe-trials", f"trials must be at least 1, got {trials}")
+            "probe-trials", f"trials must lie in [1, {MAX_PROBE_TRIALS}], "
+            f"got {trials}")
     regime = classify_regime(f, eig.lambda1)
 
     e_shape = boundary_weight(A.mesh, A.alpha)

@@ -135,20 +135,16 @@ class _SplitJacobian:
     (u, v) = ``A.factors``, w = v fp and T = I + tril(u w^T - A diag fp),
     padded with the identity to whole diagonal blocks of ``_ROW_BLOCK``
     rows, in one buffer whose upper triangle no solve reads; its diagonal
-    blocks come to hold their inverses.  That buffer is ``buffer``: given
-    the one of an earlier split of the same size, T is rebuilt in it in
-    place, and that split is no longer solvable.
+    blocks come to hold their inverses.
     ``failure`` names why the split cannot be solved with (a diagonal entry
     of T not positive and finite, or a Sherman-Morrison denominator zero or
     not finite), else it is None.
     """
 
-    def __init__(self, A, fp, buffer=None):
+    def __init__(self, A, fp):
         u, v = A.factors
         m, b = len(u), _ROW_BLOCK
-        if buffer is None:
-            buffer = np.empty((-(-m // b) * b,) * 2)
-        self.buffer = tri = buffer
+        tri = np.empty((-(-m // b) * b,) * 2)
         tri[m:] = 0.0
         for r0 in range(0, m, b):
             r1 = min(r0 + b, m)
@@ -290,13 +286,12 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     norm = float(np.max(np.abs(u)))
     it, done = 0, res == 0.0        # a zero residual gives a zero step
     norm1 = _norm1(A)
-    buffer = None
     while np.isfinite(res) and not done and it < maxit:
         it += 1
         fp = _fprime(f, u)
-        # one matrix buffer per solve: each split replaces the last in it
-        jac = _SplitJacobian(A, fp, buffer)
-        buffer = jac.buffer
+        # free the last split before building the next: one matrix buffer
+        jac = None
+        jac = _SplitJacobian(A, fp)
         context = dict(last=GridFunction(A.mesh, u), iterations=it,
                        residual=res)
         anorm = norm1(fp)

@@ -9,6 +9,7 @@ their wall-clock cost is charged to the criterion that requires them.
 import json
 import math
 import time
+from math import gamma
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from conftest import FIXTURE_COST
 from fracbvp.cli import main as cli_main
 from fracbvp.eigen import lambda1_bounds, principal_eigenpair, sweep_alpha
 from fracbvp.grid import production_mesh
-from fracbvp.kernel import gamma
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
 from fracbvp.shooting import rescale_to_unit
 from fracbvp.sublinear import find_bracket, monotone_solve, nonexistence_probe

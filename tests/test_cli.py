@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracbvp import cli, errors, shooting
+from fracbvp import cli, errors, shooting, sublinear
 from fracbvp.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
                          main, parse_alphas, parse_nonlinearity, parse_weight,
                          run)
@@ -136,6 +136,36 @@ def test_nonexist_command(tmp_path):
     rows = _read_csv(out / "trials.csv")
     assert rows[0] == ["trial", "amplitude", "shape", "outcome", "iterations",
                       "final_norm", "residual"]
+
+
+def test_nonexist_reads_the_ratio_from_its_limits(tmp_path):
+    # 12 s^0.01 falls below lambda1 = pi^2 only for s < 3.3e-9, and
+    # solve-super finds a positive solution of sup norm 4e-9 there: the
+    # ratio meets lambda1, though it stays above it on [1e-8, 1e8]
+    args = ["--alpha", "2", "--weight", "constant:1",
+            "--nonlin", "power:12:1.01", "--n", "100"]
+    out = tmp_path / "probe"
+    assert main(["nonexist", *args, "--trials", "2",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "probe.json").read_text())["regime"] == \
+        "borderline"
+    assert main(["solve-super", *args,
+                 "--out", str(tmp_path / "super")]) == EXIT_OK
+
+
+def test_probe_trials_exit_2_before_allocating(tmp_path, monkeypatch):
+    # each trial may take 1e5 Picard steps; the bound applies before
+    # np.geomspace lays out the amplitudes
+    def geomspace(*args, **kwargs):
+        raise AssertionError("the probe amplitudes were allocated")
+    monkeypatch.setattr(np, "geomspace", geomspace)
+    out = tmp_path / "many"
+    assert main(["nonexist", "--alpha", "2", "--weight", "constant:1",
+                 "--nonlin", "power:1:0.5", "--n", "50", "--trials",
+                 str(sublinear.MAX_PROBE_TRIALS + 1),
+                 "--out", str(out)]) == EXIT_HYPOTHESIS
+    assert json.loads((out / "error.json").read_text())["hypothesis"] == \
+        "probe-trials"
 
 
 # solutions of sup norm 1e-7 and 1e7-1e20 at the default --tol: an absolute
@@ -401,6 +431,7 @@ BAD_TABLES = {"short-row": "t,value\n0,1\n0.5\n1,1\n",
     ["bounds", "--alpha", "1.5", "--weight", "power_offset:1100:0.5"],
     ["bounds", "--alpha", "1.5", "--weight", "power_offset:1030:0.5"],
     ["eig", "--alpha", "1.5", "--weight", "power_offset:1030:0.5"],
+    ["eig", "--alpha", "2", "--weight", "constant:1", "--grading", "cubic"],
 ], ids=["nan-nonlinearity", "inf-nonlinearity", "nan-constant-weight",
         "nan-polynomial-weight", "zeta-below-minus-1",
         "beta-range-reversed", "grading-exponent-below-1",
@@ -414,7 +445,7 @@ BAD_TABLES = {"short-row": "t,value\n0,1\n0.5\n1,1\n",
         "continue-step-inf", "grading-exponent-underflows",
         "table-short-row", "table-blank-line", "table-empty",
         "bounds-sup-norm-underflows", "bounds-overflow",
-        "eig-weight-subnormal"])
+        "eig-weight-subnormal", "grading-unknown"])
 def test_unusable_input_exits_2(tmp_path, argv):
     for name, text in BAD_TABLES.items():
         (tmp_path / name).write_text(text)
@@ -424,6 +455,49 @@ def test_unusable_input_exits_2(tmp_path, argv):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "hypothesis_violation"
     assert not (out / "manifest.json").exists()
+
+
+# a table whose -1 at t = 0.50001 lies between nodes 0.5 and 0.50002 of
+# value 1, and a polynomial that is -1.31e-8 on a width of 2.3e-4 around
+# t = 0.50012: both fall between the points of a 2049-point grid
+NARROW_DIP = "\n".join(["t,value"] + [
+    f"{t!r},{-1.0 if t == 0.50001 else 1.0}" for t in sorted(
+        [k / 16 for k in range(17)] + [0.50001, 0.50002])]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "eig"])
+@pytest.mark.parametrize("weight", [
+    "tabulated:{table}", "polynomial:0.2501200013439999,-1.00024,1"],
+    ids=["table", "polynomial"])
+def test_weight_negative_between_grid_points_exits_2(tmp_path, command,
+                                                     weight):
+    (tmp_path / "dip.csv").write_text(NARROW_DIP)
+    out = tmp_path / "dip"
+    argv = [command, "--alpha", "1.5", "--n", "200", "--out", str(out),
+            "--weight", weight.format(table=tmp_path / "dip.csv")]
+    assert main(argv) == EXIT_HYPOTHESIS
+    assert json.loads((out / "error.json").read_text())["hypothesis"] == \
+        "weight-positivity"
+
+
+def test_missing_weight_table_exits_4(tmp_path):
+    out = tmp_path / "missing"
+    assert main(["bounds", "--alpha", "1.5", "--weight",
+                 f"tabulated:{tmp_path / 'no-such.csv'}",
+                 "--out", str(out)]) == EXIT_IO
+    assert json.loads((out / "error.json").read_text())["error"] == "io"
+
+
+def test_each_setting_flag_lands_in_its_section_and_key():
+    parser = cli._make_parser()
+    for key, (section, default, flag, _) in cli.SETTINGS.items():
+        config = cli.build_config(parser.parse_args(["eig", flag, "7"]))
+        assert config[section] == {key: "7"}
+        other = {"problem": "numerics", "numerics": "problem"}[section]
+        assert config[other] == {}
+        assert key in cli.CONFIG_TYPES[section]
+        if section == "numerics":
+            assert cli.NUMERIC_DEFAULTS[key] == default
 
 
 @pytest.mark.parametrize("flags", [["--step", "0"], ["--min-step", "nan"],

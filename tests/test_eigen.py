@@ -1,4 +1,5 @@
 import math
+from math import gamma
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from fracbvp.eigen import (integrate_unit_interval, lambda1_bounds,
                            principal_eigenpair, sweep_alpha)
 from fracbvp.errors import ConvergenceError
 from fracbvp.grid import production_mesh
-from fracbvp.kernel import gamma
 from fracbvp.operator import WeightFamily, assemble
 
 from helpers import norms

@@ -1,31 +1,17 @@
-import math
+from math import gamma
 
 import mpmath
 import numpy as np
 import pytest
 
 from fracbvp.grid import make_mesh, production_mesh
-from fracbvp.kernel import (_ROW_BLOCK, gamma, green_hat_matrix,
+from fracbvp.kernel import (_ROW_BLOCK, green_hat_matrix,
                             separable_hat_integrals)
 
 from helpers import green_hat_integral
 from oracles import gauss_kernel_hat_integral, green_eval, green_integral
 
 ALPHAS = (1.1, 1.25, 1.5, 1.75, 2.0)
-
-
-def test_gamma_known_values():
-    assert gamma(1.0) == 1.0
-    assert gamma(2.0) == 1.0
-    assert abs(gamma(0.5) - math.sqrt(math.pi)) < 1e-12
-    assert abs(gamma(5.0) - 24.0) < 1e-10
-
-
-def test_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gamma(0.0)
-    with pytest.raises(ValueError):
-        gamma(-1.5)
 
 
 def test_green_classical_point():

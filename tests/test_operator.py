@@ -19,7 +19,7 @@ def test_weight_families_evaluate():
     assert hp(1.0) == pytest.approx(0.5 ** 4)
     poly = WeightFamily.polynomial([1.0, 0.0, 1.0])
     assert poly(0.5) == pytest.approx(1.25)
-    assert poly.sup_norm() == pytest.approx(2.0)
+    assert poly.extremes() == pytest.approx((1.0, 2.0))
 
 
 def test_weight_rejects_negative_or_zero():
@@ -30,6 +30,24 @@ def test_weight_rejects_negative_or_zero():
     mesh = make_mesh(8, "uniform")
     with pytest.raises(HypothesisError):
         WeightFamily.tabulated(zeros(mesh))
+
+
+def test_weight_touching_zero_at_a_double_root_validates():
+    # expanded, (t - 0.3)^2 evaluates to 0.0 at its critical point and
+    # (3 - t)(t - c)^2 here to -2.2e-16: within Horner's rounding bound,
+    # both minima are zero
+    c = 0.8132702392002724
+    for coeffs in ([0.09, -0.6, 1.0],
+                   -np.polynomial.polynomial.polyfromroots([c, c, 3.0])):
+        low, high = WeightFamily.polynomial(coeffs).extremes()
+        assert low == 0.0 and high > 0.0
+
+
+def test_polynomial_weight_with_a_rounding_size_leading_term():
+    # the derivative's companion matrix would divide by 6.7e-313 and
+    # overflow; its leading term of rounding size is dropped first
+    weight = WeightFamily.polynomial([1.0, 1.0, 1.0, 2.2250738585e-313])
+    assert weight.extremes() == pytest.approx((1.0, 3.0))
 
 
 def test_nonlinearity_families():

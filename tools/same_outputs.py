@@ -53,7 +53,9 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # interval, whose brackets take more than one record round, and p = 3 at
 # zeta = 0.5, which has a single crossing; last, l = 8 and p = 20, where a
 # DOP853 step turns the Prufer angle by up to 0.991 pi, the steepest turn
-# per step measured
+# per step measured; last, the two readings of a data hypothesis that a
+# sample grid misses: a ratio f(s)/s that meets lambda1 only below s = 1e-8,
+# and a polynomial weight negative only between grid points
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -80,6 +82,10 @@ FIXED = [
     "henon-shoot --l 8 --p 15 --zeta 1.5 --scan-points 200",
     "henon-shoot --l 8 --p 3 --zeta 0.5 --scan-points 200",
     "henon-shoot --l 8 --p 20 --scan-points 200",
+    "nonexist --alpha 2 --weight constant:1 --nonlin power:12:1.01 --n 100 "
+    "--trials 2",
+    "eig --alpha 1.5 --weight polynomial:0.2501200013439999,-1.00024,1 "
+    "--n 200",
 ]
 
 
