@@ -33,7 +33,8 @@ from .kernel import check_order
 from .operator import NonlinearityFamily, WeightFamily, assemble
 from .shooting import (HenonParams, find_crossings, rescale_to_unit,
                        unit_problem)
-from .sublinear import find_bracket, monotone_solve, nonexistence_probe
+from .sublinear import (check_trials, find_bracket, monotone_solve,
+                        nonexistence_probe)
 from .superlinear import continue_alpha, find_positive_solution, newton_solve, nondegeneracy
 
 EXIT_OK = 0
@@ -339,10 +340,11 @@ def _cmd_solve_super(config, outdir, timings):
 
 def _cmd_nonexist(config, outdir, timings):
     alpha, weight, f, mesh = _problem_data(config)
+    trials = config["numerics"]["trials"]
+    check_trials(trials)
     t0 = time.perf_counter()
     A = assemble(mesh, alpha, weight)
-    report = nonexistence_probe(f, A, principal_eigenpair(A),
-                                trials=config["numerics"]["trials"])
+    report = nonexistence_probe(f, A, principal_eigenpair(A), trials=trials)
     timings["solve"] = time.perf_counter() - t0
     _write_csv(outdir / "trials.csv",
                ["trial", "amplitude", "shape", "outcome", "iterations",

@@ -15,10 +15,11 @@ from .kernel import check_order
 
 MIN_INTERVALS = 8
 # bytes of the one dense float64 operator ``operator.assemble`` allocates,
-# 8 m^2 for m nodes.  Newton and the margin hold one more buffer of about its
-# size, the Jacobian's triangular part, m padded to whole 64-row blocks, and
-# no other, so 1 GiB (m up to 11585; meshes in use reach n = 3072) keeps a
-# run within a few GiB.
+# 8 m^2 for m nodes.  Newton and the margin hold no m-square buffer beside
+# it: of the Jacobian's triangular part they form only the diagonal blocks,
+# 8 m b bytes for blocks of b = 64 rows, and read the rest from the
+# operator.  So at 1 GiB (m up to 11585; meshes in use reach n = 3072) a
+# run needs little more than 1 GiB.
 MAX_MATRIX_BYTES = 2 ** 30
 # an inserted node this close to an existing one is taken as already there
 NODE_TOL = 1e-12

@@ -34,7 +34,7 @@ DIVERGENCE_CAP = 1e6        # sup norm above which a probe trial diverged
 DECAY_FLOOR = 1e-10         # and below which it decayed
 PROBE_MAXIT = 100000        # Picard steps before it is inconclusive
 # each trial may take PROBE_MAXIT steps, so more starts than this are a
-# mistyped count, refused before their amplitudes are allocated
+# mistyped count, refused before the operator and the amplitudes are built
 MAX_PROBE_TRIALS = 1000
 
 
@@ -186,6 +186,17 @@ def classify_regime(f, lambda1):
     return "borderline"
 
 
+def check_trials(trials):
+    """Raise ``HypothesisError`` "probe-trials" unless the probe's count of
+    starts lies in [1, ``MAX_PROBE_TRIALS``]; callers check it before they
+    assemble the operator the probe runs on."""
+    if not 1 <= trials <= MAX_PROBE_TRIALS:
+        # every verdict is an "all trials" statement: zero trials prove nothing
+        raise HypothesisError(
+            "probe-trials", f"trials must lie in [1, {MAX_PROBE_TRIALS}], "
+            f"got {trials}")
+
+
 def nonexistence_probe(f, A, eig, trials=10):
     """Iteration evidence about a positive solution, one trial per start.
 
@@ -200,11 +211,7 @@ def nonexistence_probe(f, A, eig, trials=10):
     as evidence for a solution.
     ``eig`` is the principal eigenpair of ``A``.
     """
-    if not 1 <= trials <= MAX_PROBE_TRIALS:
-        # every verdict is an "all trials" statement: zero trials prove nothing
-        raise HypothesisError(
-            "probe-trials", f"trials must lie in [1, {MAX_PROBE_TRIALS}], "
-            f"got {trials}")
+    check_trials(trials)
     regime = classify_regime(f, eig.lambda1)
 
     e_shape = boundary_weight(A.mesh, A.alpha)

@@ -9,9 +9,11 @@ is the outer product u v^T of the factors ``A.factors`` that ``assemble``
 keeps.  Hence J = T - u w^T with w = v f'(u) and T lower triangular, and a
 solve with J or J^T is one triangular solve, by blocks over T's inverted
 diagonal blocks, plus a Sherman-Morrison correction: O(m^2), no
-factorization, no re-assembly.  The denominator
-1 - w^T T^-1 u is det J / det T, and T's diagonal is positive, so its sign
-is the sign of det J.
+factorization, no re-assembly.  Only T's diagonal blocks are formed; below
+them T is (u v^T - A) diag f'(u), which a solve reads from A's own panels
+and a running dot product, so Newton and the margin hold no m-square
+buffer beside A.  The denominator 1 - w^T T^-1 u is det J / det T, and T's
+diagonal is positive, so its sign is the sign of det J.
 
 Newton starts from one seed, Petviashvili's iteration from phi1 (of several
 positive solutions, it returns the one it reaches); both stop by ``settled``.
@@ -55,8 +57,9 @@ MARGIN_RTOL = 1e-10
 EASY_NEWTON = 3
 # step cap of the Petviashvili seed of find_positive_solution
 PETVIASHVILI_MAXIT = 500
-# rows of T built per block, so the block's three passes stay in cache, and
-# the size of the diagonal blocks of T that are inverted for its solves
+# the size of T's diagonal blocks, the only part of T a split forms; 64
+# beat 128 in paired timings of Newton and the margin at n = 400 and 1600,
+# where 128 costs more to invert than it saves in the solves' numpy calls
 _ROW_BLOCK = 64
 
 
@@ -110,21 +113,19 @@ def _fprime(f, u):
     return np.nan_to_num(fp, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _invert_diagonal_blocks(tri):
-    """Overwrite the ``_ROW_BLOCK``-square diagonal blocks of the lower
-    triangular ``tri`` by their inverses, reading only lower triangles: all
-    at once, by halving from 1 / diag (Higham 2002, ch. 14), the inverse of
-    [[P, 0], [C, Q]] being [[P^-1, 0], [-Q^-1 C P^-1, Q^-1]]."""
-    k = len(tri) // _ROW_BLOCK
-    blocks = np.einsum("kikj->kij", tri.reshape(k, _ROW_BLOCK, k, _ROW_BLOCK))
-    np.copyto(blocks, 0.0, where=~np.tri(_ROW_BLOCK, dtype=bool))
-    diag = np.einsum("ii->i", tri)
+def _invert_blocks(blocks):
+    """Overwrite each lower triangular block of the stack ``blocks``, of
+    shape (k, b, b), by its inverse: all at once, by halving from 1 / diag
+    (Higham 2002, ch. 14), the inverse of [[P, 0], [C, Q]] being
+    [[P^-1, 0], [-Q^-1 C P^-1, Q^-1]]."""
+    k, b, _ = blocks.shape
+    diag = np.einsum("kii->ki", blocks)
     np.divide(1.0, diag, out=diag)
     s = 1
-    while s < _ROW_BLOCK:
-        n = len(tri) // (2 * s)
-        pairs = np.einsum("aiaj->aij", tri.reshape(n, 2 * s, n, 2 * s))
-        P, C, Q = pairs[:, :s, :s], pairs[:, s:, :s], pairs[:, s:, s:]
+    while s < b:
+        n = b // (2 * s)
+        pairs = np.einsum("kaiaj->kaij", blocks.reshape(k, n, 2 * s, n, 2 * s))
+        P, C, Q = pairs[..., :s, :s], pairs[..., s:, :s], pairs[..., s:, s:]
         np.negative(np.matmul(np.matmul(Q, C), P), out=C)
         s *= 2
 
@@ -132,10 +133,12 @@ def _invert_diagonal_blocks(tri):
 class _SplitJacobian:
     """J = I - A diag(fp) as T - u w^T, with solves by J and J^T in O(m^2).
 
-    (u, v) = ``A.factors``, w = v fp and T = I + tril(u w^T - A diag fp),
-    padded with the identity to whole diagonal blocks of ``_ROW_BLOCK``
-    rows, in one buffer whose upper triangle no solve reads; its diagonal
-    blocks come to hold their inverses.
+    (u, v) = ``A.factors``, w = v fp and T = I + tril((u v^T - A) diag fp).
+    Only T's diagonal blocks of ``_ROW_BLOCK`` rows are formed, padded with
+    the identity to whole blocks and inverted; a solve reads the rest of T
+    from A's panels below the diagonal blocks and from (u, v, fp), so the
+    split holds no m-square buffer beside A and no solve reads A's upper
+    triangle.
     ``failure`` names why the split cannot be solved with (a diagonal entry
     of T not positive and finite, or a Sherman-Morrison denominator zero or
     not finite), else it is None.
@@ -143,16 +146,17 @@ class _SplitJacobian:
 
     def __init__(self, A, fp):
         u, v = A.factors
-        m, b = len(u), _ROW_BLOCK
-        tri = np.empty((-(-m // b) * b,) * 2)
-        tri[m:] = 0.0
-        for r0 in range(0, m, b):
-            r1 = min(r0 + b, m)
-            block = tri[r0:r1, :r1]
-            np.multiply(u[r0:r1, np.newaxis], v[:r1], out=block)
-            np.subtract(block, A.matrix[r0:r1, :r1], out=block)
-            block *= fp[:r1]
-        diag = np.einsum("ii->i", tri)
+        a, m, b = A.matrix, len(u), _ROW_BLOCK
+        starts = range(0, m, b)
+        blocks = np.zeros((len(starts), b, b))
+        # each block's rows and columns of T, which come to hold D_k^-1
+        diagonal = [block[:m - i, :m - i] for block, i in zip(blocks, starts)]
+        for d, i in zip(diagonal, starts):
+            np.multiply(u[i:i + b, np.newaxis], v[i:i + b], out=d)
+            np.subtract(d, a[i:i + b, i:i + b], out=d)
+            d *= fp[i:i + b]
+        np.copyto(blocks, 0.0, where=~np.tri(b, dtype=bool))
+        diag = np.einsum("kii->ki", blocks)
         diag += 1.0
         self.u, self.w = u, v * fp
         self.denominator = np.nan
@@ -160,16 +164,19 @@ class _SplitJacobian:
         if not np.all(np.isfinite(diag) & (diag > 0.0)):
             self.failure = "has a triangular part with a diagonal entry <= 0"
             return
-        _invert_diagonal_blocks(tri)
-        tri = tri[:m, :m]
-        # per block, for the sweeps by T and T^T over the solves' buffer x:
-        # its part of x, D_k^-1, and the panel and part of x already solved
+        _invert_blocks(blocks)
+        # per block, for the sweeps by T and T^T over the solves' buffer x
+        # and z = fp x, on which A's panels act: its parts of x (and z),
+        # D_k^-1, A's panel and the part already solved, and its parts of
+        # u, fp and v
         self.x = x = np.empty(m)
-        self.sweeps = ([(x[i:i + b], tri[i:i + b, i:i + b], tri[i:i + b, :i],
-                         x[:i]) for i in range(0, m, b)],
-                       [(x[i:i + b], tri[i:i + b, i:i + b].T,
-                         tri[i + b:, i:i + b].T, x[i + b:])
-                        for i in reversed(range(0, m, b))])
+        z = np.empty(m)
+        self.forward = [(x[i:i + b], z[i:i + b], inv, a[i:i + b, :i], z[:i],
+                         u[i:i + b], fp[i:i + b], v[i:i + b])
+                        for inv, i in zip(diagonal, starts)]
+        self.backward = [(x[i:i + b], inv.T, a[i + b:, i:i + b].T, x[i + b:],
+                          u[i:i + b], fp[i:i + b], v[i:i + b])
+                         for inv, i in reversed(list(zip(diagonal, starts)))]
         self.y = self._tri_solve(u, 0)
         self.z = self._tri_solve(self.w, 1)
         self.denominator = float(1.0 - self.w @ self.y)
@@ -178,13 +185,25 @@ class _SplitJacobian:
                             f"{self.denominator}")
 
     def _tri_solve(self, b, trans):
-        """T^-1 b, or T^-T b if ``trans``, by blocked substitution
-        x_k = D_k^-1 (b_k - L_k x_<k), for T^T on the column panels."""
+        """T^-1 b, or T^-T b if ``trans``, by blocked substitution over the
+        inverted diagonal blocks D_k, z = fp x and the running dot products
+        of the rank-one part: x_k = D_k^-1 (b_k - u_k (v.z)_<k +
+        A[k, <k] z_<k), and for T^T x_k = D_k^-T (b_k - fp_k (v_k (u.x)_>k
+        - A[>k, k]^T x_>k))."""
         x = self.x
         x[:] = b
-        for xk, inv, panel, solved in self.sweeps[trans]:
-            xk -= panel @ solved
-            xk[:] = inv @ xk
+        dot = 0.0
+        if trans:
+            for xk, inv, panel, solved, uk, fk, vk in self.backward:
+                xk -= fk * (dot * vk - panel @ solved)
+                xk[:] = inv @ xk
+                dot += uk @ xk
+        else:
+            for xk, zk, inv, panel, solved, uk, fk, vk in self.forward:
+                xk += panel @ solved - dot * uk
+                xk[:] = inv @ xk
+                np.multiply(fk, xk, out=zk)
+                dot += vk @ zk
         return x.copy()
 
     def solve(self, b):
@@ -289,8 +308,6 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     while np.isfinite(res) and not done and it < maxit:
         it += 1
         fp = _fprime(f, u)
-        # free the last split before building the next: one matrix buffer
-        jac = None
         jac = _SplitJacobian(A, fp)
         context = dict(last=GridFunction(A.mesh, u), iterations=it,
                        residual=res)

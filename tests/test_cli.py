@@ -168,6 +168,20 @@ def test_probe_trials_exit_2_before_allocating(tmp_path, monkeypatch):
         "probe-trials"
 
 
+@pytest.mark.parametrize("trials", [0, sublinear.MAX_PROBE_TRIALS + 1])
+def test_probe_trials_exit_2_before_assembly(tmp_path, monkeypatch, trials):
+    # the count is refused before the O(n^2) operator, here about 1 GB
+    def assemble(*args, **kwargs):
+        raise AssertionError("the operator was assembled")
+    monkeypatch.setattr(cli, "assemble", assemble)
+    out = tmp_path / "many"
+    assert main(["nonexist", "--alpha", "2", "--weight", "constant:1",
+                 "--nonlin", "power:1:0.5", "--n", "11000", "--trials",
+                 str(trials), "--out", str(out)]) == EXIT_HYPOTHESIS
+    assert json.loads((out / "error.json").read_text())["hypothesis"] == \
+        "probe-trials"
+
+
 # solutions of sup norm 1e-7 and 1e7-1e20 at the default --tol: an absolute
 # stop ends the monotone iteration short of the solution and puts Newton's
 # stop below its rounding floor

@@ -55,7 +55,9 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # DOP853 step turns the Prufer angle by up to 0.991 pi, the steepest turn
 # per step measured; last, the two readings of a data hypothesis that a
 # sample grid misses: a ratio f(s)/s that meets lambda1 only below s = 1e-8,
-# and a polynomial weight negative only between grid points
+# and a polynomial weight negative only between grid points; last, a
+# superlinear solve on m = 384 = 6 * 64 nodes, whose Jacobian split has
+# whole diagonal blocks and no partial last one
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -86,6 +88,7 @@ FIXED = [
     "--trials 2",
     "eig --alpha 1.5 --weight polynomial:0.2501200013439999,-1.00024,1 "
     "--n 200",
+    "solve-super --alpha 1.8 --weight constant:1 --nonlin power:1:2 --n 383",
 ]
 
 
