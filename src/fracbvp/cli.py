@@ -1,11 +1,12 @@
 """Command-line entry point for reproducible solver experiments.
 
 Each run takes a JSON config (flags override individual fields), executes one
-pipeline, and writes a manifest plus command-specific CSV/JSON artifacts into
-the output directory.  All numerical output is printed with 17 significant
-digits so re-running a config on the same BLAS build and thread setting
-reproduces every CSV byte for byte; the manifest records both, and only it
-carries the timestamp and wall-clock timings.
+pipeline, and writes its CSV/JSON artifacts into the output directory, each
+in one call, then a manifest whose ``outputs`` lists them in write order.
+Numbers are printed with 17 significant digits, so re-running a config on the
+same BLAS build and thread setting, both in the manifest, reproduces every
+CSV byte for byte; only the manifest's timestamp and timings differ.
+``solve-super`` caps Newton at ``min(--maxit, 200)`` iterations.
 
 Each input is read and checked before the work it feeds: ``henon-continue``
 builds its mesh and order-2 operator before its ``henon-shoot`` beta scan.
@@ -14,12 +15,12 @@ Exit codes: 0 success, 2 hypothesis violation, 3 non-convergence, 4 I/O error.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -232,44 +233,59 @@ def _problem_data(config, fields=("alpha", "weight", "nonlinearity", "mesh")):
     return tuple(data.values())
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+class _Out:
+    """The output directory.  Writes each file in one call and lists the
+    names in write order: ``run`` gives the list to the manifest."""
+
+    def __init__(self, path):
+        self.path, self.names = path, []
+
+    def text(self, name, text):
+        (self.path / name).write_text(text, newline="")
+        self.names.append(name)
+
+    def table(self, name, header, rows):
+        """A CSV of plain fields, none holding a comma, quote or newline."""
+        self.text(name, "".join(",".join(map(str, row)) + "\n"
+                                for row in (header, *rows)))
+
+    def grid(self, name, function):
+        function.to_csv(self.path / name)
+        self.names.append(name)
+
+    def json(self, name, payload):
+        self.text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@contextmanager
+def _timed(timings, phase):
+    """Time the block into ``timings[phase]``, in seconds."""
+    start = time.perf_counter()
+    yield
+    timings[phase] = time.perf_counter() - start
 
 
-def _cmd_eig(config, outdir, timings):
+def _cmd_eig(config, out, timings):
     numerics = config["numerics"]
     alpha, weight, mesh = _problem_data(config, ("alpha", "weight", "mesh"))
-    t0 = time.perf_counter()
-    A = assemble(mesh, alpha, weight)
-    eig = principal_eigenpair(A, tol=numerics["tol"], maxit=numerics["maxit"])
-    timings["solve"] = time.perf_counter() - t0
-    _write_csv(outdir / "eig.csv",
-               ["alpha", "lambda1", "residual", "iterations"],
-               [[_g(alpha), _g(eig.lambda1), _g(eig.residual), eig.iterations]])
-    eig.phi1.to_csv(outdir / "phi1.csv")
-    return ["eig.csv", "phi1.csv"]
+    with _timed(timings, "solve"):
+        A = assemble(mesh, alpha, weight)
+        eig = principal_eigenpair(A, tol=numerics["tol"],
+                                  maxit=numerics["maxit"])
+    out.table("eig.csv", ["alpha", "lambda1", "residual", "iterations"],
+              [[_g(alpha), _g(eig.lambda1), _g(eig.residual), eig.iterations]])
+    out.grid("phi1.csv", eig.phi1)
 
 
-def _cmd_bounds(config, outdir, timings):
+def _cmd_bounds(config, out, timings):
     alpha, weight = _problem_data(config, ("alpha", "weight"))
-    t0 = time.perf_counter()
-    bounds = lambda1_bounds(alpha, weight)
-    timings["solve"] = time.perf_counter() - t0
-    _write_csv(outdir / "bounds.csv", ["alpha", "lower", "upper"],
-               [[_g(alpha), _g(bounds.lower), _g(bounds.upper)]])
-    return ["bounds.csv"]
+    with _timed(timings, "solve"):
+        bounds = lambda1_bounds(alpha, weight)
+    out.table("bounds.csv", ["alpha", "lower", "upper"],
+              [[_g(alpha), _g(bounds.lower), _g(bounds.upper)]])
 
 
-def _cmd_sweep(config, outdir, timings):
+def _cmd_sweep(config, out, timings):
     numerics = config["numerics"]
     if numerics["grading"] != "auto" or numerics["exponent"] is not None:
         raise HypothesisError(
@@ -277,30 +293,27 @@ def _cmd_sweep(config, outdir, timings):
             "production mesh; --grading and --exponent do not apply")
     weight, = _problem_data(config, ("weight",))
     alphas = [check_order(a) for a in parse_alphas(numerics["alphas"])]
-    t0 = time.perf_counter()
-    rows = sweep_alpha(alphas, weight, n=numerics["n"], tol=numerics["tol"],
-                       maxit=numerics["maxit"])
-    timings["solve"] = time.perf_counter() - t0
-    _write_csv(outdir / "sweep.csv",
-               ["alpha", "lambda1", "lower_bound", "upper_bound",
-                "residual", "iterations"],
-               [[_g(r.alpha), _g(r.lambda1), _g(r.lower), _g(r.upper),
-                 _g(r.residual), r.iterations] for r in rows])
-    return ["sweep.csv"]
+    with _timed(timings, "solve"):
+        rows = sweep_alpha(alphas, weight, n=numerics["n"],
+                           tol=numerics["tol"], maxit=numerics["maxit"])
+    out.table("sweep.csv",
+              ["alpha", "lambda1", "lower_bound", "upper_bound",
+               "residual", "iterations"],
+              [[_g(r.alpha), _g(r.lambda1), _g(r.lower), _g(r.upper),
+                _g(r.residual), r.iterations] for r in rows])
 
 
-def _cmd_solve_sub(config, outdir, timings):
+def _cmd_solve_sub(config, out, timings):
     numerics = config["numerics"]
     alpha, weight, f, mesh = _problem_data(config)
-    t0 = time.perf_counter()
-    A = assemble(mesh, alpha, weight)
-    eig = principal_eigenpair(A)
-    bracket = find_bracket(eig, f, A)
-    report = monotone_solve(bracket, f, A, tol=numerics["tol"],
-                            maxit=numerics["maxit"])
-    timings["solve"] = time.perf_counter() - t0
-    report.solution.to_csv(outdir / "solution.csv")
-    _write_json(outdir / "solve_report.json", {
+    with _timed(timings, "solve"):
+        A = assemble(mesh, alpha, weight)
+        eig = principal_eigenpair(A)
+        bracket = find_bracket(eig, f, A)
+        report = monotone_solve(bracket, f, A, tol=numerics["tol"],
+                                maxit=numerics["maxit"])
+    out.grid("solution.csv", report.solution)
+    out.json("solve_report.json", {
         "lambda1": eig.lambda1,
         "bracket": {"delta": bracket.delta, "m_upper": bracket.m_upper},
         "iterations": report.iterations,
@@ -308,22 +321,20 @@ def _cmd_solve_sub(config, outdir, timings):
         "from_side": report.from_side,
         "sup_norm": float(np.max(np.abs(report.solution.values))),
     })
-    return ["solution.csv", "solve_report.json"]
 
 
-def _cmd_solve_super(config, outdir, timings):
+def _cmd_solve_super(config, out, timings):
     numerics = config["numerics"]
     alpha, weight, f, mesh = _problem_data(config)
-    t0 = time.perf_counter()
-    A = assemble(mesh, alpha, weight)
-    eig = principal_eigenpair(A)
     maxit = min(numerics["maxit"], 200)
-    report = find_positive_solution(A, f, eig, tol=numerics["tol"],
-                                    maxit=maxit)
-    margin = nondegeneracy(A, f, report.solution)
-    timings["solve"] = time.perf_counter() - t0
-    report.solution.to_csv(outdir / "solution.csv")
-    _write_json(outdir / "newton_report.json", {
+    with _timed(timings, "solve"):
+        A = assemble(mesh, alpha, weight)
+        eig = principal_eigenpair(A)
+        report = find_positive_solution(A, f, eig, tol=numerics["tol"],
+                                        maxit=maxit)
+        margin = nondegeneracy(A, f, report.solution)
+    out.grid("solution.csv", report.solution)
+    out.json("newton_report.json", {
         "lambda1": eig.lambda1,
         "iterations": report.iterations,
         "maxit": maxit,
@@ -335,56 +346,46 @@ def _cmd_solve_super(config, outdir, timings):
         "degenerate": margin.degenerate,
         "margin_iterations": margin.iterations,
     })
-    return ["solution.csv", "newton_report.json"]
 
 
-def _cmd_nonexist(config, outdir, timings):
+def _cmd_nonexist(config, out, timings):
     alpha, weight, f, mesh = _problem_data(config)
     trials = config["numerics"]["trials"]
     check_trials(trials)
-    t0 = time.perf_counter()
-    A = assemble(mesh, alpha, weight)
-    report = nonexistence_probe(f, A, principal_eigenpair(A), trials=trials)
-    timings["solve"] = time.perf_counter() - t0
-    _write_csv(outdir / "trials.csv",
-               ["trial", "amplitude", "shape", "outcome", "iterations",
-                "final_norm", "residual"],
-               [[k, _g(o.amplitude), o.shape, o.outcome, o.iterations,
-                 _g(o.final_norm), _g(o.residual)]
-                for k, o in enumerate(report.trials)])
-    _write_json(outdir / "probe.json", {
+    with _timed(timings, "solve"):
+        A = assemble(mesh, alpha, weight)
+        report = nonexistence_probe(f, A, principal_eigenpair(A), trials=trials)
+    out.table("trials.csv",
+              ["trial", "amplitude", "shape", "outcome", "iterations",
+               "final_norm", "residual"],
+              [[k, _g(o.amplitude), o.shape, o.outcome, o.iterations,
+                _g(o.final_norm), _g(o.residual)]
+               for k, o in enumerate(report.trials)])
+    out.json("probe.json", {
         "regime": report.regime,
         "lambda1": report.lambda1,
         "verdict": report.verdict,
         "outcomes": [o.outcome for o in report.trials],
     })
-    return ["trials.csv", "probe.json"]
 
 
-def _shoot(config, params, outdir, timings):
-    """Scan, time and write ``crossings.csv``: ``henon-shoot``, and the
-    first stage of ``henon-continue``.  Returns the crossing records."""
+def _cmd_henon_shoot(config, out, timings):
+    """Scan, write ``crossings.csv`` and return the crossing records."""
     numerics = config["numerics"]
-    t0 = time.perf_counter()
-    records = find_crossings(
-        numerics["zeta"], params,
-        beta_range=(numerics["beta_min"], numerics["beta_max"]),
-        scan_points=numerics["scan_points"])
-    timings["shoot"] = time.perf_counter() - t0
-    _write_csv(outdir / "crossings.csv",
-               ["beta", "z", "morse_index", "w_end_sign", "z_prime"],
-               [[_g(r.beta), _g(r.z), r.morse_index, r.w_end_sign,
-                 _g(r.z_prime)] for r in records])
+    params = HenonParams(l=numerics["l"], p=numerics["p"])
+    with _timed(timings, "shoot"):
+        records = find_crossings(
+            numerics["zeta"], params,
+            beta_range=(numerics["beta_min"], numerics["beta_max"]),
+            scan_points=numerics["scan_points"])
+    out.table("crossings.csv",
+              ["beta", "z", "morse_index", "w_end_sign", "z_prime"],
+              [[_g(r.beta), _g(r.z), r.morse_index, r.w_end_sign,
+                _g(r.z_prime)] for r in records])
     return records
 
 
-def _cmd_henon_shoot(config, outdir, timings):
-    params = HenonParams(l=config["numerics"]["l"], p=config["numerics"]["p"])
-    _shoot(config, params, outdir, timings)
-    return ["crossings.csv"]
-
-
-def _cmd_henon_continue(config, outdir, timings):
+def _cmd_henon_continue(config, out, timings):
     numerics = config["numerics"]
     params = HenonParams(l=numerics["l"], p=numerics["p"])
     zeta = numerics["zeta"]
@@ -392,56 +393,48 @@ def _cmd_henon_continue(config, outdir, timings):
     target = check_order(numerics["target_alpha"])
     mesh = _build_mesh(numerics, target)
     tol = numerics["tol"]
-    t0 = time.perf_counter()
     # every seed starts at order 2 on the same mesh: assemble that once,
     # before the scan, so a mesh that cannot be built stops the run first
-    A2 = assemble(mesh, 2.0, weight)
-    timings["assemble"] = time.perf_counter() - t0
+    with _timed(timings, "assemble"):
+        A2 = assemble(mesh, 2.0, weight)
 
-    records = _shoot(config, params, outdir, timings)
-    outputs = ["crossings.csv"]
+    records = _cmd_henon_shoot(config, out, timings)
     seeds = [r for r in records if not r.degenerate]
-    t0 = time.perf_counter()
     summary = {"delta": delta, "crossings": len(records),
                "seeds": len(seeds), "traces": []}
     endpoints = []
-    for k, record in enumerate(seeds):
-        unit = rescale_to_unit(record, zeta, params, A2.mesh)
-        start = newton_solve(A2, f, unit.profile, tol=tol)
-        trace = continue_alpha(start, A2, target, f,
-                               initial_step=numerics["alpha_step"],
-                               min_step=numerics["min_step"], tol=tol)
-        with open(outdir / f"trace_{k}.jsonl", "w") as fh:
-            for step in trace.steps:
-                fh.write(json.dumps({
-                    "alpha": step.alpha,
-                    "residual": step.residual,
-                    "margin": step.margin,
-                    "newton_iterations": step.newton_iterations,
-                    "det_sign": step.det_sign,
-                    "sup_norm": float(np.max(np.abs(step.solution.values))),
-                }, sort_keys=True) + "\n")
-        end = trace.steps[-1]
-        end.solution.to_csv(outdir / f"endpoint_{k}.csv")
-        outputs += [f"trace_{k}.jsonl", f"endpoint_{k}.csv"]
-        endpoints.append(end.solution.values)
-        summary["traces"].append({
-            "beta": record.beta,
-            "scale_exponent": unit.scale_exponent_used,
-            "status": trace.status,
-            "steps": len(trace.steps),
-            "rejected_steps": trace.rejected_steps,
-            "end_alpha": end.alpha,
-            "end_residual": end.residual,
-            "end_margin": end.margin,
-        })
-    summary["pairwise_sup_distances"] = [
-        [float(np.max(np.abs(endpoints[i] - endpoints[j])))
-         for j in range(len(endpoints))] for i in range(len(endpoints))]
-    timings["continue"] = time.perf_counter() - t0
-    _write_json(outdir / "summary.json", summary)
-    outputs.append("summary.json")
-    return outputs
+    with _timed(timings, "continue"):
+        for k, record in enumerate(seeds):
+            unit = rescale_to_unit(record, zeta, params, A2.mesh)
+            start = newton_solve(A2, f, unit.profile, tol=tol)
+            trace = continue_alpha(start, A2, target, f,
+                                   initial_step=numerics["alpha_step"],
+                                   min_step=numerics["min_step"], tol=tol)
+            out.text(f"trace_{k}.jsonl", "".join(json.dumps({
+                "alpha": step.alpha,
+                "residual": step.residual,
+                "margin": step.margin,
+                "newton_iterations": step.newton_iterations,
+                "det_sign": step.det_sign,
+                "sup_norm": float(np.max(np.abs(step.solution.values))),
+            }, sort_keys=True) + "\n" for step in trace.steps))
+            end = trace.steps[-1]
+            out.grid(f"endpoint_{k}.csv", end.solution)
+            endpoints.append(end.solution.values)
+            summary["traces"].append({
+                "beta": record.beta,
+                "scale_exponent": unit.scale_exponent_used,
+                "status": trace.status,
+                "steps": len(trace.steps),
+                "rejected_steps": trace.rejected_steps,
+                "end_alpha": end.alpha,
+                "end_residual": end.residual,
+                "end_margin": end.margin,
+            })
+        summary["pairwise_sup_distances"] = [
+            [float(np.max(np.abs(endpoints[i] - endpoints[j])))
+             for j in range(len(endpoints))] for i in range(len(endpoints))]
+    out.json("summary.json", summary)
 
 
 _DISPATCH = {
@@ -458,16 +451,16 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def _make_outdir(path):
-    """``path`` as an existing directory, or None if it cannot be made."""
+    """The writer into ``path``, made a directory, or None if it cannot be."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
-        return Path(path)
+        return _Out(Path(path))
     except OSError as exc:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return None
 
 
-def _fail(outdir, exc):
+def _fail(out, exc):
     """Write ``error.json`` for ``exc`` and return its exit code."""
     if isinstance(exc, OSError):
         code, payload = EXIT_IO, {"error": "io", "message": str(exc)}
@@ -475,7 +468,7 @@ def _fail(outdir, exc):
         code, payload = exc.exit_code, {
             "error": exc.kind, "message": str(exc),
             **{key: getattr(exc, key) for key in exc.report_fields}}
-    _write_json(outdir / "error.json", payload)
+    out.json("error.json", payload)
     print(payload["message"], file=sys.stderr)
     return code
 
@@ -490,24 +483,24 @@ def _blas():
 
 def run(config):
     """Execute one config; returns the process exit code."""
-    outdir = _make_outdir(config.get("output", "out"))
-    if outdir is None:
+    out = _make_outdir(config.get("output", "out"))
+    if out is None:
         return EXIT_IO
     timings = {}
     started = time.time()
     try:
         config = _typed_config(config)
-        outputs = _DISPATCH[config["command"]](config, outdir, timings)
+        _DISPATCH[config["command"]](config, out, timings)
     except (FracBVPError, OSError) as exc:
-        return _fail(outdir, exc)
-    _write_json(outdir / "manifest.json", {
+        return _fail(out, exc)
+    out.json("manifest.json", {
         "command": config["command"],
         "config": {k: v for k, v in config.items() if k != "command"},
         "versions": {"fracbvp": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "blas": _blas(),
         "timings_s": timings,
-        "outputs": outputs,
+        "outputs": list(out.names),
         "timestamp": started,
     })
     return EXIT_OK
@@ -551,16 +544,20 @@ def _make_parser():
     return parser
 
 
+# built once: each parse_args call reads into a fresh namespace
+_PARSER = _make_parser()
+
+
 def main(argv=None):
-    args = _make_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not args.command and not args.config:
-        _make_parser().error("provide a command or a --config file")
+        _PARSER.error("provide a command or a --config file")
     try:
         config = build_config(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except HypothesisError as exc:
-        outdir = _make_outdir(args.out or "out")
-        return EXIT_IO if outdir is None else _fail(outdir, exc)
+        out = _make_outdir(args.out or "out")
+        return EXIT_IO if out is None else _fail(out, exc)
     return run(config)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from fracbvp.cli import (EXIT_HYPOTHESIS, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
                          main, parse_alphas, parse_nonlinearity, parse_weight,
                          run)
 from fracbvp.errors import HypothesisError
+from fracbvp.grid import GridFunction, make_mesh
 
 
 def _read_csv(path):
@@ -620,3 +622,80 @@ def test_error_report_per_class(tmp_path, monkeypatch, exc, code, keys):
     kind = {EXIT_HYPOTHESIS: "hypothesis_violation",
             EXIT_NONCONVERGENCE: "non_convergence", EXIT_IO: "io"}[code]
     assert error["error"] == kind
+
+
+# one small config per command
+SMALL_RUNS = {
+    "eig": ["--alpha", "1.5", "--weight", "constant:1", "--n", "50"],
+    "bounds": ["--alpha", "1.5", "--weight", "power_offset:4:0.5"],
+    "sweep": ["--alphas", "1.9:2.0:0.1", "--weight", "constant:1",
+              "--n", "50"],
+    "solve-sub": ["--alpha", "1.5", "--weight", "constant:1",
+                  "--nonlin", "power:1:0.5", "--n", "50"],
+    "solve-super": ["--alpha", "1.8", "--weight", "constant:1",
+                    "--nonlin", "power:1:2", "--n", "100"],
+    "nonexist": ["--alpha", "2", "--weight", "constant:1",
+                 "--nonlin", "power:1:1", "--n", "50", "--trials", "2"],
+    "henon-shoot": ["--beta-min", "50", "--beta-max", "300",
+                    "--scan-points", "60"],
+    "henon-continue": ["--beta-min", "50", "--beta-max", "300",
+                       "--scan-points", "60", "--target-alpha", "1.99",
+                       "--n", "100"],
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_manifest_lists_every_output_in_write_order(tmp_path, command):
+    # a rerun is compared on the files the manifest lists, so a file left
+    # out of the list would go unchecked
+    out = tmp_path / command
+    assert main([command, *SMALL_RUNS[command], "--out", str(out)]) == EXIT_OK
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(listed) == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
+    # stable on ties: the modification times never decrease along the list
+    assert sorted(listed, key=lambda name: (out / name).stat().st_mtime_ns) \
+        == listed
+    if command == "henon-continue":
+        traces = json.loads((out / "summary.json").read_text())["traces"]
+        assert len(traces) >= 2
+        assert listed == ["crossings.csv", *[
+            f"{kind}_{k}.{ext}" for k in range(len(traces))
+            for kind, ext in (("trace", "jsonl"), ("endpoint", "csv"))],
+            "summary.json"]
+
+
+def test_csv_text_matches_the_csv_module(tmp_path):
+    # the csv module is the oracle for the one-call table and grid writers
+    def oracle(rows):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        return buffer.getvalue()
+
+    special = [math.nan, math.inf, -math.inf, -0.0, 1e300, 1e-300, 5e-324,
+               -1e300, 1.0 / 3.0]
+    header = ["trial", "amplitude", "shape", "outcome", "iterations"]
+    rows = [[k, cli._g(x), shape, "zero-ish", 10 ** k]
+            for k, x in enumerate(special)
+            for shape in ("phi1", "gauge")]
+    out = cli._Out(tmp_path)
+    out.table("table.csv", header, rows)
+    assert (tmp_path / "table.csv").read_bytes() == \
+        oracle([header, *rows]).encode()
+    mesh = make_mesh(len(special) - 1)
+    out.grid("grid.csv", GridFunction(mesh, special))
+    assert (tmp_path / "grid.csv").read_bytes() == oracle(
+        [["t", "value"], *([cli._g(t), cli._g(v)]
+                           for t, v in zip(mesh.nodes, special))]).encode()
+    assert out.names == ["table.csv", "grid.csv"]
+
+
+def test_consecutive_main_calls_share_no_parsed_state(tmp_path):
+    # the parser is built once per process; a flag of one call must not
+    # reach the next
+    run = ["eig", "--alpha", "2", "--weight", "constant:1"]
+    assert main([*run, "--n", "50", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main([*run, "--out", str(tmp_path / "b")]) == EXIT_OK
+    for name, n in (("a", 50), ("b", 400)):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config"]["numerics"]["n"] == n

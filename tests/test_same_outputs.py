@@ -76,3 +76,24 @@ def test_keys_one_tree_wrote_are_named(same_outputs):
     assert [line for line in lines if "only in" in line] == [
         "  FLAG summary.json: margin_method: only in parent",
         "  FLAG summary.json: traces[0].rejected_steps: only in change"]
+
+
+def test_changed_manifest_outputs_are_flagged(same_outputs, tmp_path):
+    # the same files, but a manifest that lists fewer of them: a rerun
+    # compares only the listed files, so a changed list is a finding, while
+    # the manifest's timestamp and timings may differ unflagged
+    def run(tree, listed, stamp):
+        (tmp_path / tree).mkdir()
+        for name in ("eig.csv", "phi1.csv"):
+            (tmp_path / tree / name).write_text("t,value\n0,1\n")
+        (tmp_path / tree / "manifest.json").write_text(json.dumps(
+            {"outputs": listed, "timestamp": stamp}))
+        return same_outputs.outputs(tmp_path / tree)
+
+    parent = run("parent", ["eig.csv", "phi1.csv"], 1.0)
+    assert same_outputs.report(0, parent, 0, run(
+        "change", ["phi1.csv"], 1.0)) == [
+        '  FLAG manifest.json outputs: ["eig.csv", "phi1.csv"] -> '
+        '["phi1.csv"]']
+    assert same_outputs.report(0, parent, 0, run(
+        "rerun", ["eig.csv", "phi1.csv"], 2.0)) == []

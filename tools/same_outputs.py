@@ -5,21 +5,23 @@
 Each tree runs, in one process with ``OPENBLAS_NUM_THREADS=1``, the configs
 in ``FIXED`` and every job of the henon-shoot, henon-continue and solver-mix
 workloads of ``perfbench/workloads.py`` for each seed (comma list, default
-1).  Outputs other than ``manifest.json``, exit codes, and the ``error`` and
-``hypothesis`` of an ``error.json`` must be equal; exits 1 otherwise.
+1).  Every output but ``manifest.json``, the manifest's ``outputs`` list,
+the exit codes, and the ``error`` and ``hypothesis`` of an ``error.json``
+must be equal; exits 1 otherwise.
 
 For each run that differs it prints, per output file, the largest relative
 difference among the file's numeric tokens, and flags every changed token
 that is not a float: a changed exit code, word (a status, a verdict) or
-integer (a count), or a file only one tree wrote.  A file whose count of
-numbers changed is flagged with both line counts and the largest relative
-difference of its last lines (per key on the keys both hold, for JSON rows),
-which for a trace is its endpoint.  In a JSON or JSONL file, every string,
-integer and boolean that changed at a key path both trees wrote is flagged
-too, and so is, by name, every key that only one tree wrote in an object
-both hold (a trace row only one tree wrote is left to the count).  A float
-printed without a fraction (``2``) counts as an integer only if its new
-value prints so too.
+integer (a count), a file only one tree wrote, or a changed manifest
+``outputs`` list (the files, in write order, that a rerun is compared on).
+A file whose count of numbers changed is flagged with both line counts and
+the largest relative difference of its last lines (per key on the keys both
+hold, for JSON rows), which for a trace is its endpoint.  In a JSON or
+JSONL file, every string, integer and boolean that changed at a key path
+both trees wrote is flagged too, and so is, by name, every key that only one
+tree wrote in an object both hold (a trace row only one tree wrote is left
+to the count).  A float printed without a fraction (``2``) counts as an
+integer only if its new value prints so too.
 """
 
 import importlib.util
@@ -121,8 +123,13 @@ def run_tree(src, argvs, workdir):
 
 
 def outputs(rundir):
+    """Each output's text by name; ``manifest.json`` stands for its
+    ``outputs`` list and ``error.json`` for its error kind and hypothesis."""
     files = {p.name: p.read_text() for p in rundir.iterdir()
              if p.name not in ("manifest.json", "error.json")}
+    if (rundir / "manifest.json").exists():
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        files["manifest.json"] = json.dumps(manifest["outputs"])
     if (rundir / "error.json").exists():
         error = json.loads((rundir / "error.json").read_text())
         files["error.json"] = json.dumps([error.get("error"),
@@ -230,6 +237,9 @@ def report(code0, files0, code1, files1):
         if name not in files0 or name not in files1:
             tree = "change" if name in files1 else "parent"
             lines.append(f"  FLAG {name}: written by the {tree} only")
+        elif name == "manifest.json" and files0[name] != files1[name]:
+            lines.append(f"  FLAG manifest.json outputs: {files0[name]} -> "
+                         f"{files1[name]}")
         elif files0[name] != files1[name]:
             worst, flagged = compare(files0[name], files1[name])
             lines.append(f"  {name}: largest relative difference {worst:.3g}")
