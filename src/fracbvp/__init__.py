@@ -23,7 +23,8 @@ from .superlinear import (ContinuationTrace, NewtonReport,
                           NondegeneracyReport, continue_alpha,
                           find_positive_solution, newton_solve, nondegeneracy)
 from .shooting import (HenonParams, ShootingRecord, UnitSolution,
-                       find_crossings, rescale_to_unit, unit_problem)
+                       continue_crossings, find_crossings, rescale_to_unit,
+                       unit_problem)
 
 __version__ = "0.1.0"
 
@@ -42,5 +43,5 @@ __all__ = [
     "NewtonReport", "NondegeneracyReport", "ContinuationTrace", "newton_solve",
     "nondegeneracy", "continue_alpha", "find_positive_solution",
     "HenonParams", "ShootingRecord", "UnitSolution", "find_crossings",
-    "rescale_to_unit", "unit_problem",
+    "rescale_to_unit", "unit_problem", "continue_crossings",
 ]

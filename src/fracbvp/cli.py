@@ -2,14 +2,17 @@
 
 Each run takes a JSON config (flags override individual fields), executes one
 pipeline, and writes its CSV/JSON artifacts into the output directory, each
-in one call, then a manifest whose ``outputs`` lists them in write order.
+in one call, then a manifest whose ``outputs`` lists them in write order (a
+failed run lists them in ``error.json``).  It first removes the files that
+an earlier run's manifest or error report there lists, and those reports.
 Numbers are printed with 17 significant digits, so re-running a config on the
 same BLAS build and thread setting, both in the manifest, reproduces every
 CSV byte for byte; only the manifest's timestamp and timings differ.
 ``solve-super`` caps Newton at ``min(--maxit, 200)`` iterations.
 
 Each input is read and checked before the work it feeds: ``henon-continue``
-builds its mesh and order-2 operator before its ``henon-shoot`` beta scan.
+builds its mesh and order-2 operator before its ``henon-shoot`` beta scan,
+then writes the branches that ``shooting.continue_crossings`` returns.
 
 Exit codes: 0 success, 2 hypothesis violation, 3 non-convergence, 4 I/O error.
 """
@@ -32,11 +35,11 @@ from .eigen import lambda1_bounds, principal_eigenpair, sweep_alpha
 from .grid import GridFunction, make_mesh, production_mesh
 from .kernel import check_order
 from .operator import NonlinearityFamily, WeightFamily, assemble
-from .shooting import (HenonParams, find_crossings, rescale_to_unit,
+from .shooting import (HenonParams, continue_crossings, find_crossings,
                        unit_problem)
 from .sublinear import (check_trials, find_bracket, monotone_solve,
                         nonexistence_probe)
-from .superlinear import continue_alpha, find_positive_solution, newton_solve, nondegeneracy
+from .superlinear import find_positive_solution, nondegeneracy
 
 EXIT_OK = 0
 EXIT_IO = 4
@@ -388,53 +391,35 @@ def _cmd_henon_shoot(config, out, timings):
 def _cmd_henon_continue(config, out, timings):
     numerics = config["numerics"]
     params = HenonParams(l=numerics["l"], p=numerics["p"])
-    zeta = numerics["zeta"]
-    delta, weight, f = unit_problem(zeta, params)
+    delta, weight, _ = unit_problem(numerics["zeta"], params)
     target = check_order(numerics["target_alpha"])
     mesh = _build_mesh(numerics, target)
-    tol = numerics["tol"]
-    # every seed starts at order 2 on the same mesh: assemble that once,
-    # before the scan, so a mesh that cannot be built stops the run first
+    # every branch starts from this one operator
     with _timed(timings, "assemble"):
         A2 = assemble(mesh, 2.0, weight)
-
     records = _cmd_henon_shoot(config, out, timings)
-    seeds = [r for r in records if not r.degenerate]
-    summary = {"delta": delta, "crossings": len(records),
-               "seeds": len(seeds), "traces": []}
-    endpoints = []
     with _timed(timings, "continue"):
-        for k, record in enumerate(seeds):
-            unit = rescale_to_unit(record, zeta, params, A2.mesh)
-            start = newton_solve(A2, f, unit.profile, tol=tol)
-            trace = continue_alpha(start, A2, target, f,
-                                   initial_step=numerics["alpha_step"],
-                                   min_step=numerics["min_step"], tol=tol)
-            out.text(f"trace_{k}.jsonl", "".join(json.dumps({
-                "alpha": step.alpha,
-                "residual": step.residual,
-                "margin": step.margin,
-                "newton_iterations": step.newton_iterations,
-                "det_sign": step.det_sign,
-                "sup_norm": float(np.max(np.abs(step.solution.values))),
-            }, sort_keys=True) + "\n" for step in trace.steps))
-            end = trace.steps[-1]
-            out.grid(f"endpoint_{k}.csv", end.solution)
-            endpoints.append(end.solution.values)
-            summary["traces"].append({
-                "beta": record.beta,
-                "scale_exponent": unit.scale_exponent_used,
-                "status": trace.status,
-                "steps": len(trace.steps),
-                "rejected_steps": trace.rejected_steps,
-                "end_alpha": end.alpha,
-                "end_residual": end.residual,
-                "end_margin": end.margin,
-            })
-        summary["pairwise_sup_distances"] = [
-            [float(np.max(np.abs(endpoints[i] - endpoints[j])))
-             for j in range(len(endpoints))] for i in range(len(endpoints))]
-    out.json("summary.json", summary)
+        branches, distances = continue_crossings(
+            records, numerics["zeta"], params, A2, target,
+            initial_step=numerics["alpha_step"],
+            min_step=numerics["min_step"], tol=numerics["tol"])
+    traces = []
+    for k, (record, unit, trace) in enumerate(branches):
+        out.text(f"trace_{k}.jsonl", "".join(json.dumps({
+            "alpha": s.alpha, "residual": s.residual, "margin": s.margin,
+            "newton_iterations": s.newton_iterations, "det_sign": s.det_sign,
+            "sup_norm": float(np.max(np.abs(s.solution.values)))},
+            sort_keys=True) + "\n" for s in trace.steps))
+        end = trace.steps[-1]
+        out.grid(f"endpoint_{k}.csv", end.solution)
+        traces.append({
+            "beta": record.beta, "scale_exponent": unit.scale_exponent_used,
+            "status": trace.status, "steps": len(trace.steps),
+            "rejected_steps": trace.rejected_steps, "end_alpha": end.alpha,
+            "end_residual": end.residual, "end_margin": end.margin})
+    out.json("summary.json", {
+        "delta": delta, "crossings": len(records), "seeds": len(branches),
+        "traces": traces, "pairwise_sup_distances": distances})
 
 
 _DISPATCH = {
@@ -451,12 +436,24 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def _make_outdir(path):
-    """The writer into ``path``, made a directory, or None if it cannot be."""
+    """The writer into ``path``, made a directory and cleared of the last
+    run's reports and the plain file names they list, or None if it cannot."""
+    path = Path(path)
     try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-        return _Out(Path(path))
+        path.mkdir(parents=True, exist_ok=True)
+        for report in (path / "manifest.json", path / "error.json"):
+            try:
+                listed = json.loads(report.read_text()).get("outputs")
+            except (FileNotFoundError, ValueError, AttributeError):
+                listed = None
+            for name in listed if isinstance(listed, list) else ():
+                if isinstance(name, str) and Path(name).name == name and (
+                        path / name).is_file():
+                    (path / name).unlink()
+            report.unlink(missing_ok=True)
+        return _Out(path)
     except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        print(f"cannot use output directory: {exc}", file=sys.stderr)
         return None
 
 
@@ -468,7 +465,7 @@ def _fail(out, exc):
         code, payload = exc.exit_code, {
             "error": exc.kind, "message": str(exc),
             **{key: getattr(exc, key) for key in exc.report_fields}}
-    out.json("error.json", payload)
+    out.json("error.json", {**payload, "outputs": list(out.names)})
     print(payload["message"], file=sys.stderr)
     return code
 

@@ -32,6 +32,7 @@ variational lanes for all brackets; a bracket's last shot is its
 solutions of the Dirichlet problem on (-1, zeta); each one is rescaled from
 its record's trajectory to the unit interval, where it solves
 v'' + |t - 1/2 + delta|^l v^p = 0 with delta = (zeta-1)/(2(1+zeta)).
+``continue_crossings`` continues every nondegenerate one from there in alpha.
 """
 
 from dataclasses import dataclass, field
@@ -41,9 +42,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, HorizonError, HypothesisError,
                      IntegrationError, ScalingError, TransversalityError)
-from .grid import GridFunction, make_mesh
+from .grid import RTOL, GridFunction, make_mesh
 from .kernel import classical_image
 from .operator import NonlinearityFamily, WeightFamily
+from .superlinear import continue_alpha, newton_solve
 
 LANE_RTOL = 1e-10           # every lane's tolerances
 LANE_ATOL = 1e-12
@@ -596,6 +598,26 @@ def rescale_to_unit(record, zeta, params, mesh):
             exponent=exponent, residual=rel)
     return UnitSolution(profile=GridFunction(mesh, sample(mesh)),
                         scale_exponent_used=exponent)
+
+
+def continue_crossings(records, zeta, params, A2, target_alpha,
+                       initial_step=0.005, min_step=1e-5, tol=RTOL):
+    """``(branches, distances)``: each nondegenerate record rescaled onto
+    ``A2.mesh`` (``A2`` is the order-2 operator of ``unit_problem``'s
+    weight), solved there from its profile by ``newton_solve`` and continued
+    to ``target_alpha`` by ``continue_alpha``, as a branch ``(record, unit,
+    trace)``, and the sup-norm distances between every two branch ends."""
+    f = unit_problem(zeta, params)[2]
+    branches = []
+    for record in (r for r in records if not r.degenerate):
+        unit = rescale_to_unit(record, zeta, params, A2.mesh)
+        start = newton_solve(A2, f, unit.profile, tol=tol)
+        branches.append((record, unit, continue_alpha(
+            start, A2, target_alpha, f, initial_step=initial_step,
+            min_step=min_step, tol=tol)))
+    ends = [trace.steps[-1].solution.values for *_, trace in branches]
+    return branches, [[float(np.max(np.abs(a - b))) for b in ends]
+                      for a in ends]
 
 
 def unit_problem(zeta, params):

@@ -19,9 +19,8 @@ from fracbvp.cli import main as cli_main
 from fracbvp.eigen import lambda1_bounds, principal_eigenpair, sweep_alpha
 from fracbvp.grid import production_mesh
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
-from fracbvp.shooting import rescale_to_unit
+from fracbvp.shooting import continue_crossings
 from fracbvp.sublinear import find_bracket, monotone_solve, nonexistence_probe
-from fracbvp.superlinear import continue_alpha, newton_solve
 
 from helpers import first_zero, jacobian, norms
 from oracles import fd_newton_bvp, green_eval, green_integral
@@ -166,20 +165,14 @@ def test_criterion_06_sublinear_uniqueness_witness(sublinear_solutions):
 
 @pytest.fixture(scope="module")
 def multiplicity_traces(henon_params, henon_crossings):
-    f = NonlinearityFamily.power(1.0, 2.0)
+    # the library call henon-continue runs, degenerate filter included
     t0 = time.perf_counter()
     mesh = production_mesh(1.95, 400)
     A2 = assemble(mesh, 2.0, HENON_WEIGHT)
-    traces = []
-    units = []
-    for record in henon_crossings[:3]:
-        unit = rescale_to_unit(record, 1.0, henon_params, A2.mesh)
-        start = newton_solve(A2, f, unit.profile, tol=1e-10)
-        trace = continue_alpha(start, A2, 1.95, f,
-                               initial_step=0.005, tol=1e-10)
-        units.append(unit)
-        traces.append(trace)
-    return {"traces": traces, "units": units, "mesh": mesh,
+    branches, _ = continue_crossings(henon_crossings[:3], 1.0, henon_params,
+                                     A2, 1.95, initial_step=0.005, tol=1e-10)
+    return {"traces": [trace for _, _, trace in branches],
+            "units": [unit for _, unit, _ in branches], "mesh": mesh,
             "elapsed": time.perf_counter() - t0}
 
 

@@ -8,6 +8,7 @@ failure shows here first.  The workload module is imported, not changed.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -57,10 +58,11 @@ def test_solver_mix_pass_passes_its_checks(workloads, tmp_path):
 
 def _run_traced(argv, expected):
     """Run ``cli.main(argv)`` in a fresh process with the benchmark's span
-    recorder installed (its wrappers stay installed for the process), and
-    check that it exits 0 and records a span of every name in ``expected``."""
+    recorder installed (its wrappers stay installed for the process), check
+    that it exits 0 and records a span of every name in ``expected``, and
+    return each span's (id, parent id, name)."""
     script = "\n".join([
-        "import sys",
+        "import json, sys",
         f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})",
         "import spans",
         "recorder = spans.Recorder()",
@@ -70,12 +72,14 @@ def _run_traced(argv, expected):
         "names = {span[2] for span in recorder.spans}",
         "assert code == 0, code",
         f"assert {set(expected)!r} <= names, names",
+        "print(json.dumps([span[:3] for span in recorder.spans]))",
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 def test_traced_solve_super_runs(tmp_path):
@@ -102,3 +106,21 @@ def test_traced_henon_continue_runs(tmp_path):
                  "--scan-points", "20", "--target-alpha", "1.99", "--n", "100",
                  "--out", str(tmp_path / "run")],
                 {"shooting.rescale_to_unit", "superlinear.continue_alpha"})
+
+
+def test_traced_henon_continue_runs_each_branch_under_one_call(tmp_path):
+    # perfbench reads a branch's accept_ratio from the continue_alpha span:
+    # each branch's rescale and continuation sit under the one library call
+    out = tmp_path / "run"
+    spans = _run_traced(["henon-continue", "--beta-min", "50",
+                         "--beta-max", "300", "--scan-points", "60",
+                         "--target-alpha", "1.99", "--n", "100",
+                         "--out", str(out)], {"shooting.continue_crossings"})
+    calls = [sid for sid, _, name in spans
+             if name == "shooting.continue_crossings"]
+    assert len(calls) == 1
+    traces = len(list(out.glob("trace_*.jsonl")))
+    assert traces >= 2
+    for name in ("shooting.rescale_to_unit", "superlinear.continue_alpha"):
+        parents = [parent for _, parent, span in spans if span == name]
+        assert parents == calls * traces, name

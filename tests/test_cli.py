@@ -617,8 +617,9 @@ def test_error_report_per_class(tmp_path, monkeypatch, exc, code, keys):
     out = tmp_path / "err"
     assert main(["bounds", "--out", str(out)]) == code
     error = json.loads((out / "error.json").read_text())
-    assert set(error) == keys
+    assert set(error) == keys | {"outputs"}
     assert error["message"] == str(exc)
+    assert error["outputs"] == []
     kind = {EXIT_HYPOTHESIS: "hypothesis_violation",
             EXIT_NONCONVERGENCE: "non_convergence", EXIT_IO: "io"}[code]
     assert error["error"] == kind
@@ -699,3 +700,51 @@ def test_consecutive_main_calls_share_no_parsed_state(tmp_path):
     for name, n in (("a", 50), ("b", 400)):
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["config"]["numerics"]["n"] == n
+
+
+def test_rerun_leaves_no_file_of_an_earlier_failed_run(tmp_path):
+    out = tmp_path / "reused"
+    run = ["bounds", "--weight", "constant:1", "--out", str(out)]
+    assert main([*run, "--alpha", "3"]) == EXIT_HYPOTHESIS
+    assert main([*run, "--alpha", "1.5"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["bounds.csv",
+                                                     "manifest.json"]
+
+
+def test_rerun_with_fewer_crossings_leaves_no_stale_trace(tmp_path):
+    out = tmp_path / "reused"
+    (out / "sub").mkdir(parents=True)
+    (out / "notes.txt").write_text("kept")
+    assert main(["henon-continue", *SMALL_RUNS["henon-continue"],
+                 "--out", str(out)]) == EXIT_OK
+    assert (out / "trace_1.jsonl").exists()
+    # a manifest names only files of its own directory: no path is followed
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["outputs"] += ["../outside.txt", "sub", "sub/x", ".", 7]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "outside.txt").write_text("kept")
+    assert main(["henon-continue", "--beta-min", "200", "--beta-max", "300",
+                 "--scan-points", "20", "--n", "100",
+                 "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "crossings.csv", "endpoint_0.csv", "manifest.json", "notes.txt",
+        "sub", "summary.json", "trace_0.jsonl"]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert (tmp_path / "outside.txt").read_text() == "kept"
+
+
+def test_error_report_lists_the_files_of_the_failed_run(tmp_path,
+                                                        monkeypatch):
+    def fail(*args, **kwargs):
+        raise errors.ConvergenceError("bad", iterations=1, residual=1.0)
+
+    out = tmp_path / "reused"
+    monkeypatch.setattr(cli, "continue_crossings", fail)
+    assert main(["henon-continue", *SMALL_RUNS["henon-continue"],
+                 "--out", str(out)]) == EXIT_NONCONVERGENCE
+    error = json.loads((out / "error.json").read_text())
+    assert error["outputs"] == ["crossings.csv"]
+    assert main(["bounds", "--alpha", "1.5", "--weight", "constant:1",
+                 "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["bounds.csv",
+                                                     "manifest.json"]

@@ -12,12 +12,12 @@ from scipy.optimize import brentq
 from fracbvp import shooting
 from fracbvp.errors import (HorizonError, HypothesisError, IntegrationError,
                             ScalingError)
-from fracbvp.grid import make_mesh
+from fracbvp.grid import make_mesh, production_mesh
 from fracbvp.kernel import classical_image
 from fracbvp.operator import NonlinearityFamily, WeightFamily, assemble
-from fracbvp.shooting import (HenonParams, find_crossings, rescale_to_unit,
-                              unit_problem)
-from fracbvp.superlinear import newton_solve
+from fracbvp.shooting import (HenonParams, ShootingRecord, continue_crossings,
+                              find_crossings, rescale_to_unit, unit_problem)
+from fracbvp.superlinear import continue_alpha, newton_solve
 
 from helpers import first_zero
 
@@ -547,3 +547,77 @@ def test_rescaled_solutions_feed_newton(henon_params, henon_crossings):
         margin = nondegeneracy(A, f, report.solution)
         shooting_nondeg = record.w_end_sign != "zero-ish"
         assert (not margin.degenerate) == shooting_nondeg
+
+
+@pytest.fixture(scope="module")
+def small_continuation():
+    # the CLI's henon-continue at --n 100 and 20 scan points, to order 1.99
+    params = HenonParams(l=4.0, p=2.0)
+    _, weight, f = unit_problem(1.0, params)
+    records = find_crossings(1.0, params, scan_points=20)
+    A2 = assemble(production_mesh(1.99, 100), 2.0, weight)
+    return params, f, records, A2
+
+
+def _step_bytes(step):
+    return (step.alpha, step.residual, step.margin, step.newton_iterations,
+            step.det_sign, step.solution.values.tobytes())
+
+
+def test_continue_crossings_matches_the_hand_written_pipeline(
+        small_continuation):
+    params, f, records, A2 = small_continuation
+    assert len(records) == 3 and not any(r.degenerate for r in records)
+    branches, _ = continue_crossings(records, 1.0, params, A2, 1.99,
+                                     initial_step=0.005, min_step=1e-5,
+                                     tol=1e-10)
+    assert [record for record, _, _ in branches] == records
+    for record, unit, trace in branches:
+        hand_unit = rescale_to_unit(record, 1.0, params, A2.mesh)
+        start = newton_solve(A2, f, hand_unit.profile, tol=1e-10)
+        hand = continue_alpha(start, A2, 1.99, f, initial_step=0.005,
+                              min_step=1e-5, tol=1e-10)
+        assert unit.scale_exponent_used == hand_unit.scale_exponent_used
+        assert unit.profile.values.tobytes() == \
+            hand_unit.profile.values.tobytes()
+        assert (trace.status, trace.rejected_steps) == \
+            (hand.status, hand.rejected_steps)
+        assert [_step_bytes(s) for s in trace.steps] == \
+            [_step_bytes(s) for s in hand.steps]
+
+
+def test_continue_crossings_distances_are_symmetric(small_continuation):
+    params, _, records, A2 = small_continuation
+    branches, distances = continue_crossings(records, 1.0, params, A2, 1.99)
+    ends = [trace.steps[-1].solution.values for _, _, trace in branches]
+    d = np.array(distances)
+    assert d.shape == (len(branches), len(branches))
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert d[0, 1] == np.max(np.abs(ends[0] - ends[1])) > 0.0
+
+
+def test_continue_crossings_skips_degenerate_records(small_continuation,
+                                                     monkeypatch):
+    # w(z) = 0: the record is skipped before its trajectory is read
+    params, _, records, A2 = small_continuation
+    rescaled = []
+
+    def spy(record, *args):
+        rescaled.append(record)
+        return rescale_to_unit(record, *args)
+
+    monkeypatch.setattr(shooting, "rescale_to_unit", spy)
+    degenerate = ShootingRecord(beta=1.0, z=1.0, morse_index=1,
+                                w_end_sign="zero-ish", z_prime=0.0,
+                                trajectory=None)
+    assert continue_crossings([degenerate], 1.0, params, A2, 1.99) == ([], [])
+    branches, _ = continue_crossings([degenerate, records[0]], 1.0, params,
+                                     A2, 1.99)
+    assert rescaled == [records[0]]
+    assert [record for record, _, _ in branches] == [records[0]]
+
+
+def test_continue_crossings_of_no_records(small_continuation):
+    params, _, _, A2 = small_continuation
+    assert continue_crossings([], 1.0, params, A2, 1.99) == ([], [])

@@ -59,7 +59,9 @@ RUNNER = ("import json, sys\nfrom fracbvp.cli import main\njobs = json.load(open
 # sample grid misses: a ratio f(s)/s that meets lambda1 only below s = 1e-8,
 # and a polynomial weight negative only between grid points; last, a
 # superlinear solve on m = 384 = 6 * 64 nodes, whose Jacobian split has
-# whole diagonal blocks and no partial last one
+# whole diagonal blocks and no partial last one; last, two Henon
+# continuations whose summaries hold no trace (no crossing in the scan, so
+# empty pairwise distances) and one trace (a 1 x 1 distance matrix)
 FIXED = [
     "eig --alpha 1.5 --weight constant:1 --n 300",
     "bounds --alpha 1.25 --weight power_offset:4:0.5",
@@ -91,6 +93,8 @@ FIXED = [
     "eig --alpha 1.5 --weight polynomial:0.2501200013439999,-1.00024,1 "
     "--n 200",
     "solve-super --alpha 1.8 --weight constant:1 --nonlin power:1:2 --n 383",
+    "henon-continue --beta-min 1 --beta-max 5 --scan-points 20 --n 100",
+    "henon-continue --beta-min 200 --beta-max 300 --scan-points 20 --n 100",
 ]
 
 
