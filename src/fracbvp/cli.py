@@ -342,7 +342,7 @@ def _cmd_solve_super(config, out, timings):
         "iterations": report.iterations,
         "maxit": maxit,
         "residual": report.residual,
-        "converged": report.converged,
+        "converged": report.positive,
         "positive": report.positive,
         "sup_norm": float(np.max(np.abs(report.solution.values))),
         "nondegeneracy_margin": margin.margin,
@@ -398,11 +398,24 @@ def _cmd_henon_continue(config, out, timings):
     with _timed(timings, "assemble"):
         A2 = assemble(mesh, 2.0, weight)
     records = _cmd_henon_shoot(config, out, timings)
-    with _timed(timings, "continue"):
-        branches, distances = continue_crossings(
-            records, numerics["zeta"], params, A2, target,
-            initial_step=numerics["alpha_step"],
-            min_step=numerics["min_step"], tol=numerics["tol"])
+    try:
+        with _timed(timings, "continue"):
+            branches, distances = continue_crossings(
+                records, numerics["zeta"], params, A2, target,
+                initial_step=numerics["alpha_step"],
+                min_step=numerics["min_step"], tol=numerics["tol"])
+    except FracBVPError as exc:
+        # the branches finished before the failing one keep their files
+        _write_branches(out, getattr(exc, "branches", ()))
+        raise
+    out.json("summary.json", {
+        "delta": delta, "crossings": len(records), "seeds": len(branches),
+        "traces": _write_branches(out, branches),
+        "pairwise_sup_distances": distances})
+
+
+def _write_branches(out, branches):
+    """Write each branch's trace and endpoint; returns their summaries."""
     traces = []
     for k, (record, unit, trace) in enumerate(branches):
         out.text(f"trace_{k}.jsonl", "".join(json.dumps({
@@ -417,9 +430,7 @@ def _cmd_henon_continue(config, out, timings):
             "status": trace.status, "steps": len(trace.steps),
             "rejected_steps": trace.rejected_steps, "end_alpha": end.alpha,
             "end_residual": end.residual, "end_margin": end.margin})
-    out.json("summary.json", {
-        "delta": delta, "crossings": len(records), "seeds": len(branches),
-        "traces": traces, "pairwise_sup_distances": distances})
+    return traces
 
 
 _DISPATCH = {

@@ -40,8 +40,9 @@ from functools import partial, partialmethod
 
 import numpy as np
 
-from .errors import (ConvergenceError, HorizonError, HypothesisError,
-                     IntegrationError, ScalingError, TransversalityError)
+from .errors import (ConvergenceError, FracBVPError, HorizonError,
+                     HypothesisError, IntegrationError, ScalingError,
+                     TransversalityError)
 from .grid import RTOL, GridFunction, make_mesh
 from .kernel import classical_image
 from .operator import NonlinearityFamily, WeightFamily
@@ -606,15 +607,21 @@ def continue_crossings(records, zeta, params, A2, target_alpha,
     ``A2.mesh`` (``A2`` is the order-2 operator of ``unit_problem``'s
     weight), solved there from its profile by ``newton_solve`` and continued
     to ``target_alpha`` by ``continue_alpha``, as a branch ``(record, unit,
-    trace)``, and the sup-norm distances between every two branch ends."""
+    trace)``, and the sup-norm distances between every two branch ends.
+    A branch that raises a ``FracBVPError`` passes it on with the branches
+    finished before it as its ``branches``."""
     f = unit_problem(zeta, params)[2]
     branches = []
-    for record in (r for r in records if not r.degenerate):
-        unit = rescale_to_unit(record, zeta, params, A2.mesh)
-        start = newton_solve(A2, f, unit.profile, tol=tol)
-        branches.append((record, unit, continue_alpha(
-            start, A2, target_alpha, f, initial_step=initial_step,
-            min_step=min_step, tol=tol)))
+    try:
+        for record in (r for r in records if not r.degenerate):
+            unit = rescale_to_unit(record, zeta, params, A2.mesh)
+            start = newton_solve(A2, f, unit.profile, tol=tol)
+            branches.append((record, unit, continue_alpha(
+                start, A2, target_alpha, f, initial_step=initial_step,
+                min_step=min_step, tol=tol)))
+    except FracBVPError as exc:
+        exc.branches = branches
+        raise
     ends = [trace.steps[-1].solution.values for *_, trace in branches]
     return branches, [[float(np.max(np.abs(a - b))) for b in ends]
                       for a in ends]

@@ -23,14 +23,15 @@ solution; numerically that is a positive smallest singular value of
 I - L_u, where L_u is the operator assembled with weight h*f'(u).  How near
 J is to singular is measured one way throughout: sigma_min(J), by Lanczos
 on J^-1 J^-T through the same solves, relative to ||J||_1, O(m) from A's
-column sums, and J itself is never formed.  Newton's guard takes a few
-Lanczos steps; the margin runs them to convergence, by the rules of
-``_sigma_min``.  The margin gates predictor-corrector continuation in
-alpha: nondegenerate solutions persist for nearby orders, and the sign of
-det J, which a branch keeps up to a fold, keeps each trace on its branch.
-The trace records each accepted step until the target order, a degeneracy,
-or a failed step floor.  Every solver takes the assembled operator A and
-reads mesh, order and weight from it.
+column sums, and J itself is never formed.  Newton's guard, on a solve's
+first iterate and where a split fails, and the margin run Lanczos to
+convergence by the rules of ``_sigma_min``, each to its own floor.  The
+margin gates predictor-corrector continuation in alpha: nondegenerate
+solutions persist for nearby orders, and the sign of det J, which a branch
+keeps up to a fold, keeps each trace on its branch.  The trace records each
+accepted step until the target order, a degeneracy, or a failed step floor.
+Every solver takes the assembled operator A and reads mesh, order and weight
+from it.
 """
 
 from dataclasses import dataclass
@@ -43,8 +44,6 @@ from .kernel import check_order
 from .operator import assemble
 
 COND_LIMIT = 1e14
-# Lanczos steps of Newton's guard; its last Ritz value is the estimate
-COND_STEPS = 3
 DAMPING_HALVINGS = 30
 MARGIN_REL_THRESHOLD = 1e-6
 # Lanczos steps of the margin before it gives up unless its bound already
@@ -76,8 +75,7 @@ class NewtonReport:
     solution: GridFunction
     residual: float
     iterations: int
-    converged: bool         # settled at tol AND positive interior
-    positive: bool
+    positive: bool          # positive at every interior node
 
 
 @dataclass(frozen=True)
@@ -215,21 +213,18 @@ class _SplitJacobian:
         return x + self.z * ((self.u @ x) / self.denominator)
 
 
-def _norm1(A):
-    """fp -> ||I - A diag(fp)||_1 in O(m) per call.
-
-    A >= 0, so column j of the Jacobian sums to |1 - A_jj fp_j| +
-    |fp_j| (colsum_j - A_jj); the column sums are taken once.
-    """
+def _norm1(A, fp):
+    """||I - A diag(fp)||_1 from A's column sums: A >= 0, so column j of
+    the Jacobian sums to |1 - A_jj fp_j| + |fp_j| (colsum_j - A_jj)."""
     a_diag = np.diagonal(A.matrix)
     off_diag = A.matrix.sum(axis=0) - a_diag
-    return lambda fp: float(np.max(np.abs(1.0 - a_diag * fp)
-                                   + np.abs(fp) * off_diag))
+    return float(np.max(np.abs(1.0 - a_diag * fp) + np.abs(fp) * off_diag))
 
 
 def _sigma_min(jac, maxit, floor, exact, **context):
     """(sigma, steps, degenerate): sigma_min(J) through the split ``jac`` by
-    at most ``maxit`` Lanczos steps, and whether it is below ``floor``.
+    at most ``maxit`` Lanczos steps, and whether it is below ``floor``;
+    Newton's guard and the margin both take ``MARGIN_MAXIT`` steps.
 
     Lanczos runs on B = J^-1 J^-T from the ones vector; each step solves
     with J^T and J once, as a sweep of inverse iteration on J^T J does, and
@@ -287,15 +282,16 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     has settled, and a larger one raises ``ConvergenceError``.  It also
     stops once ``settled`` at ``tol``, rho the residual ratio of a step and
     the norm the largest sup norm so far, so that a collapse onto zero
-    stops.  ``converged`` also requires interior positivity, so a run that
-    collapses onto the trivial solution comes back with ``converged=False``
-    and ``positive=False`` rather than an exception.  A residual that is
-    not finite ends the iteration with ``ConvergenceError``; a Jacobian
-    whose condition estimate ||J||_1 / sigma_min exceeds ``COND_LIMIT``, or
-    whose split cannot be solved with, ends it with ``DegeneratePointError``.
-    sigma_min comes from ``COND_STEPS`` Lanczos steps by ``_sigma_min``;
-    stopped early, the estimate is a lower bound.  A zero Sherman-Morrison
-    denominator is det J = 0, an infinite estimate.
+    stops.  A run that collapses onto the trivial solution comes back with
+    ``positive=False`` rather than an exception; a run that never settles
+    raises.  A residual that is not finite ends the iteration with
+    ``ConvergenceError``; a Jacobian whose condition estimate
+    ||J||_1 / sigma_min exceeds ``COND_LIMIT``, or whose split cannot be
+    solved with, ends it with ``DegeneratePointError``.  The estimate is
+    taken once per solve, on the first iterate, with the margin's budget and
+    tolerance by ``_sigma_min``; a later iterate is checked only where its
+    split fails.  A zero Sherman-Morrison denominator is det J = 0, an
+    infinite estimate.
     """
     if not A.mesh.same_as(u0.mesh):
         raise ValueError("initial guess lives on a different mesh than the operator")
@@ -304,21 +300,21 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
     res = float(np.max(np.abs(res_vec)))
     norm = float(np.max(np.abs(u)))
     it, done = 0, res == 0.0        # a zero residual gives a zero step
-    norm1 = _norm1(A)
     while np.isfinite(res) and not done and it < maxit:
         it += 1
         fp = _fprime(f, u)
         jac = _SplitJacobian(A, fp)
-        context = dict(last=GridFunction(A.mesh, u), iterations=it,
-                       residual=res)
-        anorm = norm1(fp)
-        sigma, _, degenerate = _sigma_min(jac, COND_STEPS, anorm / COND_LIMIT,
-                                          False, **context)
-        if degenerate:
-            cond = anorm / sigma if sigma else np.inf
-            raise DegeneratePointError(
-                f"Jacobian condition estimate {cond:.3e} exceeds "
-                f"{COND_LIMIT:.0e}", **context)
+        if it == 1 or jac.failure is not None:
+            context = dict(last=GridFunction(A.mesh, u), iterations=it,
+                           residual=res)
+            anorm = _norm1(A, fp)
+            sigma, _, degenerate = _sigma_min(
+                jac, MARGIN_MAXIT, anorm / COND_LIMIT, False, **context)
+            if degenerate:
+                cond = anorm / sigma if sigma else np.inf
+                raise DegeneratePointError(
+                    f"Jacobian condition estimate {cond:.3e} exceeds "
+                    f"{COND_LIMIT:.0e}", **context)
         step = jac.solve(res_vec)
         lam = 1.0
         for _ in range(DAMPING_HALVINGS + 1):
@@ -346,7 +342,7 @@ def newton_solve(A, f, u0, tol=RTOL, maxit=50):
             last=GridFunction(A.mesh, u), iterations=it, residual=res)
     positive = bool(np.all(u[1:-1] > 0.0))
     return NewtonReport(solution=GridFunction(A.mesh, u), residual=res,
-                        iterations=it, converged=positive, positive=positive)
+                        iterations=it, positive=positive)
 
 
 def nondegeneracy(A, f, u):
@@ -363,7 +359,7 @@ def nondegeneracy(A, f, u):
     """
     fp = _fprime(f, u.values)
     jac = _SplitJacobian(A, fp)
-    thr = MARGIN_REL_THRESHOLD * _norm1(A)(fp)
+    thr = MARGIN_REL_THRESHOLD * _norm1(A, fp)
     margin, steps, degenerate = _sigma_min(jac, MARGIN_MAXIT, thr, True,
                                            last=u)
     return NondegeneracyReport(margin=margin, degenerate=degenerate,
@@ -390,7 +386,7 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
     """
     alpha0 = A0.alpha
     target_alpha = check_order(target_alpha)
-    if not (start.converged and start.positive):
+    if not start.positive:
         raise HypothesisError(
             "continuation-start",
             "continuation needs a converged positive starting solution")
@@ -431,7 +427,7 @@ def continue_alpha(start, A0, target_alpha, f, initial_step=0.005,
             rep = newton_solve(A, f, guess, tol=tol)
         except ConvergenceError:
             pass
-        if rep is not None and rep.converged:
+        if rep is not None and rep.positive:
             nd = nondegeneracy(A, f, rep.solution)
         if nd is None or nd.det_sign != cur.det_sign:
             rejected += 1
@@ -505,7 +501,7 @@ def find_positive_solution(A, f, eig, tol=RTOL, maxit=50):
         raise type(exc)(f"{where}: {exc}", last=exc.last,
                         iterations=exc.iterations,
                         residual=exc.residual) from exc
-    if not rep.converged:
+    if not rep.positive:
         raise ConvergenceError(
             f"{where} found no positive solution", last=rep.solution,
             iterations=rep.iterations, residual=rep.residual)

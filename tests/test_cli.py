@@ -748,3 +748,29 @@ def test_error_report_lists_the_files_of_the_failed_run(tmp_path,
                  "--out", str(out)]) == EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == ["bounds.csv",
                                                      "manifest.json"]
+
+
+def test_failed_branch_keeps_the_files_of_the_branches_before_it(
+        tmp_path, monkeypatch):
+    run = ["henon-continue", *SMALL_RUNS["henon-continue"]]
+    assert main([*run, "--out", str(tmp_path / "whole")]) == EXIT_OK
+    rescale = shooting.rescale_to_unit
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise errors.ScalingError("bad", exponent=1.0, residual=1.0)
+        return rescale(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "rescale_to_unit", fail_second)
+    out = tmp_path / "failed"
+    assert main([*run, "--out", str(out)]) == EXIT_NONCONVERGENCE
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "non_convergence"
+    assert error["outputs"] == ["crossings.csv", "trace_0.jsonl",
+                                "endpoint_0.csv"]
+    assert not (out / "summary.json").exists()
+    for name in error["outputs"]:
+        assert (out / name).read_bytes() == \
+            (tmp_path / "whole" / name).read_bytes()

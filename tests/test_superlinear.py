@@ -37,7 +37,7 @@ def test_linear_f_collapses_to_zero_in_one_step(classical, unit_weight):
     report = newton_solve(A, f, u0)
     assert report.iterations == 1
     assert np.max(np.abs(report.solution.values)) < 1e-9
-    assert not report.positive and not report.converged
+    assert not report.positive
 
 
 def test_small_start_flags_trivial_limit(classical, unit_weight):
@@ -45,8 +45,7 @@ def test_small_start_flags_trivial_limit(classical, unit_weight):
     u0 = GridFunction(mesh, 1e-4 * eig.phi1.values)
     report = newton_solve(A, SQUARE, u0)
     assert report.residual <= 1e-10
-    assert not report.positive
-    assert not report.converged          # flagged, not an exception
+    assert not report.positive           # flagged, not an exception
 
 
 def test_superlinear_solution_against_fd_oracle(unit_weight):
@@ -319,7 +318,7 @@ def test_split_holds_no_matrix_buffer(unit_weight):
         assert tracemalloc.get_traced_memory()[1] <= bound
     finally:
         tracemalloc.stop()
-    assert report.converged and report.iterations >= 2
+    assert report.positive and report.iterations >= 2
 
 
 def test_newton_and_margin_call_no_native_linalg(classical_solution,
@@ -342,7 +341,7 @@ def test_newton_and_margin_call_no_native_linalg(classical_solution,
     A = assemble(mesh, 2.0, unit_weight)
     u0 = GridFunction(mesh, 1.01 * start.solution.values)
     report = newton_solve(A, SQUARE, u0)
-    assert report.converged and report.iterations >= 2
+    assert report.positive and report.iterations >= 2
     assert not nondegeneracy(A, SQUARE, report.solution).degenerate
     trace = continue_alpha(start, A, 1.99, SQUARE, initial_step=0.005)
     assert trace.status == "completed" and len(trace.steps) == 3
@@ -539,17 +538,17 @@ def test_split_failures_decide_the_margin():
 @pytest.mark.parametrize("problem", CRITERION_11)
 def test_condition_estimate_matches_svd(problem):
     # ||J||_1 from A's column sums is the dense 1-norm, and the guard's
-    # capped Lanczos estimate ||J||_1 / sigma_min is a lower bound within 10%
-    # of the one with sigma_min from a dense SVD
-    from fracbvp.superlinear import (COND_STEPS, _SplitJacobian, _fprime,
+    # Lanczos estimate ||J||_1 / sigma_min, on the margin's budget, is a
+    # lower bound within 10% of the one with sigma_min from a dense SVD
+    from fracbvp.superlinear import (MARGIN_MAXIT, _SplitJacobian, _fprime,
                                      _norm1, _sigma_min)
     A, f, u = _problem(*problem)
     fp = _fprime(f, u)
     jac = _SplitJacobian(A, fp)
-    anorm = _norm1(A)(fp)
+    anorm = _norm1(A, fp)
     J = jacobian(A, f, u)
     assert anorm == pytest.approx(np.linalg.norm(J, 1), rel=1e-13)
-    sigma, _, _ = _sigma_min(jac, COND_STEPS, 0.0, False)
+    sigma, _, _ = _sigma_min(jac, MARGIN_MAXIT, 0.0, False)
     cond = anorm / sigma
     exact = anorm / np.linalg.svd(J, compute_uv=False)[-1]
     assert 0.9 * exact <= cond <= exact * (1.0 + 1e-10)
@@ -581,6 +580,70 @@ def test_newton_guard_stops_on_singular_jacobian(alpha, unit_weight):
     assert "condition estimate" in str(info.value)
 
 
+def test_newton_checks_its_jacobian_once_per_solve(classical, monkeypatch):
+    # the guard's Lanczos runs on the first iterate alone
+    from fracbvp import superlinear
+    mesh, A, eig = classical
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["iterations"])
+        return sigma_min(*args, **kwargs)
+
+    sigma_min = superlinear._sigma_min
+    monkeypatch.setattr(superlinear, "_sigma_min", counted)
+    u0 = GridFunction(mesh, 2.0 * eig.lambda1 * eig.phi1.values)
+    report = newton_solve(A, SQUARE, u0)
+    assert report.iterations >= 2
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("failure, denominator, message", [
+    ("has a triangular part with a diagonal entry <= 0", np.nan,
+     "diagonal entry"),
+    ("has Sherman-Morrison denominator 0.0", 0.0, "condition estimate inf")],
+    ids=["diagonal", "denominator"])
+def test_newton_split_failure_after_the_first_iterate_raises(
+        classical, monkeypatch, failure, denominator, message):
+    # a split that cannot be solved with still stops Newton past iterate 1
+    from fracbvp import superlinear
+    from fracbvp.errors import DegeneratePointError
+    mesh, A, eig = classical
+    built = []
+
+    def failing_second(A, fp):
+        jac = split(A, fp)
+        built.append(jac)
+        if len(built) == 2:
+            jac.failure, jac.denominator = failure, denominator
+        return jac
+
+    split = superlinear._SplitJacobian
+    monkeypatch.setattr(superlinear, "_SplitJacobian", failing_second)
+    u0 = GridFunction(mesh, 2.0 * eig.lambda1 * eig.phi1.values)
+    with pytest.raises(DegeneratePointError) as info:
+        newton_solve(A, SQUARE, u0)
+    assert info.value.iterations == 2
+    assert message in str(info.value)
+
+
+def test_henon_continue_split_solve_budget(tmp_path, monkeypatch):
+    # the default run's triangular solves: the splits' own, Newton's steps,
+    # one guard per Newton solve and the margins.  A guard on every Newton
+    # iterate took 590
+    from fracbvp import superlinear
+    calls = []
+    tri_solve = superlinear._SplitJacobian._tri_solve
+
+    def counted(self, b, trans):
+        calls.append(trans)
+        return tri_solve(self, b, trans)
+
+    monkeypatch.setattr(superlinear._SplitJacobian, "_tri_solve", counted)
+    assert cli_main(["henon-continue", "--scan-points", "200",
+                     "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) <= 550
+
 # solve-super jobs of the benchmark's solver_mix seeds 25, 38, 50 (two), 59,
 # 65 and 97, and four (alpha, p) of the hypothesis region: Newton from
 # phi1 scaled to 1/4-16 times the level where f(s)/s = lambda1 fails on each
@@ -597,7 +660,7 @@ PETVIASHVILI_CASES = [
 
 
 def _assert_nondegenerate_solution(A, f, report):
-    assert report.converged and report.positive
+    assert report.positive
     assert report.residual < 1e-10
     assert np.all(report.solution.values[1:-1] > 0.0)
     assert not nondegeneracy(A, f, report.solution).degenerate
